@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "airnet/network.h"
 #include "core/optimizer.h"
 #include "core/redecide.h"
 #include "core/scenario.h"
@@ -282,19 +281,18 @@ BENCHMARK(BM_StrategyTransferCurve);
 
 // --- Fleet-scale stepping (DESIGN.md §12) --------------------------------
 //
-// Same world, two engines: 1000 UAVs in one shared collision domain,
-// saturated transfers that never drain, advanced one 50 ms step per
-// iteration. BM_AirnetStep1k is the event-driven baseline (per-node
-// uav::Uav autopilot ticks, heap-scheduled std::function exchanges,
-// per-MPDU erfc chains); BM_FleetStep1k is the batched SoA sweep.
-// bench_regress.sh pins BM_FleetStep1k under an absolute ceiling (the
-// real-time-at-n=1000 claim needs < 50 ms/step on one core) and requires
-// the BM_AirnetStep1k / BM_FleetStep1k ratio to stay >= 20x.
+// 1000 UAVs in one shared collision domain, saturated transfers that
+// never drain, advanced one 50 ms step per iteration. The Bianchi
+// stretch makes each exchange span many sweeps, so most iterations take
+// the idle-sweep skip: this mostly times that skip, not the exchange
+// kernel (perfbench's fleet workloads measure the sweep end to end).
+// bench_regress.sh pins it under an absolute ceiling (the
+// real-time-at-n=1000 claim needs < 50 ms/step on one core).
 
 void BM_FleetStep1k(benchmark::State& state) {
   fleet::FleetConfig cfg;
-  cfg.threads = 1;             // the speedup claim is single-core
-  cfg.cell_size_m = 1e8;       // one global collision domain, like airnet
+  cfg.threads = 1;             // the ceiling is a single-core budget
+  cfg.cell_size_m = 1e8;       // one global collision domain
   cfg.max_tx_per_cell = 1000;  // everyone admitted; Bianchi stretches airtime
   fleet::FleetEngine eng(cfg, 42);
   for (int i = 0; i < 1000; ++i) {
@@ -313,31 +311,6 @@ void BM_FleetStep1k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetStep1k);
-
-void BM_AirnetStep1k(benchmark::State& state) {
-  const airnet::NetworkConfig cfg;
-  airnet::AerialNetwork net(cfg, 42);
-  for (int i = 0; i < 500; ++i) {
-    uav::UavConfig tx, rx;
-    tx.id = "tx" + std::to_string(i);
-    rx.id = "rx" + std::to_string(i);
-    tx.start_pos = {40.0, 4.0 * i, 10.0};
-    rx.start_pos = {0.0, 4.0 * i, 10.0};
-    const airnet::NodeId a = net.add_node(tx);
-    const airnet::NodeId b = net.add_node(rx);
-    net.node(a).goto_and_hold(tx.start_pos);
-    net.node(b).goto_and_hold(rx.start_pos);
-    net.start_transfer(a, b, net::DataBatch{1000000, 1.0e6});  // 1 TB: never drains
-  }
-  net.run_until(1.0);
-  double t = 1.0;
-  for (auto _ : state) {
-    t += cfg.kinematics_dt_s;
-    net.run_until(t);
-    benchmark::DoNotOptimize(net.now());
-  }
-}
-BENCHMARK(BM_AirnetStep1k);
 
 }  // namespace
 

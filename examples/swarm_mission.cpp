@@ -1,17 +1,16 @@
-// Swarm mission on the live network co-simulation.
+// Swarm mission on the fleet engine.
 //
 // Four quadrocopter scouts each sweep a sector of a 200x200 m area; one
-// relay hovers at the center. As each scout finishes, the
-// delayed-gratification planner picks its rendezvous distance and the
-// scout ferries its batch in; the AerialNetwork simulates every flight
-// and every 802.11n exchange against live positions, including DCF
-// contention when deliveries overlap.
+// relay hovers at the center. The delayed-gratification planner picks
+// each scout's rendezvous distance d*; the FleetEngine then flies every
+// scout to its d* point and simulates its 802.11n exchanges, including
+// DCF contention while deliveries overlap in the relay's shared cell.
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "airnet/network.h"
 #include "core/mission.h"
+#include "fleet/engine.h"
 #include "io/table.h"
 
 int main() {
@@ -30,56 +29,43 @@ int main() {
               plan.sectors.size(), plan.total_data_mb, plan.makespan_s,
               plan.feasible ? "battery-feasible" : "INFEASIBLE");
 
-  // Fly it on the network.
-  airnet::NetworkConfig ncfg;
-  airnet::AerialNetwork net(ncfg, 2026);
+  // Fly it on the fleet engine: one shared cell, no in-flight failures.
+  fleet::FleetConfig fcfg;
+  fcfg.cell_size_m = 1e4;
+  fleet::FleetEngine eng(fcfg, 2026);
 
   const geo::Vec3 relay_pos{100.0, 100.0, 10.0};
-  uav::UavConfig relay_cfg;
-  relay_cfg.id = "relay";
-  relay_cfg.platform = uav::PlatformSpec::arducopter();
-  relay_cfg.start_pos = relay_pos;
-  const airnet::NodeId relay = net.add_node(relay_cfg);
-  net.node(relay).goto_and_hold(relay_pos);
-
   const auto sectors = ctrl::make_sector_grid(200.0, 200.0, 2, 2, 10.0);
-  std::vector<airnet::NodeId> scouts;
+  std::vector<double> planned_d;
   for (const auto& s : sectors) {
-    uav::UavConfig cfg;
-    cfg.id = "scout" + std::to_string(s.index);
-    cfg.platform = uav::PlatformSpec::arducopter();
-    cfg.start_pos = s.center();
-    const airnet::NodeId id = net.add_node(cfg);
-    // Ferry leg: fly toward the relay, stop at the planned distance.
     const auto& dec = plan.sectors[static_cast<std::size_t>(s.index)].rounds[0].decision;
-    const geo::Vec3 dir = (s.center() - relay_pos).normalized();
-    net.node(id).goto_and_hold(relay_pos + dir * dec.strategy.target_distance_m);
-    scouts.push_back(id);
+    fleet::MissionSpec spec;
+    spec.start_pos = s.center();
+    spec.receiver_pos = relay_pos;
+    spec.fixed_target_distance_m = dec.strategy.target_distance_m;
+    spec.mdata_bytes = 26 * 0.39e6;  // ~10 MB per scout for a quick demo
+    spec.rho_per_m = 0.0;
+    // Stagger the departures slightly (the contention ablation's lesson).
+    spec.spawn_t_s = 25.0 + 5.0 * static_cast<double>(planned_d.size());
+    eng.add_mission(spec);
+    planned_d.push_back(dec.strategy.target_distance_m);
   }
-
-  // Stagger the transfers slightly (the contention ablation's lesson),
-  // then let the network run.
-  std::vector<airnet::TransferId> transfers;
-  const net::DataBatch batch{26, 0.39e6};  // ~10 MB per scout for a quick demo
-  for (std::size_t i = 0; i < scouts.size(); ++i) {
-    const auto scout = scouts[i];
-    net.simulator().schedule(25.0 + 5.0 * static_cast<double>(i), [&, scout] {
-      transfers.push_back(net.start_transfer(scout, relay, batch));
-    });
-  }
-  net.run_until(600.0);
+  eng.run_until(600.0);
 
   io::Table t("swarm delivery results");
   t.columns({"scout", "planned d_m", "achieved d_m", "done t_s", "loss_%", "complete"});
   bool all_ok = true;
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    const auto& st = net.transfer(transfers[i]);
-    const auto& dec = plan.sectors[i].rounds[0].decision;
+  for (std::size_t i = 0; i < planned_d.size(); ++i) {
+    const fleet::MissionStatus st = eng.mission(static_cast<int>(i));
+    const bool done = st.phase == fleet::Phase::kDone;
+    const double loss =
+        st.mpdus_attempted > 0
+            ? 1.0 - static_cast<double>(st.mpdus_delivered) / static_cast<double>(st.mpdus_attempted)
+            : 0.0;
     t.add_row("scout" + std::to_string(i),
-              {dec.strategy.target_distance_m, net.distance(st.from, relay),
-               st.completed ? st.completed_t_s : -1.0, st.loss_rate() * 100.0,
-               st.completed ? 1.0 : 0.0});
-    all_ok = all_ok && st.completed;
+              {planned_d[i], geo::distance(eng.position(static_cast<int>(i)), relay_pos),
+               done ? st.completed_t_s : -1.0, loss * 100.0, done ? 1.0 : 0.0});
+    all_ok = all_ok && done;
   }
   t.print();
   std::printf("%s\n", all_ok ? "all batches delivered" : "INCOMPLETE DELIVERIES");

@@ -5,8 +5,8 @@
 # the output into a stable {name -> median real_time ns} map, and either
 # records it as the committed baseline or fails on >TOLERANCE% regression
 # of any baselined counter. The baseline also pins the headline claims:
-# SPEEDUPS requires counter ratios (kAggregate vs kPerMpdu link-second,
-# batched fleet step vs event-driven airnet step), and CEILING_NS pins
+# SPEEDUPS requires counter ratios (kAggregate vs kPerMpdu link-second),
+# and CEILING_NS pins
 # absolute budgets for latency-contract counters (a relative gate would
 # let a slow-but-stable baseline hide a blown contract — BM_ReDecision
 # must fit in a probe tick, so it gets a hard 10 us ceiling).
@@ -67,19 +67,17 @@ import json, os, sys
 # Required numerator/denominator speedups, checked whenever both
 # counters are present:
 #   - kPerMpdu / kAggregate saturated link-second >= 10x (PR 3)
-#   - event-driven airnet step / batched fleet step at n=1000 >= 20x
-#     (DESIGN.md §12 — the fleet engine's reason to exist)
 SPEEDUPS = [
     ("aggregate link-second", "BM_LinkSimSecondPerMpdu", "BM_LinkSimSecondAggregate", 10.0),
-    ("fleet vs event-driven step @1k", "BM_AirnetStep1k", "BM_FleetStep1k", 20.0),
 ]
 # Absolute real-time ceilings [ns], enforced in --update and --check:
 # these are latency contracts, not regression baselines.
 # BM_PolicyDecideBatch decides 1024 queries per iteration; its ceiling is
 # the >= 1e6 decisions/s service contract (<= 1 us/decision amortized).
-# BM_FleetStep1k advances 1000 saturated UAVs by one 50 ms sweep; the
-# 25 us ceiling keeps ~2000x headroom on the faster-than-real-time
-# contract while sitting ~4x above the measured median.
+# BM_FleetStep1k advances 1000 saturated UAVs by one 50 ms sweep, and
+# mostly times the idle-sweep skip; the 25 us ceiling keeps ~2000x
+# headroom on the faster-than-real-time contract while sitting ~4x
+# above the measured median.
 CEILING_NS = {
     "BM_ReDecision": 10_000.0,
     "BM_PolicyDecideBatch": 1_024_000.0,

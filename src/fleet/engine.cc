@@ -43,7 +43,7 @@ struct FleetEngine::Soa {
   std::vector<double> session_setup;     ///< elected link's setup latency [s]
   /// Seeded outage realization of a non-wifi elected link (null when the
   /// link is always-up or the election went to wifi). Row-local state:
-  /// only run_generic_exchanges on row i touches it.
+  /// only run_exchanges on row i touches it.
   std::vector<std::unique_ptr<link::OutageProcess>> outage;
   // Transfer progress.
   std::vector<std::uint64_t> total_bytes, delivered_bytes, by_deadline_bytes;
@@ -77,7 +77,8 @@ FleetEngine::FleetEngine(FleetConfig cfg, std::uint64_t seed)
       model_(cfg.scenario.paper_throughput()),
       service_(model_),
       soa_(std::make_unique<Soa>()),
-      tables_(phy::ErrorModel(cfg.error, cfg.channel.spatial_correlation), cfg.per_table) {
+      tables_(phy::ErrorModel(cfg.error, cfg.channel.spatial_correlation), cfg.per_table),
+      airtime_(cfg.timing, cfg.ampdu, cfg.mpdu, cfg.channel.width, cfg.channel.gi) {
   if (cfg_.threads != 1) pool_ = std::make_unique<exp::ThreadPool>(cfg_.threads);
   cfg_.link_chaos.validate();
   chaos_on_ = cfg_.link_chaos.any();
@@ -88,9 +89,11 @@ FleetEngine::FleetEngine(FleetConfig cfg, std::uint64_t seed)
   if (cfg_.links != nullptr && !cfg_.links->empty()) {
     service_.install_links(cfg_.links);
     link_is_wifi_.resize(cfg_.links->size());
+    link_errors_.resize(cfg_.links->size());
     for (std::size_t j = 0; j < cfg_.links->size(); ++j) {
-      link_is_wifi_[j] =
-          cfg_.links->backend(j).kind() == link::BackendKind::kWifi80211n ? 1 : 0;
+      const link::LinkBackend& bk = cfg_.links->backend(j);
+      link_is_wifi_[j] = bk.kind() == link::BackendKind::kWifi80211n ? 1 : 0;
+      if (!link_is_wifi_[j]) link_errors_[j].table = &bk.frame_table();
     }
     // Identity efficiency row for non-wifi transmitters: they do not
     // share the 802.11n channel, so they never pay DCF contention. A
@@ -101,37 +104,21 @@ FleetEngine::FleetEngine(FleetConfig cfg, std::uint64_t seed)
     eff_memo_.emplace_back(1, ones);
   }
 
-  // Prefetch every PER table and freeze the airtime memos up front so
-  // the sweep loops are pure loads: no mutexes, no mac:: recomputation.
+  // Prefetch every PER table and fill the airtime memo up front so the
+  // sweep loops are pure loads: no mutexes, no mac:: recomputation.
   phy::PerTableCache* src = cfg_.shared_tables ? cfg_.shared_tables.get() : &tables_;
   for (int m = 0; m < phy::kNumMcs; ++m) {
-    data_tables_[static_cast<std::size_t>(m)] =
+    data_errors_[static_cast<std::size_t>(m)].table =
         &src->table(phy::mcs(m), cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db);
   }
-  ba_table_ = &src->table(phy::mcs(0), 32 * 8, 0.0);
+  ba_errors_.table = &src->table(phy::mcs(0), mac::kBlockAckBits, 0.0);
+  airtime_.fill();
 
-  payload_per_mpdu_ = cfg_.mpdu.payload_bits() / 8;
-  const int max_n = cfg_.ampdu.max_subframes;
-  subframes_memo_.resize(static_cast<std::size_t>(phy::kNumMcs) * max_n);
-  exchange_memo_.resize(static_cast<std::size_t>(phy::kNumMcs) * max_n * 2);
   frame_airtime_s_.resize(phy::kNumMcs);
   for (int m = 0; m < phy::kNumMcs; ++m) {
-    const phy::McsInfo& info = phy::mcs(m);
-    for (int backlog = 1; backlog <= max_n; ++backlog) {
-      subframes_memo_[static_cast<std::size_t>(m) * max_n + backlog - 1] =
-          static_cast<std::int16_t>(mac::subframes_for(cfg_.ampdu, cfg_.mpdu, info,
-                                                       cfg_.channel.width, cfg_.channel.gi,
-                                                       backlog));
-    }
-    for (int n = 1; n <= max_n; ++n) {
-      for (int retry = 0; retry < 2; ++retry) {
-        exchange_memo_[(static_cast<std::size_t>(m) * max_n + n - 1) * 2 + retry] =
-            mac::exchange_duration_s(cfg_.timing, cfg_.mpdu, info, cfg_.channel.width,
-                                     cfg_.channel.gi, n, retry);
-      }
-    }
-    frame_airtime_s_[static_cast<std::size_t>(m)] = mac::ampdu_duration_s(
-        cfg_.mpdu, info, cfg_.channel.width, cfg_.channel.gi, max_n);
+    frame_airtime_s_[static_cast<std::size_t>(m)] =
+        mac::ampdu_duration_s(cfg_.mpdu, phy::mcs(m), cfg_.channel.width, cfg_.channel.gi,
+                              cfg_.ampdu.max_subframes);
   }
   ba_airtime_s_ = mac::block_ack_duration_s(cfg_.channel.width);
 }
@@ -585,24 +572,42 @@ void FleetEngine::run_winners(double t0) {
   next_fire_s_ = *std::min_element(chunk_min_.begin(), chunk_min_.end());
 }
 
+// Exchanges occupy contiguous airtime, so the clock alone decides
+// eligibility: run every round that starts inside this sweep's window.
+// The 802.11n path is the same grammar as mac::LinkSimulator on the
+// kAggregate fast path, plus DCF contention and the MCS-0 stall backoff;
+// the burst path is GenericSession's frame-burst round on row-local
+// state. The UAV hovers at d*, so a burst link's rate is a constant of
+// the mission. All state is row-local (per-UAV RNG, channel, ARF and
+// outage stream), which keeps the sweep thread-count bit-identical.
 double FleetEngine::run_exchanges(std::uint32_t i, std::uint32_t eff_row, double t1) {
   constexpr double kNever = std::numeric_limits<double>::infinity();
   Soa& s = *soa_;
   // A memoized winner may have left kTransmit since the set was built.
   if (s.phase[i] != static_cast<std::uint8_t>(Phase::kTransmit)) return kNever;
-  // A non-wifi burst election transfers over the elected backend, not
-  // the 802.11n MAC/PHY (whose PER at, say, a cellular-range d* is ~1).
-  const std::int32_t bl = s.burst_link[i];
-  if (bl >= 0 && !link_is_wifi_[static_cast<std::size_t>(bl)]) {
-    return run_generic_exchanges(i, t1);
-  }
-  const auto& eff = eff_memo_[eff_row].second;
-  const int max_n = cfg_.ampdu.max_subframes;
-  const double d = s.d_star[i];
 
   // A deferred transmitter re-syncs its exchange clock to real time; a
   // mid-exchange one (clock already past the sweep start) keeps it.
   double t = std::max(s.tx_clock[i], t1 - cfg_.dt_s);
+
+  // A non-wifi burst election transfers over the elected backend, not
+  // the 802.11n MAC/PHY (whose PER at, say, a cellular-range d* is ~1).
+  const std::int32_t bl = s.burst_link[i];
+  const link::LinkBackend* burst = nullptr;
+  double d = s.d_star[i];
+  double rate_bps = 0.0;
+  if (bl >= 0 && !link_is_wifi_[static_cast<std::size_t>(bl)]) {
+    burst = &cfg_.links->backend(static_cast<std::size_t>(bl));
+    d = std::max(d, burst->config().min_distance_m);
+    rate_bps = burst->rate_bps(d);
+    if (rate_bps <= 0.0) {
+      // Every election scored zero (d* beyond all ranges): the mission
+      // honestly cannot deliver; back off so sweeps stay cheap.
+      s.stall_reason[i] = static_cast<std::uint8_t>(mac::IncompleteReason::kOutOfRange);
+      s.tx_clock[i] = std::max(t, t1) + cfg_.stall_retry_s;
+      return s.tx_clock[i];
+    }
+  }
 
   if (chaos_on_ && !s.setup_done[i]) {
     t = chaos_setup(i, t);
@@ -612,13 +617,19 @@ double FleetEngine::run_exchanges(std::uint32_t i, std::uint32_t eff_row, double
     }
   }
 
-  // Same exchange grammar as airnet::AerialNetwork::exchange(), on the
-  // kAggregate fast path: jitter-marginalized PER table + one binomial
-  // per aggregate instead of 64 erfc/Bernoulli chains (PR 3 established
-  // the distributional equivalence). Exchanges occupy contiguous
-  // airtime, so the clock alone decides eligibility: run every exchange
-  // that starts inside this sweep's window.
+  const auto& eff = eff_memo_[eff_row].second;
+  const double snr_mean_db = burst != nullptr ? burst->snr_db_at(d) : 0.0;
+  const std::uint64_t unit_bytes =
+      burst != nullptr
+          ? std::max<std::uint64_t>(static_cast<std::uint64_t>(burst->config().frame_bits) / 8, 1)
+          : static_cast<std::uint64_t>(cfg_.mpdu.payload_bits() / 8);
+  link::OutageProcess* const outage = burst != nullptr ? s.outage[i].get() : nullptr;
   while (t < t1) {
+    if (outage != nullptr && !outage->is_up(t)) {
+      s.stall_reason[i] = static_cast<std::uint8_t>(mac::IncompleteReason::kStarvedByOutage);
+      t = outage->segment_end_s(t);
+      continue;
+    }
     if (chaos_on_) {
       const double ce = chaos_gate_end(i, t);
       if (ce > t) {
@@ -632,123 +643,33 @@ double FleetEngine::run_exchanges(std::uint32_t i, std::uint32_t eff_row, double
         continue;
       }
     }
-    const int mcs = cfg_.fixed_mcs >= 0 ? cfg_.fixed_mcs : s.arf[i].select_mcs(t);
-    const phy::PerTable& table = *data_tables_[static_cast<std::size_t>(mcs)];
+
     const std::uint64_t remaining = s.total_bytes[i] - s.delivered_bytes[i];
-    const int backlog = static_cast<int>(std::min<std::uint64_t>(
-        (remaining + static_cast<std::uint64_t>(payload_per_mpdu_) - 1) /
-            static_cast<std::uint64_t>(payload_per_mpdu_),
-        static_cast<std::uint64_t>(max_n)));
-    const int n = subframes_memo_[static_cast<std::size_t>(mcs) * max_n +
-                                  std::max(backlog, 1) - 1];
-
-    const double snr_db = s.channel[i].snr_db(t, d, 0.0);
-    const double per = table.per(snr_db);
-    auto delivered = static_cast<int>(s.rng[i].binomial(static_cast<std::uint64_t>(n),
-                                                        1.0 - per));
-    if (s.rng[i].bernoulli(ba_table_->per(snr_db))) delivered = 0;
-
-    s.mpdus_att[i] += static_cast<std::uint64_t>(n);
-    s.mpdus_del[i] += static_cast<std::uint64_t>(delivered);
-    s.delivered_bytes[i] = std::min<std::uint64_t>(
-        s.total_bytes[i],
-        s.delivered_bytes[i] +
-            static_cast<std::uint64_t>(delivered) *
-                static_cast<std::uint64_t>(payload_per_mpdu_));
-    if (t <= s.deadline[i]) s.by_deadline_bytes[i] = s.delivered_bytes[i];
-    s.arf[i].report(t, mac::TxFeedback{mcs, n, delivered});
-
-    if (s.delivered_bytes[i] >= s.total_bytes[i]) {
-      s.phase[i] = static_cast<std::uint8_t>(Phase::kDone);
-      s.completed_t[i] = t;
-      s.tx_clock[i] = t;
-      tx_set_dirty_.store(true, std::memory_order_relaxed);
-      return kNever;
+    const std::uint64_t backlog = (remaining + unit_bytes - 1) / unit_bytes;
+    mac::TxFeedback fb{};
+    link::BurstRound round{};
+    if (burst != nullptr) {
+      const link::LinkBackendConfig& lc = burst->config();
+      round = link::burst_round(
+          lc, std::min(backlog, static_cast<std::uint64_t>(lc.frames_per_burst)), snr_mean_db,
+          rate_bps, link_errors_[static_cast<std::size_t>(bl)], s.rng[i]);
+    } else {
+      const int mcs = s.arf[i].select_mcs(t);
+      const int max_n = cfg_.ampdu.max_subframes;
+      fb = mac::ampdu_exchange(
+          airtime_, mcs, static_cast<int>(std::min(backlog, static_cast<std::uint64_t>(max_n))),
+          s.channel[i].snr_db(t, d, 0.0), data_errors_[static_cast<std::size_t>(mcs)],
+          ba_errors_, s.rng[i]);
+      s.arf[i].report(t, fb);
+      round.sent = static_cast<std::uint64_t>(fb.attempted);
+      round.delivered = static_cast<std::uint64_t>(fb.delivered);
     }
 
-    double dur = exchange_memo_[(static_cast<std::size_t>(mcs) * max_n + n - 1) * 2 +
-                                (delivered == 0 ? 1 : 0)];
-    const double e = eff[static_cast<std::size_t>(mcs)];
-    if (e > 1e-6) dur /= e;
-    if (delivered == 0 && mcs == 0) dur = std::max(dur, cfg_.stall_retry_s);
-    if (chaos_on_ && s.chaos[i] != nullptr) {
-      // A degradation epoch stretches the exchange airtime by 1/scale
-      // and feeds the CUSUM that arms re-election.
-      const double scale = s.chaos[i]->rate_scale(t);
-      if (scale < 1.0) dur /= scale;
-      update_degrade_cusum(i, scale);
-    }
-    t += dur;
-  }
-  s.tx_clock[i] = t;
-  return t;
-}
-
-// GenericSession's frame-burst ARQ grammar folded into the sweep loop:
-// each round sends up to frames_per_burst frames at the backend's
-// decision-layer rate, draws one aggregate fade, samples delivered
-// frames as one Binomial from the jitter-marginalized PER table
-// (kAggregate fast path), pays one RTT, and stalls through sampled
-// outage segments. The UAV hovers at d*, so the rate is a constant of
-// the mission. All state is row-local (per-UAV RNG + outage stream):
-// thread-count bit-identity carries over unchanged.
-double FleetEngine::run_generic_exchanges(std::uint32_t i, double t1) {
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  Soa& s = *soa_;
-  const link::LinkBackend& bk = cfg_.links->backend(static_cast<std::size_t>(s.burst_link[i]));
-  const link::LinkBackendConfig& lc = bk.config();
-  const double d = std::max(s.d_star[i], lc.min_distance_m);
-  const double rate_bps = bk.rate_bps(d);
-  double t = std::max(s.tx_clock[i], t1 - cfg_.dt_s);
-  if (rate_bps <= 0.0) {
-    // Every election scored zero (d* beyond all ranges): the mission
-    // honestly cannot deliver; back off so sweeps stay cheap.
-    s.stall_reason[i] = static_cast<std::uint8_t>(mac::IncompleteReason::kOutOfRange);
-    s.tx_clock[i] = std::max(t, t1) + cfg_.stall_retry_s;
-    return s.tx_clock[i];
-  }
-
-  if (chaos_on_ && !s.setup_done[i]) {
-    t = chaos_setup(i, t);
-    if (!s.setup_done[i]) {
-      s.tx_clock[i] = std::max(t, t1);
-      return s.tx_clock[i];
-    }
-  }
-
-  const auto frame_bits = static_cast<std::uint64_t>(lc.frame_bits);
-  const std::uint64_t frame_bytes = std::max<std::uint64_t>(frame_bits / 8, 1);
-  const double snr_mean_db = bk.snr_db_at(d);
-  while (t < t1) {
-    if (s.outage[i] != nullptr && !s.outage[i]->is_up(t)) {
-      s.stall_reason[i] = static_cast<std::uint8_t>(mac::IncompleteReason::kStarvedByOutage);
-      t = s.outage[i]->segment_end_s(t);
-      continue;
-    }
-    if (chaos_on_) {
-      const double ce = chaos_gate_end(i, t);
-      if (ce > t) {
-        if (s.want_reelect[i]) {
-          s.tx_clock[i] = t + cfg_.reelection.blackout_trigger_s;
-          return s.tx_clock[i];
-        }
-        t = ce;
-        continue;
-      }
-    }
-    const std::uint64_t remaining = s.total_bytes[i] - s.delivered_bytes[i];
-    const std::uint64_t backlog = (remaining + frame_bytes - 1) / frame_bytes;
-    const std::uint64_t n =
-        std::min(backlog, static_cast<std::uint64_t>(lc.frames_per_burst));
-    const double snr = snr_mean_db + s.rng[i].gaussian(0.0, lc.snr_fade_sigma_db);
-    const std::uint64_t got = s.rng[i].binomial(n, 1.0 - bk.frame_per(snr));
-
-    s.mpdus_att[i] += n;
-    s.mpdus_del[i] += got;
+    s.mpdus_att[i] += round.sent;
+    s.mpdus_del[i] += round.delivered;
     s.delivered_bytes[i] =
-        std::min(s.total_bytes[i], s.delivered_bytes[i] + got * frame_bytes);
+        std::min(s.total_bytes[i], s.delivered_bytes[i] + round.delivered * unit_bytes);
     if (t <= s.deadline[i]) s.by_deadline_bytes[i] = s.delivered_bytes[i];
-
     if (s.delivered_bytes[i] >= s.total_bytes[i]) {
       s.phase[i] = static_cast<std::uint8_t>(Phase::kDone);
       s.completed_t[i] = t;
@@ -756,13 +677,26 @@ double FleetEngine::run_generic_exchanges(std::uint32_t i, double t1) {
       tx_set_dirty_.store(true, std::memory_order_relaxed);
       return kNever;
     }
-    double round_rate = rate_bps;
+
+    // A degradation epoch slows the link by `scale` and feeds the CUSUM
+    // that arms re-election.
+    double scale = 1.0;
     if (chaos_on_ && s.chaos[i] != nullptr) {
-      const double scale = s.chaos[i]->rate_scale(t);
-      if (scale < 1.0) round_rate *= scale;
+      scale = s.chaos[i]->rate_scale(t);
       update_degrade_cusum(i, scale);
     }
-    t += static_cast<double>(n * frame_bits) / round_rate + lc.rtt_s;
+    if (burst != nullptr) {
+      // Only the serialization term slows down; the RTT does not.
+      t += round.airtime_s(scale);
+    } else {
+      double dur = airtime_.exchange_s(fb.mcs_index, fb.attempted, fb.delivered == 0 ? 1 : 0);
+      const double e = eff[static_cast<std::size_t>(fb.mcs_index)];
+      if (e > 1e-6) dur /= e;
+      // Total outage (nothing through, rock-bottom rate): back off.
+      if (fb.delivered == 0 && fb.mcs_index == 0) dur = std::max(dur, cfg_.stall_retry_s);
+      if (scale < 1.0) dur /= scale;
+      t += dur;
+    }
   }
   s.tx_clock[i] = t;
   return t;

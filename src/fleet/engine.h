@@ -1,17 +1,15 @@
 // Fleet-scale batched simulation engine (DESIGN.md §12).
 //
-// airnet::AerialNetwork answers the system question for a handful of
-// vehicles, but it pays an event-driven price per UAV: every exchange is
-// a heap-scheduled std::function, every vehicle a heap-allocated
-// uav::Uav ticked through the full autopilot stack, every subframe an
-// erfc chain. FleetEngine is the same physics reorganized for throughput:
-// all per-UAV state lives in structure-of-arrays form (positions,
-// velocities, battery, buffered Mdata, transfer progress as parallel
-// contiguous arrays) and the fleet advances in fixed-dt batched sweeps —
-// vectorizable point-mass kinematics, per-cell DCF contention from
-// mac::analyze_contention, and A-MPDU exchanges on the kAggregate fast
-// path (jitter-marginalized phy::PerTable + one binomial draw per
-// aggregate, distributionally equivalent to airnet's per-MPDU loop).
+// Many UAVs ferrying and transmitting at once over shared channels,
+// organized for throughput: all per-UAV state lives in
+// structure-of-arrays form (positions, velocities, battery, buffered
+// Mdata, transfer progress as parallel contiguous arrays) and the fleet
+// advances in fixed-dt batched sweeps — vectorizable point-mass
+// kinematics, per-cell DCF contention from mac::analyze_contention, and
+// transfer rounds through the same kernels as the single-link
+// simulators (mac/exchange.h): 802.11n A-MPDU exchanges on the
+// kAggregate fast path (jitter-marginalized phy::PerTable + one binomial
+// draw per aggregate), frame-burst rounds for a non-wifi elected link.
 //
 // The "now or later?" question is answered where it scales: newly
 // spawned missions are batched into one policy::DecisionService::decide
@@ -41,6 +39,7 @@
 #include "geo/vec3.h"
 #include "mac/ampdu.h"
 #include "mac/contention.h"
+#include "mac/exchange.h"
 #include "mac/rate_control.h"
 #include "net/retry_budget.h"
 #include "phy/channel.h"
@@ -100,8 +99,8 @@ struct ReElectionConfig {
 };
 
 struct FleetConfig {
-  /// Sweep step; matches airnet::NetworkConfig::kinematics_dt_s so the
-  /// equivalence suite compares like with like.
+  /// Sweep step [s]: the kinematics tick and the admission period.
+  /// Exchanges keep their own continuous clocks inside each sweep.
   double dt_s{0.05};
   mac::MacTiming timing{};
   mac::AmpduPolicy ampdu{};
@@ -130,8 +129,6 @@ struct FleetConfig {
   /// 1: inline). Bit-identical results for any value.
   int threads{1};
   KinematicsMode kinematics{KinematicsMode::kBatched};
-  /// Pin every transmitter to this MCS (0..15); negative = per-UAV ARF.
-  int fixed_mcs{-1};
   /// Flight endurance [s]; a UAV whose clock runs past it fails. The
   /// battery column drains at 1 s/s from spawn.
   double battery_autonomy_s{std::numeric_limits<double>::infinity()};
@@ -144,12 +141,12 @@ struct FleetConfig {
   /// decisions route through DecisionService::decide_multilink — joint
   /// (link, d) selection with background trickle credited on arrival at
   /// the transmit point. Burst transfers honor the election: a wifi
-  /// winner runs the 802.11n A-MPDU micro-loop below, any other winner
-  /// runs the elected backend's frame-burst ARQ loop (its rate curve,
-  /// PER table, RTT and outage process — GenericSession's grammar on
-  /// row-local state), so a cellular/LEO election beyond wifi range
-  /// actually delivers. nullptr keeps the legacy single-802.11n decide
-  /// path bit-identical (the differential suite pins this).
+  /// winner runs 802.11n A-MPDU exchanges, any other winner runs the
+  /// elected backend's frame-burst rounds (its rate curve, PER table,
+  /// RTT and outage process — link::burst_round on row-local state), so
+  /// a cellular/LEO election beyond wifi range actually delivers.
+  /// nullptr keeps the legacy single-802.11n decide path bit-identical
+  /// (the differential suite pins this).
   std::shared_ptr<const link::LinkSet> links{};
 
   /// Seeded link-chaos axis (fault/link_chaos.h): per-link blackouts,
@@ -265,13 +262,13 @@ class FleetEngine {
   void step_kinematics(double t0);
   void step_transfers(double t0);
   void run_winners(double t0);
-  /// Returns the winner's next exchange-start time (+inf once the
-  /// mission left kTransmit) — the input to the idle-skip watermark.
+  /// One winner's transfer rounds inside this sweep's window: 802.11n
+  /// A-MPDU exchanges (mac::ampdu_exchange), or frame-burst ARQ rounds
+  /// (link::burst_round) at a non-wifi elected backend's rate curve, PER
+  /// table, RTT and per-mission outage process. Returns the next round's
+  /// start time (+inf once the mission left kTransmit) — the input to
+  /// the idle-skip watermark.
   double run_exchanges(std::uint32_t i, std::uint32_t eff_row, double t1);
-  /// Burst transfer over a non-wifi elected backend: frame-burst ARQ
-  /// rounds at the backend's rate curve / PER table / RTT, gated by its
-  /// per-mission outage process. Same return contract as run_exchanges.
-  double run_generic_exchanges(std::uint32_t i, double t1);
   /// Chaos gate for one transfer round: elected-link blackout or a
   /// regional storm over this UAV's cell stalls it. Returns the stall
   /// end (== t when clear). Per-link blackouts arm the re-election
@@ -311,16 +308,15 @@ class FleetEngine {
   std::unique_ptr<Soa> soa_;
   std::unique_ptr<exp::ThreadPool> pool_;
 
-  /// Aggregate-path PER tables (prefetched so sweeps never touch the
-  /// cache mutex) and airtime memos, all immutable after construction.
+  /// Aggregate-path PER sources (tables prefetched so sweeps never touch
+  /// the cache mutex) and the airtime memo, all filled at construction
+  /// and read-only in the sweeps.
   phy::PerTableCache tables_;
-  std::array<const phy::PerTable*, phy::kNumMcs> data_tables_{};
-  const phy::PerTable* ba_table_{nullptr};
-  std::vector<std::int16_t> subframes_memo_;   ///< (mcs, backlog-1) -> n
-  std::vector<double> exchange_memo_;          ///< (mcs, n-1, retry) -> s
+  std::array<mac::FrameErrors, phy::kNumMcs> data_errors_{};
+  mac::FrameErrors ba_errors_{};
+  mac::AirtimeMemo airtime_;
   std::vector<double> frame_airtime_s_;        ///< full-aggregate airtime per mcs
   double ba_airtime_s_{0.0};
-  int payload_per_mpdu_{0};
 
   /// Per-sweep contention efficiency memo: (station count -> per-MCS
   /// efficiency row), filled serially before the parallel transfer pass.
@@ -328,8 +324,9 @@ class FleetEngine {
 
   /// Per-LinkSet-index "is the 802.11n backend" flag (empty on the
   /// legacy path); non-wifi burst elections bypass cell contention and
-  /// route through run_generic_exchanges.
+  /// run frame-burst rounds with that link's prefetched PER table.
   std::vector<std::uint8_t> link_is_wifi_;
+  std::vector<mac::FrameErrors> link_errors_;
 
   std::vector<std::uint32_t> pending_decisions_;
   // step_transfers scratch (member to avoid per-sweep allocation). The

@@ -133,22 +133,22 @@ class WifiSession final : public LinkSession {
 };
 
 /// Frame-burst ARQ loop for cellular/mesh/LEO: each round sends up to
-/// `frames_per_burst` frames at the decision-layer rate, draws one
-/// aggregate fade, samples frame fates per the configured fidelity
-/// (kAggregate: one Binomial from the jitter-marginalized PER table —
-/// the same fast path as the 802.11n simulator; kPerMpdu: analytic PER
-/// per frame), pays one RTT of ARQ turnaround, and stalls through
-/// outage segments. Lost frames stay in the backlog.
+/// `frames_per_burst` frames at the decision-layer rate through
+/// burst_round() (one aggregate fade; frame fates per the configured
+/// fidelity — kAggregate: one Binomial from the jitter-marginalized PER
+/// table, kPerMpdu: analytic PER per frame), pays one RTT of ARQ
+/// turnaround, and stalls through outage segments. Lost frames stay in
+/// the backlog. The backend must outlive the session.
 class GenericSession final : public LinkSession {
  public:
-  GenericSession(const LinkBackendConfig& cfg, const core::ThroughputModel& model,
-                 std::shared_ptr<phy::PerTableCache> tables, std::uint64_t seed,
+  GenericSession(const LinkBackend& backend, std::uint64_t seed,
                  const fault::LinkChaosConfig& chaos = {})
-      : cfg_(cfg),
-        model_(model),
-        tables_(std::move(tables)),
-        em_(cfg.error, cfg.spatial_correlation),
-        outage_(cfg.outage, sim::derive_seed(seed, "outage")),
+      : bk_(backend),
+        cfg_(backend.config()),
+        em_(cfg_.error, cfg_.spatial_correlation),
+        errors_{cfg_.fidelity == mac::LinkFidelity::kAggregate ? &backend.frame_table() : nullptr,
+                &em_, cfg_.frame_bits, cfg_.snr_jitter_db},
+        outage_(cfg_.outage, sim::derive_seed(seed, "outage")),
         rng_(sim::derive_seed(seed, "frames")),
         chaos_(chaos, sim::derive_seed(seed, "chaos")),
         chaos_on_(chaos.any()) {}
@@ -164,7 +164,6 @@ class GenericSession final : public LinkSession {
  private:
   mac::LinkRunResult run(std::uint64_t bits_needed, double time_limit_s,
                          const mac::GeometryFn& geometry) {
-    const phy::McsInfo& m = phy::mcs(cfg_.mcs_index);
     const std::uint64_t frame_bits = static_cast<std::uint64_t>(cfg_.frame_bits);
     const bool saturated = bits_needed == 0;
     // Callers normally bound the run with a finite time limit. Under an
@@ -223,7 +222,7 @@ class GenericSession final : public LinkSession {
       }
       down_since = -1.0;
       const mac::Geometry g = geometry(t);
-      const double rate = model_.throughput_bps(g.distance_m);
+      const double rate = bk_.rate_bps(g.distance_m);
       if (rate <= 0.0) {
         if (out_of_range_since < 0.0) out_of_range_since = t;
         if (!std::isfinite(time_limit_s) && t - out_of_range_since > kMaxOutOfRangeIdleS) {
@@ -241,25 +240,14 @@ class GenericSession final : public LinkSession {
         const std::uint64_t backlog = (bits_needed - delivered_bits + frame_bits - 1) / frame_bits;
         n = std::min(n, backlog);
       }
-      const double snr = snr_db_at(g.distance_m) + rng_.gaussian(0.0, cfg_.snr_fade_sigma_db);
-      std::uint64_t got = 0;
-      if (cfg_.fidelity == mac::LinkFidelity::kAggregate) {
-        const double per =
-            tables_->table(m, cfg_.frame_bits, cfg_.snr_jitter_db).per(snr);
-        got = rng_.binomial(n, 1.0 - per);
-      } else {
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const double fsnr = snr + rng_.gaussian(0.0, cfg_.snr_jitter_db);
-          if (!rng_.bernoulli(em_.packet_error_rate(m, fsnr, cfg_.frame_bits))) ++got;
-        }
-      }
-      r.mpdus_attempted += n;
-      r.mpdus_delivered += got;
+      const BurstRound round =
+          burst_round(cfg_, n, bk_.snr_db_at(g.distance_m), rate, errors_, rng_);
+      r.mpdus_attempted += round.sent;
+      r.mpdus_delivered += round.delivered;
       ++r.exchanges;
-      delivered_bits += got * frame_bits;
+      delivered_bits += round.delivered * frame_bits;
       // A degradation epoch stretches the burst airtime by 1/scale.
-      const double scale = chaos_on_ ? chaos_.rate_scale(t) : 1.0;
-      t += static_cast<double>(n * frame_bits) / (rate * scale) + cfg_.rtt_s;
+      t += round.airtime_s(chaos_on_ ? chaos_.rate_scale(t) : 1.0);
     }
 
     r.duration_s = t;
@@ -267,16 +255,10 @@ class GenericSession final : public LinkSession {
     return r;
   }
 
-  [[nodiscard]] double snr_db_at(double distance_m) const noexcept {
-    const double d = std::max(distance_m, cfg_.min_distance_m);
-    return cfg_.snr_ref_db -
-           cfg_.snr_slope_db_per_decade * std::log10(d / cfg_.snr_ref_distance_m);
-  }
-
-  LinkBackendConfig cfg_;
-  const core::ThroughputModel& model_;
-  std::shared_ptr<phy::PerTableCache> tables_;
+  const LinkBackend& bk_;
+  const LinkBackendConfig& cfg_;
   phy::ErrorModel em_;
+  mac::FrameErrors errors_;
   OutageProcess outage_;
   sim::Rng rng_;
   fault::LinkChaosStream chaos_;
@@ -285,25 +267,14 @@ class GenericSession final : public LinkSession {
 
 // ---- backends --------------------------------------------------------------
 
-std::shared_ptr<phy::PerTableCache> session_tables(const LinkBackendConfig& cfg) {
-  if (cfg.shared_tables) return cfg.shared_tables;
-  return std::make_shared<phy::PerTableCache>(phy::ErrorModel(cfg.error, cfg.spatial_correlation),
-                                              cfg.per_table);
-}
-
 class WifiBackend final : public LinkBackend {
  public:
   explicit WifiBackend(LinkBackendConfig cfg)
       : LinkBackend(std::move(cfg)),
-        model_(cfg_.wifi_a, cfg_.wifi_b, cfg_.name, cfg_.wifi_scale, cfg_.min_distance_m),
-        tables_(session_tables(cfg_)) {}
+        model_(cfg_.wifi_a, cfg_.wifi_b, cfg_.name, cfg_.wifi_scale, cfg_.min_distance_m) {}
 
   [[nodiscard]] const core::ThroughputModel& throughput() const noexcept override {
     return model_;
-  }
-  [[nodiscard]] double frame_per(double snr_db) const override {
-    return tables_->table(phy::mcs(cfg_.mcs_index), cfg_.frame_bits, cfg_.snr_jitter_db)
-        .per(snr_db);
   }
   using LinkBackend::make_session;
   [[nodiscard]] std::unique_ptr<LinkSession> make_session(std::uint64_t seed) const override {
@@ -312,33 +283,27 @@ class WifiBackend final : public LinkBackend {
 
  private:
   core::PaperLogThroughput model_;
-  std::shared_ptr<phy::PerTableCache> tables_;
 };
 
 class GenericBackend final : public LinkBackend {
  public:
   GenericBackend(LinkBackendConfig cfg, std::unique_ptr<core::ThroughputModel> model)
-      : LinkBackend(std::move(cfg)), model_(std::move(model)), tables_(session_tables(cfg_)) {}
+      : LinkBackend(std::move(cfg)), model_(std::move(model)) {}
 
   [[nodiscard]] const core::ThroughputModel& throughput() const noexcept override {
     return *model_;
   }
-  [[nodiscard]] double frame_per(double snr_db) const override {
-    return tables_->table(phy::mcs(cfg_.mcs_index), cfg_.frame_bits, cfg_.snr_jitter_db)
-        .per(snr_db);
-  }
   using LinkBackend::make_session;
   [[nodiscard]] std::unique_ptr<LinkSession> make_session(std::uint64_t seed) const override {
-    return std::make_unique<GenericSession>(cfg_, *model_, tables_, seed);
+    return std::make_unique<GenericSession>(*this, seed);
   }
   [[nodiscard]] std::unique_ptr<LinkSession> make_session(
       std::uint64_t seed, const fault::LinkChaosConfig& chaos) const override {
-    return std::make_unique<GenericSession>(cfg_, *model_, tables_, seed, chaos);
+    return std::make_unique<GenericSession>(*this, seed, chaos);
   }
 
  private:
   std::unique_ptr<core::ThroughputModel> model_;
-  std::shared_ptr<phy::PerTableCache> tables_;
 };
 
 }  // namespace
@@ -363,6 +328,25 @@ BackendKind backend_kind_from_tag(const std::string& tag) {
     if (tag == to_string(k)) return k;
   }
   throw ConfigError("LinkBackendConfig: unknown backend kind '" + tag + "'");
+}
+
+LinkBackend::LinkBackend(LinkBackendConfig cfg)
+    : cfg_(std::move(cfg)),
+      tables_(cfg_.shared_tables
+                  ? cfg_.shared_tables
+                  : std::make_shared<phy::PerTableCache>(
+                        phy::ErrorModel(cfg_.error, cfg_.spatial_correlation), cfg_.per_table)) {}
+
+const phy::PerTable& LinkBackend::frame_table() const {
+  return tables_->table(phy::mcs(cfg_.mcs_index), cfg_.frame_bits, cfg_.snr_jitter_db);
+}
+
+BurstRound burst_round(const LinkBackendConfig& cfg, std::uint64_t frames, double snr_mean_db,
+                       double rate_bps, const mac::FrameErrors& errors, sim::Rng& rng) {
+  const double snr = snr_mean_db + rng.gaussian(0.0, cfg.snr_fade_sigma_db);
+  const std::uint64_t delivered = errors.delivered(cfg.mcs_index, frames, snr, rng);
+  return {frames, delivered, static_cast<double>(frames * static_cast<std::uint64_t>(cfg.frame_bits)),
+          rate_bps, cfg.rtt_s};
 }
 
 double LinkBackend::snr_db_at(double distance_m) const noexcept {

@@ -37,9 +37,11 @@
 #include "fault/link_chaos.h"
 #include "io/json.h"
 #include "link/outage.h"
+#include "mac/exchange.h"
 #include "mac/link.h"
 #include "phy/per.h"
 #include "phy/per_table.h"
+#include "sim/rng.h"
 
 namespace skyferry::link {
 
@@ -205,10 +207,14 @@ class LinkBackend {
   /// Log-distance SNR map of the session PHY curve [dB].
   [[nodiscard]] double snr_db_at(double distance_m) const noexcept;
 
-  /// Jitter-marginalized frame error rate at raw SNR [dB], served from
-  /// the phy::PerTableCache fast path — non-increasing in SNR
-  /// (property-tested). Thread-safe (the cache locks on build).
-  [[nodiscard]] virtual double frame_per(double snr_db) const = 0;
+  /// The session PHY curve's jitter-marginalized PER table (mcs_index,
+  /// frame_bits, snr_jitter_db), served from the phy::PerTableCache fast
+  /// path. Thread-safe (the cache locks on build); callers in hot loops
+  /// resolve it once.
+  [[nodiscard]] const phy::PerTable& frame_table() const;
+  /// Frame error rate at raw SNR [dB] from frame_table() — non-increasing
+  /// in SNR (property-tested).
+  [[nodiscard]] double frame_per(double snr_db) const { return frame_table().per(snr_db); }
 
   /// A seeded transfer session. Sessions derived from distinct seeds
   /// draw independent streams; same seed → bit-identical run.
@@ -229,9 +235,35 @@ class LinkBackend {
   }
 
  protected:
-  explicit LinkBackend(LinkBackendConfig cfg) : cfg_(std::move(cfg)) {}
+  explicit LinkBackend(LinkBackendConfig cfg);
   LinkBackendConfig cfg_;
+  /// cfg_.shared_tables, or a private cache for this backend's sessions.
+  std::shared_ptr<phy::PerTableCache> tables_;
 };
+
+/// One frame-burst ARQ round of a non-802.11n backend: frames sent and
+/// delivered, and what the round costs on air.
+struct BurstRound {
+  std::uint64_t sent{0};
+  std::uint64_t delivered{0};
+  double bits{0.0};  ///< sent * frame_bits
+  double rate_bps{0.0};
+  double rtt_s{0.0};
+
+  /// Serialization at the rate scaled by `rate_scale` (a degradation
+  /// epoch's slowdown, in (0, 1]) plus one RTT of ARQ turnaround.
+  [[nodiscard]] double airtime_s(double rate_scale = 1.0) const noexcept {
+    return bits / (rate_bps * rate_scale) + rtt_s;
+  }
+};
+
+/// The frame-burst round every non-802.11n transfer runs
+/// (link::GenericSession and fleet::FleetEngine): one aggregate fade
+/// N(snr_mean_db, snr_fade_sigma_db) over the burst, then `frames`
+/// frame fates drawn from `errors` (resolved once by the caller).
+[[nodiscard]] BurstRound burst_round(const LinkBackendConfig& cfg, std::uint64_t frames,
+                                     double snr_mean_db, double rate_bps,
+                                     const mac::FrameErrors& errors, sim::Rng& rng);
 
 /// Build (and validate) a backend from its config. Throws ConfigError
 /// on anything validate() rejects.

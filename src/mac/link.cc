@@ -6,18 +6,6 @@
 
 namespace skyferry::mac {
 
-namespace {
-
-/// Block ACK frame size on air (32 bytes at the basic rate).
-constexpr int kBlockAckBits = 32 * 8;
-
-/// Backstop for the (mcs, backlog) subframe cache: policies beyond this
-/// bound fall back to recomputing (no real config comes close — the HT
-/// A-MPDU cap is 64 subframes).
-constexpr int kMaxCachedSubframes = 256;
-
-}  // namespace
-
 GeometryFn static_geometry(double distance_m, double relative_speed_mps) {
   return [distance_m, relative_speed_mps](double) {
     return Geometry{distance_m, relative_speed_mps};
@@ -36,66 +24,26 @@ LinkSimulator::LinkSimulator(LinkConfig cfg, RateController& rate_control, std::
       error_model_(cfg.error, cfg.channel.spatial_correlation),
       rng_(sim::derive_seed(seed, "mac")),
       tables_(error_model_, cfg.per_table),
-      table_src_(cfg_.shared_tables ? cfg_.shared_tables.get() : &tables_) {
-  if (cfg_.ampdu.max_subframes <= kMaxCachedSubframes) {
-    subframes_cache_.assign(
-        static_cast<std::size_t>(phy::kNumMcs) *
-            static_cast<std::size_t>(cfg_.ampdu.max_subframes + 1),
-        -1);
-    exchange_cache_.assign(static_cast<std::size_t>(phy::kNumMcs) *
-                               static_cast<std::size_t>(cfg_.ampdu.max_subframes + 1) *
-                               static_cast<std::size_t>(cfg_.timing.retry_limit + 1),
-                           -1.0);
-  }
-}
+      table_src_(cfg_.shared_tables ? cfg_.shared_tables.get() : &tables_),
+      airtime_(cfg.timing, cfg.ampdu, cfg.mpdu, cfg.channel.width, cfg.channel.gi) {}
 
-int LinkSimulator::cached_subframes(int mcs_index, int backlog) {
-  const int capped = std::clamp(backlog, 1, cfg_.ampdu.max_subframes);
-  if (subframes_cache_.empty()) {
-    return subframes_for(cfg_.ampdu, cfg_.mpdu, phy::mcs(mcs_index), cfg_.channel.width,
-                         cfg_.channel.gi, capped);
+FrameErrors LinkSimulator::data_errors(int mcs) {
+  if (cfg_.fidelity == LinkFidelity::kPerMpdu) {
+    return {nullptr, &error_model_, cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db};
   }
-  const auto idx = static_cast<std::size_t>(mcs_index) *
-                       static_cast<std::size_t>(cfg_.ampdu.max_subframes + 1) +
-                   static_cast<std::size_t>(capped);
-  if (subframes_cache_[idx] < 0) {
-    subframes_cache_[idx] = static_cast<std::int16_t>(
-        subframes_for(cfg_.ampdu, cfg_.mpdu, phy::mcs(mcs_index), cfg_.channel.width,
-                      cfg_.channel.gi, capped));
-  }
-  return subframes_cache_[idx];
-}
-
-double LinkSimulator::cached_exchange_duration(int mcs_index, int n, int retry_stage) {
-  if (exchange_cache_.empty()) {
-    return exchange_duration_s(cfg_.timing, cfg_.mpdu, phy::mcs(mcs_index), cfg_.channel.width,
-                               cfg_.channel.gi, n, retry_stage);
-  }
-  const auto idx =
-      (static_cast<std::size_t>(mcs_index) * static_cast<std::size_t>(cfg_.ampdu.max_subframes + 1) +
-       static_cast<std::size_t>(n)) *
-          static_cast<std::size_t>(cfg_.timing.retry_limit + 1) +
-      static_cast<std::size_t>(retry_stage);
-  if (exchange_cache_[idx] < 0.0) {
-    exchange_cache_[idx] = exchange_duration_s(cfg_.timing, cfg_.mpdu, phy::mcs(mcs_index),
-                                               cfg_.channel.width, cfg_.channel.gi, n, retry_stage);
-  }
-  return exchange_cache_[idx];
-}
-
-const phy::PerTable& LinkSimulator::data_table(const phy::McsInfo& m) {
   // Jitter-marginalized at build time: per() then answers the per-MPDU
   // jitter marginal in a single lookup.
-  const phy::PerTable*& slot = data_tables_[static_cast<std::size_t>(m.index)];
+  const phy::PerTable*& slot = data_tables_[static_cast<std::size_t>(mcs)];
   if (slot == nullptr) {
-    slot = &table_src_->table(m, cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db);
+    slot = &table_src_->table(phy::mcs(mcs), cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db);
   }
-  return *slot;
+  return {slot, nullptr, 0, 0.0};
 }
 
-const phy::PerTable& LinkSimulator::ba_table() {
+FrameErrors LinkSimulator::ba_errors() {
+  if (cfg_.fidelity == LinkFidelity::kPerMpdu) return {nullptr, &error_model_, kBlockAckBits, 0.0};
   if (ba_table_ == nullptr) ba_table_ = &table_src_->table(phy::mcs(0), kBlockAckBits);
-  return *ba_table_;
+  return {ba_table_, nullptr, 0, 0.0};
 }
 
 LinkRunResult LinkSimulator::run_saturated(double duration_s, const GeometryFn& geometry) {
@@ -120,10 +68,7 @@ LinkRunResult LinkSimulator::run_internal(std::uint64_t payload_bytes_limit, dou
   std::uint64_t window_bits = 0;
   double window_start = 0.0;
 
-  const int mpdu_bits = cfg_.mpdu.mpdu_bits();
   const int payload_bits_per_mpdu = cfg_.mpdu.payload_bits();
-  const bool aggregate = cfg_.fidelity == LinkFidelity::kAggregate;
-  const double jitter_db = cfg_.per_mpdu_snr_jitter_db;
 
   // An infinite (or non-positive) meter window disables throughput
   // sampling entirely — Monte-Carlo consumers only want the totals.
@@ -148,7 +93,6 @@ LinkRunResult LinkSimulator::run_internal(std::uint64_t payload_bytes_limit, dou
   while (t < duration_s && res.payload_bits_delivered < payload_bits_limit) {
     const Geometry g = geometry(t);
     const int mcs_index = rc_.select_mcs(t);
-    const phy::McsInfo& m = phy::mcs(mcs_index);
 
     // Remaining backlog in MPDUs (saturated runs: unbounded).
     int backlog = cfg_.ampdu.max_subframes;
@@ -158,49 +102,25 @@ LinkRunResult LinkSimulator::run_internal(std::uint64_t payload_bytes_limit, dou
           (remaining_bits + payload_bits_per_mpdu - 1) / payload_bits_per_mpdu,
           static_cast<std::uint64_t>(cfg_.ampdu.max_subframes)));
     }
-    const int n = cached_subframes(mcs_index, std::max(backlog, 1));
 
     // One SNR draw governs the aggregate (all subframes share the fade);
     // per-MPDU jitter (frequency selectivity) decorrelates subframe fates.
     const double snr_db = channel_.snr_db(t, g.distance_m, g.relative_speed_mps);
-
-    int delivered = 0;
-    if (aggregate) {
-      // Subframe fates are iid given the aggregate fade, so the
-      // delivered count is exactly Binomial(n, 1-PER) with PER the
-      // jitter-marginalized per-subframe error probability (folded into
-      // the table knots at build time).
-      const double per = data_table(m).per(snr_db);
-      delivered = static_cast<int>(rng_.binomial(static_cast<std::uint64_t>(n), 1.0 - per));
-    } else {
-      for (int i = 0; i < n; ++i) {
-        const double mpdu_snr = snr_db + jitter_db * rng_.gaussian();
-        const double per = error_model_.packet_error_rate(m, mpdu_snr, mpdu_bits);
-        if (!rng_.bernoulli(per)) ++delivered;
-      }
-    }
-
-    // Block ACK must survive too (32-byte frame at basic rate, same fade);
-    // a lost BA voids the whole exchange for the sender.
-    const double ba_per = aggregate
-                              ? ba_table().per(snr_db)
-                              : error_model_.packet_error_rate(phy::mcs(0), snr_db, kBlockAckBits);
-    if (rng_.bernoulli(ba_per)) delivered = 0;
-
-    res.mpdus_attempted += static_cast<std::uint64_t>(n);
-    res.mpdus_delivered += static_cast<std::uint64_t>(delivered);
-    res.payload_bits_delivered +=
-        static_cast<std::uint64_t>(delivered) * static_cast<std::uint64_t>(payload_bits_per_mpdu);
-    window_bits +=
-        static_cast<std::uint64_t>(delivered) * static_cast<std::uint64_t>(payload_bits_per_mpdu);
+    const TxFeedback fb = ampdu_exchange(airtime_, mcs_index, backlog, snr_db,
+                                         data_errors(mcs_index), ba_errors(), rng_);
+    const auto delivered_bits =
+        static_cast<std::uint64_t>(fb.delivered) * static_cast<std::uint64_t>(payload_bits_per_mpdu);
+    res.mpdus_attempted += static_cast<std::uint64_t>(fb.attempted);
+    res.mpdus_delivered += static_cast<std::uint64_t>(fb.delivered);
+    res.payload_bits_delivered += delivered_bits;
+    window_bits += delivered_bits;
     ++res.exchanges;
 
-    rc_.report(t, TxFeedback{mcs_index, n, delivered});
+    rc_.report(t, fb);
 
-    retry_stage = (delivered == 0) ? std::min(retry_stage + 1, cfg_.timing.retry_limit)
-                                   : 0;
+    retry_stage = (fb.delivered == 0) ? std::min(retry_stage + 1, cfg_.timing.retry_limit) : 0;
 
-    t += cached_exchange_duration(mcs_index, n, retry_stage);
+    t += airtime_.exchange_s(mcs_index, fb.attempted, retry_stage);
 
     if (metering && t - window_start >= cfg_.meter_window_s) flush_window(t);
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mac/ampdu.h"
+#include "mac/exchange.h"
 #include "mac/rate_control.h"
 #include "phy/channel.h"
 #include "phy/per.h"
@@ -151,14 +152,10 @@ class LinkSimulator {
  private:
   LinkRunResult run_internal(std::uint64_t payload_bytes_limit, double duration_s,
                              const GeometryFn& geometry);
-  /// subframes_for(...) memoized on (mcs_index, backlog) — valid while
-  /// cfg_ is constant, which it is for the simulator's lifetime.
-  [[nodiscard]] int cached_subframes(int mcs_index, int backlog);
-  /// exchange_duration_s(...) memoized on (mcs_index, n, retry_stage).
-  [[nodiscard]] double cached_exchange_duration(int mcs_index, int n, int retry_stage);
-  /// The kAggregate PER table for data MPDUs at `m` / the Block ACK.
-  [[nodiscard]] const phy::PerTable& data_table(const phy::McsInfo& m);
-  [[nodiscard]] const phy::PerTable& ba_table();
+  /// PER sources of the data MPDUs at `mcs` and of the Block ACK for the
+  /// configured fidelity; kAggregate tables resolve on first use.
+  [[nodiscard]] FrameErrors data_errors(int mcs);
+  [[nodiscard]] FrameErrors ba_errors();
 
   LinkConfig cfg_;
   RateController& rc_;
@@ -169,8 +166,7 @@ class LinkSimulator {
   phy::PerTableCache* table_src_;      ///< cfg_.shared_tables.get() or &tables_
   std::array<const phy::PerTable*, phy::kNumMcs> data_tables_{};
   const phy::PerTable* ba_table_{nullptr};
-  std::vector<std::int16_t> subframes_cache_;  ///< (mcs, backlog) -> n; -1 unset
-  std::vector<double> exchange_cache_;         ///< (mcs, n, retry) -> s; <0 unset
+  AirtimeMemo airtime_;  ///< valid while cfg_ is constant (the simulator's lifetime)
 };
 
 }  // namespace skyferry::mac

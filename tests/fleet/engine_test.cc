@@ -1,5 +1,6 @@
 #include "fleet/engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -140,6 +141,62 @@ TEST(FleetEngine, TotalsAddUp) {
   EXPECT_GT(t.failed, 0u);  // rho 1e-3 over 40+ m legs kills some
   EXPECT_GT(t.bytes_delivered, 0u);
   EXPECT_GT(t.mean_completion_s, 0.0);
+}
+
+// --- Hovering-pair link behaviours ---------------------------------------
+
+/// A mission hovering `distance_m` from its receiver at (0, y).
+MissionSpec hover_at(double distance_m, double y, double mdata_bytes) {
+  MissionSpec spec;
+  spec.start_pos = {distance_m, y, 10.0};
+  spec.receiver_pos = {0.0, y, 10.0};
+  spec.fixed_target_distance_m = distance_m;
+  spec.mdata_bytes = mdata_bytes;
+  spec.rho_per_m = 0.0;
+  return spec;
+}
+
+TEST(FleetEngine, ContentionSlowsParallelTransfers) {
+  auto makespan = [](bool parallel) {
+    FleetEngine eng(FleetConfig{}, 5);  // both pairs fall in one 200 m cell
+    eng.add_mission(hover_at(30.0, 0.0, 15.0e6));
+    if (parallel) eng.add_mission(hover_at(30.0, 50.0, 15.0e6));
+    eng.run_until(900.0);
+    double end = 0.0;
+    for (int i = 0; i < static_cast<int>(eng.mission_count()); ++i) {
+      EXPECT_EQ(eng.mission(i).phase, Phase::kDone);
+      end = std::max(end, eng.mission(i).completed_t_s);
+    }
+    return end;
+  };
+  const double alone = makespan(false);
+  const double shared = makespan(true);
+  EXPECT_GT(shared, alone * 1.5);  // DCF sharing costs more than a fair split
+}
+
+TEST(FleetEngine, CloserTransferFinishesFaster) {
+  auto time_at = [](double d) {
+    FleetEngine eng(FleetConfig{}, 3);
+    eng.add_mission(hover_at(d, 0.0, 20.0e6));
+    eng.run_until(600.0);
+    const MissionStatus st = eng.mission(0);
+    return st.phase == Phase::kDone ? st.completed_t_s : 1e9;
+  };
+  EXPECT_LT(time_at(25.0), time_at(70.0));
+}
+
+TEST(FleetEngine, OutOfRangeTransferStallsWithoutSpinning) {
+  FleetConfig cfg;
+  FleetEngine eng(cfg, 6);
+  eng.add_mission(hover_at(400.0, 0.0, 5.0e6));
+  eng.run_until(30.0);
+  const MissionStatus st = eng.mission(0);
+  EXPECT_NE(st.phase, Phase::kDone);
+  EXPECT_LT(static_cast<double>(st.bytes_delivered), 0.2 * static_cast<double>(st.bytes_total));
+  // The MCS-0 stall backoff bounds the attempts: at most one full
+  // aggregate per stall_retry_s, where spinning would attempt thousands.
+  EXPECT_LT(static_cast<double>(st.mpdus_attempted),
+            30.0 / cfg.stall_retry_s * cfg.ampdu.max_subframes);
 }
 
 // --- Determinism suite (ISSUE satellite 4) -------------------------------

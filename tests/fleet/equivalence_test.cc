@@ -1,18 +1,22 @@
 // Small-n equivalence: the fleet engine's batched sweeps must reproduce
-// the event-driven airnet::AerialNetwork statistically. Both engines run
-// the same MAC grammar (ARF rate control, A-MPDU/Block-ACK exchanges,
-// quadrocopter channel, 2 dB per-MPDU jitter); the fleet replaces the
-// per-MPDU Bernoulli loop with the jitter-marginalized table + binomial
-// draw (distributionally equivalent, DESIGN.md §7) and quantizes the
-// exchange timeline into dt sweeps. Channel realizations are seeded
+// an unquantized single-link reference statistically. All sides run the
+// same MAC grammar (ARF rate control, A-MPDU/Block-ACK exchanges,
+// quadrocopter channel, 2 dB per-MPDU jitter); the fleet draws subframe
+// fates on the kAggregate path (jitter-marginalized table + one binomial,
+// distributionally equivalent to the per-MPDU loop, DESIGN.md §7) and
+// quantizes the exchange timeline into dt sweeps, while the references
+// use kPerMpdu on a continuous clock. Channel realizations are seeded
 // differently, so the comparison is between seed-averaged means with a
 // noise-aware tolerance, not trajectory-by-trajectory.
-#include <vector>
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
-#include "airnet/network.h"
 #include "fleet/engine.h"
+#include "mac/exchange.h"
+#include "mac/link.h"
 
 namespace skyferry::fleet {
 namespace {
@@ -21,89 +25,110 @@ constexpr double kDistanceM = 40.0;
 constexpr double kMdataBytes = 10.0e6;
 constexpr int kSeeds = 6;
 
-uav::UavConfig quad(const std::string& id, const geo::Vec3& pos) {
-  uav::UavConfig cfg;
-  cfg.id = id;
-  cfg.platform = uav::PlatformSpec::arducopter();
-  cfg.start_pos = pos;
-  return cfg;
+double link_sim_completion_s(std::uint64_t seed, double distance_m) {
+  mac::LinkConfig cfg;
+  cfg.channel = phy::ChannelConfig::quadrocopter();
+  cfg.fidelity = mac::LinkFidelity::kPerMpdu;
+  cfg.per_mpdu_snr_jitter_db = 2.0;
+  cfg.meter_window_s = std::numeric_limits<double>::infinity();
+  mac::ArfRate arf(mac::ArfConfig{}, cfg.channel.width, cfg.channel.gi);
+  mac::LinkSimulator sim(cfg, arf, seed);
+  const mac::LinkRunResult r = sim.run_transfer(static_cast<std::uint64_t>(kMdataBytes), 600.0,
+                                                mac::static_geometry(distance_m));
+  EXPECT_TRUE(r.completed);
+  return r.duration_s;
 }
 
-double airnet_completion_s(std::uint64_t seed, double distance_m) {
-  airnet::AerialNetwork net(airnet::NetworkConfig{}, seed);
-  const airnet::NodeId a = net.add_node(quad("tx", {distance_m, 0.0, 10.0}));
-  const airnet::NodeId b = net.add_node(quad("rx", {0.0, 0.0, 10.0}));
-  net.node(a).goto_and_hold({distance_m, 0.0, 10.0});
-  net.node(b).goto_and_hold({0.0, 0.0, 10.0});
-  net.start_transfer(a, b, net::DataBatch{10, 1.0e6});
-  net.run_until(600.0);
-  EXPECT_TRUE(net.transfer(0).completed);
-  return net.transfer(0).completed_t_s;
+/// One hovering pair on an unquantized exchange clock: the kPerMpdu
+/// kernel with the fleet's own retry rule (a failed exchange backs off
+/// at stage 1) and MCS-0 stall backoff, without contention. Returns the
+/// payload bytes delivered by exchanges starting before `horizon_s`.
+std::uint64_t reference_bytes(std::uint64_t seed, double distance_m, std::uint64_t mdata,
+                              double horizon_s) {
+  const FleetConfig fc;
+  mac::AirtimeMemo memo(fc.timing, fc.ampdu, fc.mpdu, fc.channel.width, fc.channel.gi);
+  const phy::ErrorModel em(fc.error, fc.channel.spatial_correlation);
+  const mac::FrameErrors data{nullptr, &em, fc.mpdu.mpdu_bits(), fc.per_mpdu_snr_jitter_db};
+  const mac::FrameErrors ba{nullptr, &em, mac::kBlockAckBits, 0.0};
+  mac::ArfRate arf(mac::ArfConfig{}, fc.channel.width, fc.channel.gi);
+  phy::LinkChannel channel(fc.channel, sim::derive_seed(seed, "reference/channel"));
+  sim::Rng rng(sim::derive_seed(seed, "reference/mac"));
+  const auto payload = static_cast<std::uint64_t>(fc.mpdu.payload_bits() / 8);
+  std::uint64_t delivered = 0;
+  for (double t = 0.0; t < horizon_s && delivered < mdata;) {
+    const int mcs = arf.select_mcs(t);
+    const auto backlog = static_cast<int>(std::min<std::uint64_t>(
+        (mdata - delivered + payload - 1) / payload,
+        static_cast<std::uint64_t>(fc.ampdu.max_subframes)));
+    const mac::TxFeedback fb = mac::ampdu_exchange(memo, mcs, backlog,
+                                                   channel.snr_db(t, distance_m, 0.0), data, ba, rng);
+    arf.report(t, fb);
+    delivered = std::min(mdata, delivered + static_cast<std::uint64_t>(fb.delivered) * payload);
+    double dur = memo.exchange_s(mcs, fb.attempted, fb.delivered == 0 ? 1 : 0);
+    if (fb.delivered == 0 && mcs == 0) dur = std::max(dur, fc.stall_retry_s);
+    t += dur;
+  }
+  return delivered;
 }
 
-double fleet_completion_s(std::uint64_t seed, double distance_m) {
-  FleetEngine eng(FleetConfig{}, seed);
+MissionSpec hovering(double distance_m, double mdata_bytes) {
   MissionSpec spec;
   spec.start_pos = {distance_m, 0.0, 10.0};
   spec.receiver_pos = {0.0, 0.0, 10.0};
   spec.fixed_target_distance_m = distance_m;  // hover where it spawned
-  spec.mdata_bytes = kMdataBytes;
+  spec.mdata_bytes = mdata_bytes;
   spec.rho_per_m = 0.0;
-  eng.add_mission(spec);
+  return spec;
+}
+
+double fleet_completion_s(std::uint64_t seed, double distance_m) {
+  FleetEngine eng(FleetConfig{}, seed);
+  eng.add_mission(hovering(distance_m, kMdataBytes));
   eng.run_until(600.0);
   EXPECT_EQ(eng.mission(0).phase, Phase::kDone);
   return eng.mission(0).completed_t_s;
 }
 
-TEST(FleetEquivalence, HoveringPairCompletionTimeMatchesAirnet) {
-  double air_sum = 0.0;
+TEST(FleetEquivalence, HoveringPairCompletionTimeMatchesLinkSimulator) {
+  double ref_sum = 0.0;
   double fleet_sum = 0.0;
   for (int s = 1; s <= kSeeds; ++s) {
-    air_sum += airnet_completion_s(static_cast<std::uint64_t>(s), kDistanceM);
+    ref_sum += link_sim_completion_s(static_cast<std::uint64_t>(s), kDistanceM);
     fleet_sum += fleet_completion_s(static_cast<std::uint64_t>(s), kDistanceM);
   }
-  const double air_mean = air_sum / kSeeds;
+  const double ref_mean = ref_sum / kSeeds;
   const double fleet_mean = fleet_sum / kSeeds;
   // Fading realizations differ per seed; at 40 m the per-seed spread of
   // the completion time is well under 20% of the mean, so a 25% band on
   // the 6-seed means catches any systematic bias (wrong PER path, wrong
   // airtime accounting, lost contention factor) without flaking.
-  EXPECT_NEAR(fleet_mean, air_mean, 0.25 * air_mean)
-      << "fleet " << fleet_mean << " s vs airnet " << air_mean << " s";
+  EXPECT_NEAR(fleet_mean, ref_mean, 0.25 * ref_mean)
+      << "fleet " << fleet_mean << " s vs LinkSimulator " << ref_mean << " s";
 }
 
 TEST(FleetEquivalence, PartialProgressMatchesAtLongRange) {
   // At 90 m the link limps (low MCS, stalls): compare delivered bytes
-  // after a fixed horizon instead of completion times.
+  // after a fixed horizon instead of completion times. LinkSimulator has
+  // no MCS-0 stall backoff, so the reference is the per-exchange loop.
   constexpr double kFarM = 90.0;
   constexpr double kHorizonS = 60.0;
-  double air_sum = 0.0;
+  constexpr double kFarMdataBytes = 100.0e6;
+  double ref_sum = 0.0;
   double fleet_sum = 0.0;
   for (int s = 1; s <= kSeeds; ++s) {
-    airnet::AerialNetwork net(airnet::NetworkConfig{}, static_cast<std::uint64_t>(s));
-    const airnet::NodeId a = net.add_node(quad("tx", {kFarM, 0.0, 10.0}));
-    const airnet::NodeId b = net.add_node(quad("rx", {0.0, 0.0, 10.0}));
-    net.node(a).goto_and_hold({kFarM, 0.0, 10.0});
-    net.node(b).goto_and_hold({0.0, 0.0, 10.0});
-    net.start_transfer(a, b, net::DataBatch{100, 1.0e6});
-    net.run_until(kHorizonS);
-    air_sum += static_cast<double>(net.transfer(0).payload_bytes_delivered);
+    ref_sum += static_cast<double>(reference_bytes(
+        static_cast<std::uint64_t>(s), kFarM, static_cast<std::uint64_t>(kFarMdataBytes),
+        kHorizonS));
 
     FleetEngine eng(FleetConfig{}, static_cast<std::uint64_t>(s));
-    MissionSpec spec;
-    spec.start_pos = {kFarM, 0.0, 10.0};
-    spec.receiver_pos = {0.0, 0.0, 10.0};
-    spec.fixed_target_distance_m = kFarM;
-    spec.mdata_bytes = 100.0e6;
-    spec.rho_per_m = 0.0;
-    eng.add_mission(spec);
+    eng.add_mission(hovering(kFarM, kFarMdataBytes));
     eng.run_until(kHorizonS);
     fleet_sum += static_cast<double>(eng.mission(0).bytes_delivered);
   }
-  const double air_mean = air_sum / kSeeds;
+  const double ref_mean = ref_sum / kSeeds;
   const double fleet_mean = fleet_sum / kSeeds;
-  EXPECT_NEAR(fleet_mean, air_mean, 0.35 * air_mean)
-      << "fleet " << fleet_mean << " B vs airnet " << air_mean << " B";
+  EXPECT_NEAR(fleet_mean, ref_mean, 0.35 * ref_mean)
+      << "fleet " << fleet_mean << " B vs reference " << ref_mean << " B";
 }
 
 }  // namespace

@@ -136,5 +136,25 @@ TEST(BackendProperty, UnboundedTransferOutOfRangeTerminates) {
   EXPECT_TRUE(std::isfinite(r.duration_s));
 }
 
+/// The frame-burst kernel's contract: one fade draw, then the frame
+/// fates from the resolved PER table; a degradation scale slows only
+/// the serialization term, never the RTT.
+TEST(BurstRound, FadeThenFrameFatesAndScaledSerialization) {
+  const link::LinkBackendConfig cfg = link::LinkBackendConfig::cellular();
+  const std::unique_ptr<link::LinkBackend> bk = link::make_backend(cfg);
+  const mac::FrameErrors errors{&bk->frame_table(), nullptr, 0, 0.0};
+  for (double snr_mean : {0.0, 8.0, 16.0}) {
+    sim::Rng a(5), b(5);
+    const link::BurstRound r = link::burst_round(cfg, 20, snr_mean, 4e6, errors, a);
+    const double snr = snr_mean + b.gaussian(0.0, cfg.snr_fade_sigma_db);
+    EXPECT_EQ(r.sent, 20u);
+    EXPECT_EQ(r.delivered, b.binomial(20, 1.0 - bk->frame_per(snr))) << snr_mean;
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+    const double bits = 20.0 * cfg.frame_bits;
+    EXPECT_EQ(r.airtime_s(), bits / 4e6 + cfg.rtt_s);
+    EXPECT_EQ(r.airtime_s(0.25), bits / (4e6 * 0.25) + cfg.rtt_s);
+  }
+}
+
 }  // namespace
 }  // namespace skyferry
