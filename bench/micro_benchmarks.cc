@@ -122,9 +122,10 @@ void BM_PolicyDecideBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyDecideBatch);
 
-// One full joint (link, d) decision over all four backends: 5 searches
-// (4 single + 1 joint at the elected link) plus the dominance-net
-// evaluation — the spawn-time cost of a multi-link fleet mission.
+// One full joint (link, d) decision over all four backends: 8 exact
+// searches (4 single + 4 joint, one per candidate burst link) whose
+// grid stages share one precomputed column, plus the dominance-net
+// evaluations — the spawn-time cost of a multi-link fleet mission.
 void BM_MultiLinkDecide(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -137,6 +138,22 @@ void BM_MultiLinkDecide(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiLinkDecide);
+
+// One mid-mission re-election over all four backends: the same solve,
+// finalized for every pinned burst link (the fleet's "stay" candidate
+// and each "switch" candidate) from a residual batch part-way in.
+void BM_MultiLinkReelect(benchmark::State& state) {
+  const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
+                           link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
+                           link::LinkBackendConfig::leo()});
+  const std::vector<const link::LinkBackend*> views = set.views();
+  const uav::FailureModel failure(1e-3);
+  const link::MultiLinkParams p{900.0, 10.0, 2e7, 20.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(link::optimize_multilink_per_link(views, p, failure));
+  }
+}
+BENCHMARK(BM_MultiLinkReelect);
 
 void BM_PacketErrorRate(benchmark::State& state) {
   const phy::ErrorModel em({}, 0.9);

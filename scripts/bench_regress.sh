@@ -82,10 +82,14 @@ CEILING_NS = {
     "BM_ReDecision": 10_000.0,
     "BM_PolicyDecideBatch": 1_024_000.0,
     "BM_FleetStep1k": 25_000.0,
-    # A joint (link, d) decision over four backends runs five exact
-    # optimizer searches plus the dominance net (~0.4 ms); it must stay
-    # well under a spawn tick so fleets decide exactly, no table needed.
-    "BM_MultiLinkDecide": 1_500_000.0,
+    # A joint (link, d) decision over four backends runs eight exact
+    # optimizer searches (4 single + 4 joint) over one shared grid
+    # column plus the dominance nets (~0.18 ms); it must stay well under
+    # a spawn tick so fleets decide exactly, no table needed. A
+    # re-election finalizes every link's pinned election from the same
+    # solve. Both ceilings are ~4x the recorded median.
+    "BM_MultiLinkDecide": 700_000.0,
+    "BM_MultiLinkReelect": 700_000.0,
     # BM_EventQueue churns a binary heap through the allocator; its
     # median swings ~1.5x between otherwise-identical machines (cache
     # and allocator layout, not code), so it is exempt from the

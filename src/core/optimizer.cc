@@ -77,7 +77,7 @@ OptimizeResult optimize_brute_force(const UtilityFunction& u, int points) {
   double best_u = -1.0;
   const int n = std::max(points, 2);
   for (int i = 0; i < n; ++i) {
-    const double d = lo + (hi - lo) * i / (n - 1);
+    const double d = grid_point(lo, hi, n, i);
     const double val = u(d);
     if (val > best_u) {
       best_u = val;

@@ -27,6 +27,17 @@ namespace detail {
 inline constexpr double kGoldenRatioInv = 0.6180339887498949;  // 1/phi
 }
 
+/// Size of the coarse grid scan (never fewer than 8 points).
+[[nodiscard]] inline int grid_size(const OptimizeOptions& opt) noexcept {
+  return std::max(opt.grid_points, 8);
+}
+
+/// Point i of the n-point grid over [lo, hi]: the one expression behind
+/// every grid scan, bracket end and precomputed grid column.
+[[nodiscard]] inline double grid_point(double lo, double hi, int n, int i) noexcept {
+  return lo + (hi - lo) * i / (n - 1);
+}
+
 /// The exact search schedule behind optimize(): coarse grid scan over
 /// [lo, hi], golden-section refinement inside the best grid bracket,
 /// keep the better of {grid best, refined mid}. Header-level template so
@@ -35,8 +46,14 @@ inline constexpr double kGoldenRatioInv = 0.6180339887498949;  // 1/phi
 /// link::optimize_multilink — instantiates this single definition and
 /// evaluates the identical FP expressions at the identical points.
 /// Degenerate hi <= lo intervals collapse to one evaluation at hi.
-template <class F>
-ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const OptimizeOptions& opt) {
+///
+/// `grid(i)` is the grid-stage hook: it must return exactly
+/// f(grid_point(lo, hi, grid_size(opt), i)), so a caller that solves
+/// several objectives over one grid can read precomputed values instead
+/// of re-evaluating them. The refinement always calls `f`.
+template <class G, class F>
+ScalarSearchResult golden_grid_search(double lo, double hi, G&& grid, F&& f,
+                                      const OptimizeOptions& opt) {
   ScalarSearchResult out;
   if (hi <= lo) {
     out.d = hi;
@@ -46,27 +63,25 @@ ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const Optimiz
   }
 
   // Stage 1: coarse grid scan.
-  const int n = std::max(opt.grid_points, 8);
-  double best_d = lo;
+  const int n = grid_size(opt);
   double best_u = -1.0;
   int best_i = 0;
   int evals = 0;
   for (int i = 0; i < n; ++i) {
-    const double d = lo + (hi - lo) * i / (n - 1);
-    const double val = f(d);
+    const double val = grid(i);
     ++evals;
     if (val > best_u) {
       best_u = val;
-      best_d = d;
       best_i = i;
     }
   }
+  const double best_d = grid_point(lo, hi, n, best_i);
 
   // Stage 2: golden-section refinement within the neighbors of the best
   // grid point (the objective is unimodal there even if globally it is
   // not).
-  double a = lo + (hi - lo) * std::max(best_i - 1, 0) / (n - 1);
-  double b = lo + (hi - lo) * std::min(best_i + 1, n - 1) / (n - 1);
+  double a = grid_point(lo, hi, n, std::max(best_i - 1, 0));
+  double b = grid_point(lo, hi, n, std::min(best_i + 1, n - 1));
   double x1 = b - detail::kGoldenRatioInv * (b - a);
   double x2 = a + detail::kGoldenRatioInv * (b - a);
   double f1 = f(x1);
@@ -97,6 +112,14 @@ ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const Optimiz
   out.val = take_mid ? refined : best_u;
   out.evals = evals;
   return out;
+}
+
+/// The schedule with the grid stage evaluating `f` directly.
+template <class F>
+ScalarSearchResult golden_grid_search(double lo, double hi, F&& f, const OptimizeOptions& opt) {
+  const int n = grid_size(opt);
+  return golden_grid_search(
+      lo, hi, [&](int i) { return f(grid_point(lo, hi, n, i)); }, f, opt);
 }
 
 /// Where the optimum landed relative to the feasible interval [d_min, d0].

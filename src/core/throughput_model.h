@@ -51,6 +51,8 @@ class PaperLogThroughput final : public ThroughputModel {
 
   [[nodiscard]] double a() const noexcept { return a_; }
   [[nodiscard]] double b() const noexcept { return b_; }
+  [[nodiscard]] double scale() const noexcept { return scale_; }
+  [[nodiscard]] double min_distance_m() const noexcept { return min_d_; }
 
  private:
   double a_;

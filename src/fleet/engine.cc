@@ -874,13 +874,15 @@ void FleetEngine::process_reelections(double t) {
     policy::MultiLinkDecision stay{};
     policy::MultiLinkDecision best{};
     if (multilink) {
+      // One solve answers "stay on the current link" and every switch.
+      thread_local std::vector<policy::MultiLinkDecision> per_link;
+      per_link.resize(cfg_.links->size());
+      service_.decide_multilink_per_link(q, per_link);
       const std::int32_t cur_j = std::max(s.burst_link[i], std::int32_t{0});
-      q.burst_link = cur_j;
-      stay = service_.decide_multilink_one(q);
-      for (std::int32_t j = 0; j < static_cast<std::int32_t>(cfg_.links->size()); ++j) {
+      stay = per_link[static_cast<std::size_t>(cur_j)];
+      for (std::int32_t j = 0; j < static_cast<std::int32_t>(per_link.size()); ++j) {
         if (j == cur_j) continue;
-        q.burst_link = j;
-        const policy::MultiLinkDecision cand = service_.decide_multilink_one(q);
+        const policy::MultiLinkDecision& cand = per_link[static_cast<std::size_t>(j)];
         if (cand.decision.utility > best.decision.utility) {
           best = cand;
           best_j = j;

@@ -71,8 +71,9 @@ enum class KinematicsMode : std::uint8_t { kBatched, kScalar };
 /// repeated session-setup failures), so a zero-chaos fleet never
 /// re-elects and stays byte-identical with this enabled or not. Every
 /// processed trigger walks the ladder: re-election cap -> deadline-
-/// aware retry budget -> commit margin over re-running decide_multilink
-/// from the current position with the residual batch -> fallback
+/// aware retry budget -> commit margin over the current link's pinned
+/// election, all links solved at once (decide_multilink_per_link) from
+/// the current position with the residual batch -> fallback
 /// ferry-closer-and-ship on the current link.
 struct ReElectionConfig {
   bool enabled{false};
@@ -234,6 +235,8 @@ class FleetEngine {
   int add_mission(const MissionSpec& spec);
 
   /// Compiled policy for the batched decide path (setup time only).
+  /// Throws policy::TableError unless the table was compiled for the
+  /// scenario's throughput fit.
   void install_policy_table(policy::PolicyTable table);
 
   /// Advance the fleet to absolute time t_s in dt_s sweeps.
@@ -283,8 +286,9 @@ class FleetEngine {
   void update_degrade_cusum(std::uint32_t i, double scale);
   [[nodiscard]] bool reelect_armed(std::uint32_t i) const;
   /// Serial end-of-sweep pass consuming want_reelect flags: the guard
-  /// ladder (cap, retry budget, commit margin over decide_multilink on
-  /// the residual batch, ferry-closer fallback). Serial by design so
+  /// ladder (cap, retry budget, commit margin between the per-link
+  /// elections of one decide_multilink_per_link solve on the residual
+  /// batch, ferry-closer fallback). Serial by design so
   /// decide ordering — and therefore every downstream draw — is
   /// thread-count independent.
   void process_reelections(double t);

@@ -108,16 +108,24 @@ struct MultiLinkResult {
 /// for tests and the fleet engine's arrival credit.
 [[nodiscard]] double trickle_bytes(const LinkBackend& bk, double d_m, const MultiLinkParams& p);
 
-/// Joint (link, d) optimization over `links`. `forced_burst_link` pins
-/// the burst election to one index (-1 = elect the best). A link whose
-/// rate curve is dead on the whole [min_d, d0] interval scores utility
-/// 0 and loses the election to any live link; with an empty `links`
-/// list (or an out-of-range forced index) the result has
-/// burst_link == -1 and zero utility.
+/// Joint (link, d) optimization over `links`: the free election of the
+/// burst link. A link whose rate curve is dead on the whole
+/// [min_d, d0] interval scores utility 0 and loses the election to any
+/// live link; with an empty `links` list the result has burst_link == -1
+/// and zero utility.
 [[nodiscard]] MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                                  const MultiLinkParams& p,
                                                  const uav::FailureModel& failure,
-                                                 core::OptimizeOptions opt = {},
-                                                 int forced_burst_link = -1);
+                                                 core::OptimizeOptions opt = {});
+
+/// Every link's pinned election from the one solve optimize_multilink
+/// runs: element j is the joint decision with the burst pinned to link j
+/// (burst_link == j), finalized with its own trickle split. The free
+/// election is the element with the highest decision utility (the first
+/// on ties), bit for bit. One link: one element, the free election.
+/// Empty `links`: empty result.
+[[nodiscard]] std::vector<MultiLinkResult> optimize_multilink_per_link(
+    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+    const uav::FailureModel& failure, core::OptimizeOptions opt = {});
 
 }  // namespace skyferry::link

@@ -85,11 +85,6 @@ struct Query {
   /// Optimizer schedule for the exact backend (the re-decision hot path
   /// passes its reduced grid; everyone else the defaults).
   core::OptimizeOptions optimize{};
-
-  /// Multi-link queries only (DecisionService::decide_multilink): pin
-  /// the burst election to one link index of the installed LinkSet
-  /// (-1 = elect the best link jointly with d).
-  std::int32_t burst_link{-1};
 };
 
 /// One decision answer.
@@ -99,7 +94,7 @@ struct Query {
 enum class FallbackReason : std::uint8_t {
   kNone,
   kNoLinkSet,      ///< no (or an empty) LinkSet installed at decide time
-  kInvalidBackend  ///< forced burst index out of range, or a backend failed validate()
+  kInvalidBackend  ///< a backend failed validate(), or a per-link slot past the installed set
 };
 
 /// Stable log tag for a FallbackReason.

@@ -2,18 +2,28 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/delay.h"
 #include "core/joint_optimizer.h"
 #include "core/utility.h"
+#include "io/format.h"
 #include "policy/mission_objective.h"
 #include "uav/failure.h"
 
 namespace skyferry::policy {
 
 void DecisionService::install_table(PolicyTable table) {
-  table_model_.emplace(table.model().a, table.model().b, table.model().name,
-                       table.model().scale, table.model().min_distance_m);
+  const TableModelSpec& m = table.model();
+  const auto* fit = dynamic_cast<const core::PaperLogThroughput*>(&model_);
+  if (fit == nullptr || fit->a() != m.a || fit->b() != m.b || fit->scale() != m.scale ||
+      fit->min_distance_m() != m.min_distance_m) {
+    throw TableError("policy table: compiled for '" + m.name + "' (a=" + io::format_number(m.a) +
+                     ", b=" + io::format_number(m.b) + ", scale=" + io::format_number(m.scale) +
+                     ", min_d=" + io::format_number(m.min_distance_m) +
+                     ") but the decision service answers with '" + model_.name() + "'");
+  }
+  table_model_.emplace(m.a, m.b, m.name, m.scale, m.min_distance_m);
   table_.emplace(std::move(table));
 }
 
@@ -149,25 +159,16 @@ MultiLinkDecision DecisionService::decide_multilink_fallback(const Query& q,
   return out;
 }
 
-MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
-  if (!has_links() || links_invalid_)
-    return decide_multilink_fallback(
-        q, links_invalid_ ? FallbackReason::kInvalidBackend : FallbackReason::kNoLinkSet);
-  if (q.burst_link < -1 || q.burst_link >= static_cast<std::int32_t>(link_views_.size()))
-    return decide_multilink_fallback(q, FallbackReason::kInvalidBackend);
-  exact_calls_.fetch_add(1, std::memory_order_relaxed);
-  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
-  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-  const link::MultiLinkResult r =
-      link::optimize_multilink(link_views_, p, failure, q.optimize, q.burst_link);
+namespace {
 
+MultiLinkDecision to_decision(const link::MultiLinkResult& r, const Query& q, double rho) {
   MultiLinkDecision out;
   out.decision.d_opt_m = r.decision.d_opt_m;
   out.decision.v_opt_mps = q.speed_mps;
   out.decision.utility = r.decision.utility;
   out.decision.cdelay_s = r.decision.cdelay_s;
   out.decision.discount = r.decision.discount;
-  out.decision.rho_per_m = failure.rho();
+  out.decision.rho_per_m = rho;
   out.decision.boundary = r.decision.boundary;
   out.decision.backend = Backend::kExact;
   out.decision.evaluations = r.decision.evaluations;
@@ -175,6 +176,42 @@ MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
   out.trickle_bytes = r.trickle_bytes;
   out.burst_bytes = r.burst_bytes;
   return out;
+}
+
+}  // namespace
+
+FallbackReason DecisionService::links_unusable() const noexcept {
+  if (links_invalid_) return FallbackReason::kInvalidBackend;
+  return has_links() ? FallbackReason::kNone : FallbackReason::kNoLinkSet;
+}
+
+MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
+  if (const FallbackReason why = links_unusable(); why != FallbackReason::kNone)
+    return decide_multilink_fallback(q, why);
+  exact_calls_.fetch_add(1, std::memory_order_relaxed);
+  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+  return to_decision(link::optimize_multilink(link_views_, p, failure, q.optimize), q,
+                     failure.rho());
+}
+
+void DecisionService::decide_multilink_per_link(const Query& q,
+                                                std::span<MultiLinkDecision> out) const {
+  const FallbackReason why = links_unusable();
+  std::size_t solved = 0;
+  if (why == FallbackReason::kNone && !out.empty()) {
+    exact_calls_.fetch_add(1, std::memory_order_relaxed);
+    const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+    const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+    const std::vector<link::MultiLinkResult> per_link =
+        link::optimize_multilink_per_link(link_views_, p, failure, q.optimize);
+    solved = std::min(out.size(), per_link.size());
+    for (std::size_t j = 0; j < solved; ++j) out[j] = to_decision(per_link[j], q, failure.rho());
+  }
+  if (solved == out.size()) return;
+  const MultiLinkDecision fallback = decide_multilink_fallback(
+      q, why == FallbackReason::kNone ? FallbackReason::kInvalidBackend : why);
+  for (std::size_t j = solved; j < out.size(); ++j) out[j] = fallback;
 }
 
 void DecisionService::decide_multilink(std::span<const Query> queries,

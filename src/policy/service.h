@@ -40,6 +40,10 @@ class DecisionService {
   /// decide()). Queries outside the table's domain, or with any exact-
   /// only feature (other objective, non-exponential law, model override,
   /// different floor), still fall back to the exact solver.
+  /// Throws TableError unless the service's model is a
+  /// core::PaperLogThroughput with exactly the table's (a, b, scale,
+  /// min_distance_m): a table compiled for another throughput fit would
+  /// serve d* the service's own link cannot sustain.
   void install_table(PolicyTable table);
   [[nodiscard]] bool has_table() const noexcept { return table_.has_value(); }
   [[nodiscard]] const PolicyTable* table() const noexcept {
@@ -66,16 +70,26 @@ class DecisionService {
   [[nodiscard]] const link::LinkSet* links() const noexcept { return links_.get(); }
 
   /// Joint (link, d) decisions over the installed link set:
-  /// link::optimize_multilink per query (q.burst_link pins the burst
-  /// election). Degrades gracefully instead of erroring the batch: a
-  /// missing/empty/invalid link set, or a pinned q.burst_link outside
-  /// the installed set, answers that query with the single-link exact
-  /// optimum tagged via Decision::fallback_reason (burst_link -1, the
-  /// whole batch as burst bytes). Throws std::invalid_argument only on
-  /// span-size mismatch. Safe to call concurrently; counts toward the
-  /// exact counter.
+  /// link::optimize_multilink per query, the free burst election.
+  /// Degrades gracefully instead of erroring the batch: a
+  /// missing/empty/invalid link set answers that query with the
+  /// single-link exact optimum tagged via Decision::fallback_reason
+  /// (burst_link -1, the whole batch as burst bytes). Throws
+  /// std::invalid_argument only on span-size mismatch. Safe to call
+  /// concurrently; each query counts one exact call.
   void decide_multilink(std::span<const Query> queries, std::span<MultiLinkDecision> out) const;
   [[nodiscard]] MultiLinkDecision decide_multilink_one(const Query& q) const;
+
+  /// Every link's pinned election for `q` from one exact solve
+  /// (link::optimize_multilink_per_link): out[j] is the joint decision
+  /// with the burst pinned to link j — the re-election ladder's
+  /// "stay" and "switch" candidates at once. With one installed link,
+  /// out[0] is decide_multilink_one(q). A slot past the installed set,
+  /// and every slot when the set is missing, empty or invalid, gets the
+  /// tagged single-link fallback (kInvalidBackend past the set). Counts
+  /// one exact call per solve run: the joint solve, plus the fallback
+  /// solve when any slot needs it. Safe to call concurrently.
+  void decide_multilink_per_link(const Query& q, std::span<MultiLinkDecision> out) const;
 
   /// True when `q` would be answered by the table path right now.
   [[nodiscard]] bool table_eligible(const Query& q) const noexcept;
@@ -94,6 +108,9 @@ class DecisionService {
  private:
   [[nodiscard]] Decision decide_table(const Query& q) const noexcept;
   [[nodiscard]] Decision decide_exact(const Query& q) const;
+  /// Why multi-link queries cannot use the installed set right now
+  /// (kNone when they can).
+  [[nodiscard]] FallbackReason links_unusable() const noexcept;
   /// The graceful-degradation path: single-link exact optimum, tagged.
   [[nodiscard]] MultiLinkDecision decide_multilink_fallback(const Query& q,
                                                             FallbackReason why) const;

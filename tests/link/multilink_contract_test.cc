@@ -96,23 +96,31 @@ TEST(MultiLinkContract, ForcedBurstElectionIsHonored) {
   const std::vector<const link::LinkBackend*> views = set->views();
   const link::MultiLinkParams p{1500.0, 10.0, 5e7, 20.0};
   const uav::FailureModel failure(1e-3);
+  const std::vector<link::MultiLinkResult> per_link =
+      link::optimize_multilink_per_link(views, p, failure);
+  ASSERT_EQ(per_link.size(), views.size());
   for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    const link::MultiLinkResult r = link::optimize_multilink(views, p, failure, {}, j);
-    EXPECT_EQ(r.burst_link, j);
+    EXPECT_EQ(per_link[static_cast<std::size_t>(j)].burst_link, j);
   }
-  // A free election picks the argmax over forced elections.
+  // A free election picks the argmax over pinned elections — that very
+  // element, bit for bit.
   const link::MultiLinkResult free = link::optimize_multilink(views, p, failure);
   for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    const link::MultiLinkResult forced = link::optimize_multilink(views, p, failure, {}, j);
-    EXPECT_GE(free.decision.utility, forced.decision.utility) << "forced=" << j;
+    EXPECT_GE(free.decision.utility, per_link[static_cast<std::size_t>(j)].decision.utility)
+        << "pinned=" << j;
   }
-  // Out-of-range forced index: no usable election.
-  const link::MultiLinkResult oob = link::optimize_multilink(views, p, failure, {}, 99);
-  EXPECT_EQ(oob.burst_link, -1);
-  EXPECT_EQ(oob.decision.utility, 0.0);
-  // Empty link list: same.
+  ASSERT_GE(free.burst_link, 0);
+  const link::MultiLinkResult& elected = per_link[static_cast<std::size_t>(free.burst_link)];
+  EXPECT_EQ(free.decision.d_opt_m, elected.decision.d_opt_m);
+  EXPECT_EQ(free.decision.utility, elected.decision.utility);
+  EXPECT_EQ(free.decision.evaluations, elected.decision.evaluations);
+  EXPECT_EQ(free.trickle_bytes, elected.trickle_bytes);
+  EXPECT_EQ(free.trickle_by_link, elected.trickle_by_link);
+  // Empty link list: no usable election.
   const link::MultiLinkResult none = link::optimize_multilink({}, p, failure);
   EXPECT_EQ(none.burst_link, -1);
+  EXPECT_EQ(none.decision.utility, 0.0);
+  EXPECT_TRUE(link::optimize_multilink_per_link({}, p, failure).empty());
 }
 
 TEST(MultiLinkContract, TrickleBytesBasics) {
@@ -187,7 +195,7 @@ TEST(MultiLinkContract, ServiceBatchMatchesOneByOneAndValidates) {
   service.install_links(full_link_set());
   std::vector<policy::Query> queries(3, q);
   queries[1].d0_m = 1500.0;
-  queries[2].burst_link = 1;
+  queries[2].rho_per_m = 2e-3;
   std::vector<policy::MultiLinkDecision> out(3);
   service.decide_multilink(queries, out);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -197,10 +205,127 @@ TEST(MultiLinkContract, ServiceBatchMatchesOneByOneAndValidates) {
     EXPECT_EQ(out[i].burst_link, one.burst_link);
     EXPECT_EQ(out[i].trickle_bytes, one.trickle_bytes);
   }
-  EXPECT_EQ(out[2].burst_link, 1);
+
+  // Per-link elections: slot 1 is the election pinned to link 1, and the
+  // slot the free election picked is its answer, bit for bit. One solve
+  // answers all four slots.
+  const std::uint64_t exact_before = service.counters().exact;
+  std::vector<policy::MultiLinkDecision> per_link(4);
+  service.decide_multilink_per_link(queries[2], per_link);
+  EXPECT_EQ(service.counters().exact, exact_before + 1);
+  EXPECT_EQ(per_link[1].burst_link, 1);
+  EXPECT_EQ(per_link[1].decision.fallback_reason, policy::FallbackReason::kNone);
+  const link::MultiLinkResult pinned =
+      link::optimize_multilink_per_link(
+          service.links()->views(),
+          {queries[2].d0_m, queries[2].speed_mps, queries[2].mdata_bytes,
+           queries[2].min_distance_m},
+          uav::FailureModel(queries[2].rho_per_m))[1];
+  EXPECT_EQ(per_link[1].decision.d_opt_m, pinned.decision.d_opt_m);
+  EXPECT_EQ(per_link[1].decision.utility, pinned.decision.utility);
+  EXPECT_EQ(per_link[1].trickle_bytes, pinned.trickle_bytes);
+  EXPECT_EQ(per_link[1].burst_bytes, pinned.burst_bytes);
+  const std::int32_t elected = out[2].burst_link;
+  ASSERT_GE(elected, 0);
+  const policy::MultiLinkDecision& same = per_link[static_cast<std::size_t>(elected)];
+  EXPECT_EQ(same.decision.d_opt_m, out[2].decision.d_opt_m);
+  EXPECT_EQ(same.decision.utility, out[2].decision.utility);
+  EXPECT_EQ(same.decision.evaluations, out[2].decision.evaluations);
+  EXPECT_EQ(same.trickle_bytes, out[2].trickle_bytes);
+  for (std::size_t j = 0; j < per_link.size(); ++j) {
+    EXPECT_EQ(per_link[j].burst_link, static_cast<std::int32_t>(j));
+    EXPECT_LE(per_link[j].decision.utility, out[2].decision.utility);
+  }
 
   std::vector<policy::MultiLinkDecision> wrong(2);
   EXPECT_THROW(service.decide_multilink(queries, wrong), std::invalid_argument);
+}
+
+/// The per-link call degrades like n pinned decide_multilink_one calls
+/// would: every slot gets the tagged single-link fallback when no link
+/// set (or an empty one) is installed, and a slot past the installed
+/// set gets kInvalidBackend.
+TEST(MultiLinkContract, ServicePerLinkFallsBackPerSlot) {
+  const link::LinkBackendConfig cfg = link::LinkBackendConfig::wifi_80211n();
+  const core::PaperLogThroughput model(cfg.wifi_a, cfg.wifi_b, cfg.name, cfg.wifi_scale,
+                                       cfg.min_distance_m);
+  policy::Query q;
+  q.d0_m = 800.0;
+  q.mdata_bytes = 3e7;
+  q.speed_mps = 8.0;
+  q.rho_per_m = 5e-4;
+
+  policy::DecisionService bare(model);
+  policy::DecisionService empty(model);
+  empty.install_links(std::make_shared<const link::LinkSet>());
+  for (const policy::DecisionService* service : {&bare, &empty}) {
+    const policy::MultiLinkDecision one = service->decide_multilink_one(q);
+    EXPECT_EQ(one.decision.fallback_reason, policy::FallbackReason::kNoLinkSet);
+    const std::uint64_t exact_before = service->counters().exact;
+    std::vector<policy::MultiLinkDecision> per_link(4);
+    service->decide_multilink_per_link(q, per_link);
+    EXPECT_EQ(service->counters().exact, exact_before + 1);
+    for (const policy::MultiLinkDecision& d : per_link) {
+      EXPECT_EQ(d.decision.fallback_reason, policy::FallbackReason::kNoLinkSet);
+      EXPECT_EQ(d.burst_link, -1);
+      EXPECT_EQ(d.trickle_bytes, 0.0);
+      EXPECT_EQ(d.burst_bytes, q.mdata_bytes);
+      EXPECT_EQ(d.decision.d_opt_m, one.decision.d_opt_m);
+      EXPECT_EQ(d.decision.utility, one.decision.utility);
+    }
+  }
+
+  // Two links, three slots: the third slot is past the set.
+  policy::DecisionService service(model);
+  service.install_links(std::make_shared<const link::LinkSet>(
+      std::vector<link::LinkBackendConfig>{cfg, link::LinkBackendConfig::cellular()}));
+  std::vector<policy::MultiLinkDecision> per_link(3);
+  service.decide_multilink_per_link(q, per_link);
+  EXPECT_EQ(per_link[0].burst_link, 0);
+  EXPECT_EQ(per_link[1].burst_link, 1);
+  EXPECT_EQ(per_link[2].burst_link, -1);
+  EXPECT_EQ(per_link[2].decision.fallback_reason, policy::FallbackReason::kInvalidBackend);
+  EXPECT_EQ(per_link[2].burst_bytes, q.mdata_bytes);
+
+  // No slots: nothing to solve.
+  const std::uint64_t exact_before = service.counters().exact;
+  service.decide_multilink_per_link(q, {});
+  EXPECT_EQ(service.counters().exact, exact_before);
+}
+
+/// With one installed link the per-link call has one slot, and it is the
+/// free election: for the 802.11n singleton that is core::optimize()'s
+/// answer bit for bit.
+TEST(MultiLinkContract, ServicePerLinkSingletonIsTheFreeElection) {
+  const link::LinkBackendConfig cfg = link::LinkBackendConfig::wifi_80211n();
+  const core::PaperLogThroughput model(cfg.wifi_a, cfg.wifi_b, cfg.name, cfg.wifi_scale,
+                                       cfg.min_distance_m);
+  policy::DecisionService service(model);
+  service.install_links(std::make_shared<const link::LinkSet>(
+      std::vector<link::LinkBackendConfig>{cfg}));
+  FOR_ALL(20, 0x1E1EULL, g) {
+    policy::Query q;
+    q.d0_m = g.uniform(10.0, 3000.0);
+    q.speed_mps = g.uniform(1.0, 25.0);
+    q.mdata_bytes = g.uniform(1e5, 1e9);
+    q.rho_per_m = g.chance(0.2) ? 0.0 : g.uniform(1e-5, 5e-3);
+    std::vector<policy::MultiLinkDecision> per_link(1);
+    service.decide_multilink_per_link(q, per_link);
+    const policy::MultiLinkDecision free = service.decide_multilink_one(q);
+    const policy::Decision legacy = service.decide_one(q);
+    const policy::Decision& got = per_link[0].decision;
+    EXPECT_EQ(per_link[0].burst_link, 0);
+    EXPECT_EQ(per_link[0].trickle_bytes, 0.0);
+    EXPECT_EQ(per_link[0].burst_bytes, q.mdata_bytes);
+    for (const policy::Decision* want : {&free.decision, &legacy}) {
+      EXPECT_EQ(got.d_opt_m, want->d_opt_m);
+      EXPECT_EQ(got.utility, want->utility);
+      EXPECT_EQ(got.cdelay_s, want->cdelay_s);
+      EXPECT_EQ(got.discount, want->discount);
+      EXPECT_EQ(got.boundary, want->boundary);
+      EXPECT_EQ(got.evaluations, want->evaluations);
+    }
+  }
 }
 
 /// decide_multilink is const and shared: the TSan tree runs this to
@@ -218,18 +343,41 @@ TEST(MultiLinkContract, ServiceConcurrentDecidesAreRaceFree) {
   q.mdata_bytes = 4e7;
   q.rho_per_m = 1e-3;
   const policy::MultiLinkDecision want = service.decide_multilink_one(q);
+  std::vector<policy::MultiLinkDecision> want_per_link(4);
+  service.decide_multilink_per_link(q, want_per_link);
 
+  // Half the threads run free elections, half per-link solves, at once.
   std::vector<std::thread> pool;
   std::vector<policy::MultiLinkDecision> got(8);
+  std::vector<std::vector<policy::MultiLinkDecision>> got_per_link(
+      8, std::vector<policy::MultiLinkDecision>(4));
   for (int t = 0; t < 8; ++t) {
-    pool.emplace_back([&, t] { got[static_cast<std::size_t>(t)] = service.decide_multilink_one(q); });
+    pool.emplace_back([&, t] {
+      const auto ti = static_cast<std::size_t>(t);
+      if (t % 2 == 0) {
+        got[ti] = service.decide_multilink_one(q);
+      } else {
+        service.decide_multilink_per_link(q, got_per_link[ti]);
+      }
+    });
   }
   for (std::thread& th : pool) th.join();
-  for (const policy::MultiLinkDecision& d : got) {
-    EXPECT_EQ(d.decision.d_opt_m, want.decision.d_opt_m);
-    EXPECT_EQ(d.decision.utility, want.decision.utility);
-    EXPECT_EQ(d.burst_link, want.burst_link);
-    EXPECT_EQ(d.trickle_bytes, want.trickle_bytes);
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    if (t % 2 == 0) {
+      const policy::MultiLinkDecision& d = got[t];
+      EXPECT_EQ(d.decision.d_opt_m, want.decision.d_opt_m);
+      EXPECT_EQ(d.decision.utility, want.decision.utility);
+      EXPECT_EQ(d.burst_link, want.burst_link);
+      EXPECT_EQ(d.trickle_bytes, want.trickle_bytes);
+      continue;
+    }
+    for (std::size_t j = 0; j < want_per_link.size(); ++j) {
+      const policy::MultiLinkDecision& d = got_per_link[t][j];
+      EXPECT_EQ(d.decision.d_opt_m, want_per_link[j].decision.d_opt_m);
+      EXPECT_EQ(d.decision.utility, want_per_link[j].decision.utility);
+      EXPECT_EQ(d.burst_link, want_per_link[j].burst_link);
+      EXPECT_EQ(d.trickle_bytes, want_per_link[j].trickle_bytes);
+    }
   }
 }
 

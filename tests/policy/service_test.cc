@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -170,6 +171,32 @@ TEST(DecisionService, TableBackendServesCoveredQueriesAccurately) {
   const DecisionService::Counters c = with_table.counters();
   EXPECT_EQ(c.table, static_cast<std::uint64_t>(samples));
   EXPECT_EQ(c.exact, 0u);
+}
+
+/// A table only installs into a service whose model is the paper fit
+/// it was compiled for: same (a, b, scale, min_distance_m). Anything
+/// else is a tagged TableError, and the service stays table-less.
+TEST(DecisionService, InstallTableRejectsAnotherThroughputFit) {
+  const PolicyTable table = Compiler(small_config()).compile();
+  const TableModelSpec& m = table.model();
+  const core::PaperLogThroughput quadrocopter = core::PaperLogThroughput::quadrocopter();
+  const core::PaperLogThroughput other_scale(m.a, m.b, m.name, 2.0 * m.scale, m.min_distance_m);
+  const core::PaperLogThroughput other_floor(m.a, m.b, m.name, m.scale, m.min_distance_m + 5.0);
+  const core::TableThroughput not_a_fit({{20.0, 4e7}, {400.0, 1e6}}, "measured");
+  for (const core::ThroughputModel* model :
+       std::initializer_list<const core::ThroughputModel*>{&quadrocopter, &other_scale,
+                                                           &other_floor, &not_a_fit}) {
+    DecisionService service(*model);
+    EXPECT_THROW(service.install_table(table), TableError) << model->name();
+    EXPECT_FALSE(service.has_table()) << model->name();
+  }
+
+  // The fit the table was compiled for installs and serves from it.
+  const core::PaperLogThroughput airplane = core::PaperLogThroughput::airplane();
+  DecisionService service(airplane);
+  ASSERT_NO_THROW(service.install_table(table));
+  EXPECT_TRUE(service.has_table());
+  EXPECT_EQ(service.decide_one(airplane_query()).backend, Backend::kTable);
 }
 
 TEST(DecisionService, UncoveredAndOverriddenQueriesFallBackToExact) {
