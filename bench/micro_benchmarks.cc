@@ -1,5 +1,6 @@
 // Google-benchmark micro-benchmarks for the hot paths: the utility
-// optimizer (runs on every rendezvous decision), the PER math (runs per
+// optimizer (runs on every rendezvous decision), the decision service
+// and its line protocol, the PER math (runs per
 // simulated A-MPDU), its PerTable fast path, binomial aggregate
 // sampling, the event queue, geodesy, full link-sim seconds at both
 // fidelities, and one Monte-Carlo mission trial.
@@ -9,6 +10,9 @@
 // and fails on >25% regression of any baselined counter.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/optimizer.h"
@@ -18,10 +22,12 @@
 #include "fault/mission_sim.h"
 #include "fleet/engine.h"
 #include "geo/geodesy.h"
+#include "io/json.h"
 #include "link/multilink.h"
 #include "mac/link.h"
 #include "phy/per_table.h"
 #include "policy/compiler.h"
+#include "policy/server.h"
 #include "policy/service.h"
 #include "sim/simulator.h"
 
@@ -83,6 +89,16 @@ void BM_ReDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_ReDecision);
 
+// The table behind the decision-service benchmarks below.
+policy::PolicyTable decide_bench_table() {
+  policy::CompilerConfig cfg;
+  cfg.d0 = {60.0, 300.0, 7};
+  cfg.speed = {2.0, 20.0, 5};
+  cfg.mdata = {5e6, 6e7, 5, true};
+  cfg.rho = {1e-4, 5e-3, 7, true};
+  return policy::Compiler(cfg).compile();
+}
+
 // The compiled-policy hot path: a 1024-query batch through
 // DecisionService::decide with every query served by the table backend
 // (O(1) 4-D interpolation + one exact utility evaluation at d*). The
@@ -92,15 +108,10 @@ BENCHMARK(BM_ReDecision);
 // setup (a few hundred exact solves on the thread pool); the measured
 // loop performs zero steady-state allocations.
 void BM_PolicyDecideBatch(benchmark::State& state) {
-  policy::CompilerConfig cfg;
-  cfg.d0 = {60.0, 300.0, 7};
-  cfg.speed = {2.0, 20.0, 5};
-  cfg.mdata = {5e6, 6e7, 5, true};
-  cfg.rho = {1e-4, 5e-3, 7, true};
   const auto scen = core::Scenario::airplane();
   const auto model = scen.paper_throughput();
   policy::DecisionService service(model);
-  service.install_table(policy::Compiler(cfg).compile());
+  service.install_table(decide_bench_table());
 
   constexpr std::size_t kBatch = 1024;
   std::vector<policy::Query> queries(kBatch);
@@ -121,6 +132,60 @@ void BM_PolicyDecideBatch(benchmark::State& state) {
   if (service.counters().exact != 0) state.SkipWithError("query escaped the table path");
 }
 BENCHMARK(BM_PolicyDecideBatch);
+
+// The same table path behind the line protocol: one "begin", 64 query
+// lines, "end" batch through LineServer::run over in-memory streams —
+// tokenize and parse every line, one batched decide(), format four
+// exact numbers per reply. What skyferry_decide adds on top of decide().
+void BM_LineServerBatch(benchmark::State& state) {
+  const auto model = core::Scenario::airplane().paper_throughput();
+  policy::DecisionService service(model);
+  service.install_table(decide_bench_table());
+  policy::ServerOptions opt;
+  opt.banner = false;
+  const policy::LineServer server(service, opt);
+
+  sim::Rng rng(7);
+  std::string request = "begin\n";
+  for (int i = 0; i < 64; ++i) {
+    for (const double f : {rng.uniform(60.0, 300.0), rng.uniform(2.0, 20.0),
+                           rng.uniform(5e6, 6e7), rng.uniform(1e-4, 5e-3)}) {
+      request += io::json_number(f);
+      request += ' ';
+    }
+    request.back() = '\n';
+  }
+  request += "end\n";
+  std::size_t served = 0;
+  for (auto _ : state) {
+    std::istringstream in(request);
+    std::ostringstream out;
+    served += server.run(in, out);
+    benchmark::DoNotOptimize(out);
+  }
+  if (served != 64 * static_cast<std::size_t>(state.iterations()))
+    state.SkipWithError("a query line was not served");
+  if (service.counters().exact != 0) state.SkipWithError("query escaped the table path");
+}
+BENCHMARK(BM_LineServerBatch);
+
+// One served double formatted exactly (io::append_json_number, the
+// shortest of %.15g/%.16g/%.17g that round-trips), cycling through 1024
+// full-precision values.
+void BM_JsonNumber(benchmark::State& state) {
+  sim::Rng rng(11);
+  std::vector<double> values(1024);
+  for (double& v : values) v = std::exp(rng.uniform(-10.0, 20.0));
+  std::string buf;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    buf.clear();
+    io::append_json_number(buf, values[i++ & 1023]);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_JsonNumber);
 
 // One full joint (link, d) decision over all four backends: 8 exact
 // searches (4 single + 4 joint, one per candidate burst link) whose

@@ -90,6 +90,13 @@ CEILING_NS = {
     # solve. Both ceilings are ~4x the recorded median.
     "BM_MultiLinkDecide": 700_000.0,
     "BM_MultiLinkReelect": 700_000.0,
+    # The line protocol around BM_PolicyDecideBatch's table path: a
+    # 64-query begin/end batch through LineServer (~1.9 us per line,
+    # parse + decide + reply), and one exact double formatted for a
+    # reply (~0.25 us, four per reply). Both ceilings are ~4x the
+    # recorded median.
+    "BM_LineServerBatch": 480_000.0,
+    "BM_JsonNumber": 1_000.0,
     # BM_EventQueue churns a binary heap through the allocator; its
     # median swings ~1.5x between otherwise-identical machines (cache
     # and allocator layout, not code), so it is exempt from the

@@ -1,6 +1,10 @@
 #include "io/json.h"
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,14 +41,37 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  char buf[64];
-  for (int prec : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan
+    out += "null";
+    return;
   }
-  return buf;
+  char buf[32];
+  // The shortest round-trip form has k significant digits, and %.Pg
+  // round-trips for every P >= k but one case below, so the loop's
+  // answer is %.{max(k, 15)}g; to_chars with a precision prints %g's
+  // bytes.
+  char* end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr;
+  int k = 0;
+  for (const char* p = buf; p != end && *p != 'e'; ++p) k += (*p >= '0' && *p <= '9');
+  const int prec = std::max(k, 15);
+  end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, prec).ptr;
+  // The case: just below a power of two the doubles are twice as dense,
+  // so the shortest 16 digits can lie above v while %.16g rounds to a
+  // decimal below it that parses to v's lower neighbour. Then it is 17.
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  if (prec == 16 && (std::bit_cast<std::uint64_t>(v) & kMantissa) == 0) {
+    double back = 0.0;
+    std::from_chars(buf, end, back);
+    if (back != v) end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr;
+  }
+  out.append(buf, end);
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 namespace {
@@ -85,7 +112,7 @@ void Json::dump_into(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; return;
     case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: out += json_number(number_); return;
+    case Type::kNumber: append_json_number(out, number_); return;
     case Type::kString: escape_string(out, string_); return;
     case Type::kArray: {
       if (items_.empty()) {

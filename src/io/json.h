@@ -94,7 +94,12 @@ class Json {
 };
 
 /// Number formatting used by Json::dump: the shortest of %.15g/%.16g/%.17g
-/// that parses back bit-identically (so goldens stay stable and exact).
+/// that parses back bit-identically (so goldens stay stable and exact);
+/// non-finite values become `null`. Built on std::to_chars, it emits the
+/// same bytes as printing with each precision in turn and checking each
+/// with strtod, at a fraction of the cost.
 [[nodiscard]] std::string json_number(double v);
+/// json_number(v) appended to `out` (no temporary string).
+void append_json_number(std::string& out, double v);
 
 }  // namespace skyferry::io

@@ -1,14 +1,16 @@
 #include "policy/compiler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <exception>
+#include <future>
 #include <vector>
 
 #include "core/delay.h"
 #include "core/throughput_model.h"
 #include "core/utility.h"
-#include "exp/runner.h"
-#include "exp/sweep.h"
+#include "exp/thread_pool.h"
 #include "policy/api.h"
 #include "uav/failure.h"
 
@@ -21,11 +23,6 @@ std::vector<double> knot_values(const AxisSpec& spec) {
   for (int i = 0; i < static_cast<int>(v.size()); ++i) v[static_cast<std::size_t>(i)] = ax.knot(i);
   return v;
 }
-
-struct Knot {
-  double d_opt{0.0};
-  double utility{0.0};
-};
 
 core::OptimizeResult solve_exact(const TableModelSpec& spec, double min_distance_m,
                                  core::OptimizeOptions opt, double d0, double speed, double mdata,
@@ -42,35 +39,45 @@ core::OptimizeResult solve_exact(const TableModelSpec& spec, double min_distance
 }  // namespace
 
 PolicyTable Compiler::compile() const {
-  exp::Sweep sweep;
-  // Axis order == PolicyTable::kAxisNames == flattened-index order:
-  // cartesian() enumerates first axis slowest, exactly the table's
-  // ((i0·N1 + i1)·N2 + i2)·N3 + i3 layout, so point.index IS the flat
-  // knot index.
-  sweep.axis(PolicyTable::kAxisNames[0], knot_values(cfg_.d0));
-  sweep.axis(PolicyTable::kAxisNames[1], knot_values(cfg_.speed));
-  sweep.axis(PolicyTable::kAxisNames[2], knot_values(cfg_.mdata));
-  sweep.axis(PolicyTable::kAxisNames[3], knot_values(cfg_.rho));
-  const std::vector<exp::Point> points = sweep.cartesian();
+  const std::array<std::vector<double>, 4> knots = {knot_values(cfg_.d0), knot_values(cfg_.speed),
+                                                    knot_values(cfg_.mdata),
+                                                    knot_values(cfg_.rho)};
+  const std::size_t n1 = knots[1].size(), n2 = knots[2].size(), n3 = knots[3].size();
+  const std::size_t total = knots[0].size() * n1 * n2 * n3;
+  std::vector<double> d_opt(total), utility(total);
 
-  exp::RunnerConfig rc;
-  rc.threads = cfg_.threads;
-  rc.trials = 1;
-  rc.fail_fast = true;  // a knot that cannot be solved must not bake a silent 0
-  exp::Runner runner(rc);
-  const auto run = runner.run(points, [this](const exp::Point& pt, std::uint64_t) {
-    const core::OptimizeResult r = solve_exact(
-        cfg_.model, cfg_.min_distance_m, cfg_.optimize, pt.at(PolicyTable::kAxisNames[0]),
-        pt.at(PolicyTable::kAxisNames[1]), pt.at(PolicyTable::kAxisNames[2]),
-        pt.at(PolicyTable::kAxisNames[3]));
-    return Knot{r.d_opt_m, r.utility};
-  });
-
-  std::vector<double> d_opt(points.size()), utility(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    d_opt[points[p].index] = run.results[p][0].d_opt;
-    utility[points[p].index] = run.results[p][0].utility;
+  // Fixed chunks of flat knot indices, each knot written straight into
+  // its slot: the table does not depend on the thread count.
+  constexpr std::size_t kChunk = 64;
+  std::vector<std::future<void>> futures;
+  futures.reserve((total + kChunk - 1) / kChunk);
+  exp::ThreadPool pool(cfg_.threads);
+  for (std::size_t start = 0; start < total; start += kChunk) {
+    futures.push_back(pool.submit([&, start] {
+      for (std::size_t k = start; k < std::min(start + kChunk, total); ++k) {
+        // Flat index ((i0·N1 + i1)·N2 + i2)·N3 + i3, first axis slowest
+        // (PolicyTable::index).
+        const std::size_t i3 = k % n3, i2 = k / n3 % n2, i1 = k / (n3 * n2) % n1,
+                          i0 = k / (n3 * n2 * n1);
+        const core::OptimizeResult r =
+            solve_exact(cfg_.model, cfg_.min_distance_m, cfg_.optimize, knots[0][i0],
+                        knots[1][i1], knots[2][i2], knots[3][i3]);
+        d_opt[k] = r.d_opt_m;
+        utility[k] = r.utility;
+      }
+    }));
   }
+  // Every chunk finishes before a failure is rethrown (the lowest
+  // chunk's): a knot that cannot be solved must not bake a silent 0.
+  std::exception_ptr error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 
   std::array<Axis, 4> axes = {
       Axis{PolicyTable::kAxisNames[0], cfg_.d0.lo, cfg_.d0.hi, cfg_.d0.n, cfg_.d0.log10_spaced},

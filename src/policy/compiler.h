@@ -1,8 +1,8 @@
-// The offline half of the decision service: sweep the decision space on
-// the exp::Sweep/Runner engine (deterministic, thread-pooled) and bake
-// every knot's exact optimize() answer into a PolicyTable. Compiling is
-// the expensive step you pay once per (model, domain); serving is the
-// O(1) interpolation the fleet pays per decision.
+// The offline half of the decision service: sweep the decision space in
+// fixed chunks of knots on an exp::ThreadPool (deterministic for any
+// thread count) and bake every knot's exact optimize() answer into a
+// PolicyTable. Compiling is the expensive step you pay once per (model,
+// domain); serving is the O(1) interpolation the fleet pays per decision.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,12 @@
 #include "policy/server.h"
 
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "io/json.h"
@@ -10,41 +14,92 @@
 namespace skyferry::policy {
 namespace {
 
-/// Parse "<d0> <v> <mdata> <rho> [min_d]" into a query stamped from the
-/// template. Returns false with a message on any malformed field.
-bool parse_query(const std::string& line, const Query& defaults, Query* out, std::string* err) {
-  std::istringstream fields(line);
-  Query q = defaults;
-  if (!(fields >> q.d0_m >> q.speed_mps >> q.mdata_bytes >> q.rho_per_m)) {
+/// The classic-locale whitespace the fields are separated by.
+bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+/// One whole finite decimal token. A leading '+' is accepted; hex,
+/// inf/nan and any character after the number are not.
+bool parse_number(std::string_view tok, double* x) {
+  const char* first = tok.data();
+  const char* const last = first + tok.size();
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && *first == '-') return false;
+  }
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  if (ptr != last) return false;
+  if (ec == std::errc::result_out_of_range) {
+    // The decimal rounds to zero or overflows and from_chars leaves `v`
+    // unset. strtod tells the two apart: an underflow reads as its
+    // signed zero, an overflow as HUGE_VAL, which is rejected below.
+    v = std::strtod(std::string(first, last).c_str(), nullptr);
+  } else if (ec != std::errc()) {
+    return false;
+  }
+  if (!std::isfinite(v)) return false;
+  *x = v;
+  return true;
+}
+
+void append_decision(std::string& out, const Decision& d) {
+  out += "ok ";
+  io::append_json_number(out, d.d_opt_m);
+  out += ' ';
+  io::append_json_number(out, d.utility);
+  out += ' ';
+  io::append_json_number(out, d.cdelay_s);
+  out += ' ';
+  io::append_json_number(out, d.discount);
+  out += ' ';
+  out += core::to_string(d.boundary);
+  out += ' ';
+  out += to_string(d.backend);
+}
+
+}  // namespace
+
+bool parse_query(std::string_view line, const Query& defaults, Query* out, std::string* err) {
+  // Up to six fields: a sixth is only read to name it in the error.
+  std::array<std::string_view, 6> tok;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < line.size() && n < tok.size();) {
+    if (is_space(line[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < line.size() && !is_space(line[j])) ++j;
+    tok[n++] = line.substr(i, j - i);
+    i = j;
+  }
+  if (n > 5) {
+    *err = "trailing garbage '" + std::string(tok[5]) + "'";
+    return false;
+  }
+  if (n < 4) {
     *err = "expected: <d0> <v> <mdata> <rho> [min_d]";
     return false;
   }
-  double min_d;
-  if (fields >> min_d) q.min_distance_m = min_d;
-  std::string extra;
-  if (fields >> extra) {
-    *err = "trailing garbage '" + extra + "'";
-    return false;
+  Query q = defaults;
+  double* const fields[5] = {&q.d0_m, &q.speed_mps, &q.mdata_bytes, &q.rho_per_m,
+                             &q.min_distance_m};
+  static constexpr const char* kNames[5] = {"d0", "v", "mdata", "rho", "min_d"};
+  for (std::size_t f = 0; f < n; ++f) {
+    if (!parse_number(tok[f], fields[f])) {
+      *err = std::string("bad ") + kNames[f] + " '" + std::string(tok[f]) + "'";
+      return false;
+    }
   }
   *out = q;
   return true;
 }
 
-}  // namespace
-
 std::string format_decision(const Decision& d) {
-  std::string out = "ok ";
-  out += io::json_number(d.d_opt_m);
-  out += ' ';
-  out += io::json_number(d.utility);
-  out += ' ';
-  out += io::json_number(d.cdelay_s);
-  out += ' ';
-  out += io::json_number(d.discount);
-  out += ' ';
-  out += core::to_string(d.boundary);
-  out += ' ';
-  out += to_string(d.backend);
+  std::string out;
+  append_decision(out, d);
   return out;
 }
 
@@ -56,6 +111,12 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
   std::size_t served = 0;
   bool batching = false;
   std::vector<Query> batch;
+  std::vector<Decision> answers;
+  std::string reply;  // one decision's or one batch's replies, written at once
+  const auto write_reply = [&] {
+    out.write(reply.data(), static_cast<std::streamsize>(reply.size()));
+    out.flush();
+  };
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -79,13 +140,17 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
         out << "err no open batch\n";
         continue;
       }
-      std::vector<Decision> answers(batch.size());
+      answers.resize(batch.size());
       service_.decide(batch, answers);
-      for (const Decision& d : answers) out << format_decision(d) << '\n';
+      reply.clear();
+      for (const Decision& d : answers) {
+        append_decision(reply, d);
+        reply += '\n';
+      }
+      write_reply();
       served += answers.size();
       batching = false;
       batch.clear();
-      out.flush();
       continue;
     }
     Query q;
@@ -98,9 +163,11 @@ std::size_t LineServer::run(std::istream& in, std::ostream& out) const {
       batch.push_back(q);
       continue;
     }
-    out << format_decision(service_.decide_one(q)) << '\n';
+    reply.clear();
+    append_decision(reply, service_.decide_one(q));
+    reply += '\n';
+    write_reply();
     ++served;
-    out.flush();
   }
   if (batching) out << "err eof inside open batch (" << batch.size() << " queries dropped)\n";
   return served;

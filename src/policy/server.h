@@ -6,7 +6,13 @@
 //
 // Protocol (one request or directive per line):
 //   <d0> <v> <mdata> <rho> [min_d]   decide; answered immediately unless
-//                                    inside a begin/end batch
+//                                    inside a begin/end batch. Fields are
+//                                    separated by whitespace; each must be
+//                                    one whole finite decimal number (an
+//                                    optional sign, digits, '.', exponent;
+//                                    no hex, inf/nan or trailing characters).
+//                                    A decimal below the smallest double
+//                                    reads as a signed zero.
 //   begin                            start accumulating a batch
 //   end                              flush the batch through ONE
 //                                    decide(span, span) call, answer in
@@ -16,13 +22,20 @@
 //   # ... / blank                    ignored
 // Responses:
 //   ok <d_opt> <utility> <cdelay> <discount> <boundary> <backend>
-//   err <message>
+//   err <message>, one of:
+//     expected: <d0> <v> <mdata> <rho> [min_d]   fewer than four fields
+//     trailing garbage '<field 6>'               more than five fields
+//     bad <d0|v|mdata|rho|min_d> '<field>'       a field that is not a
+//                                                whole finite decimal
+//     already batching | no open batch           misplaced begin / end
+//     eof inside open batch (<n> queries dropped)
 // Numbers are emitted with io::json_number, so every served double
 // round-trips exactly (a campaign log can be replayed bit-identically).
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "policy/service.h"
 
@@ -53,5 +66,11 @@ class LineServer {
 /// One response line (without the trailing newline) for a decision —
 /// exposed for the one-shot --query mode and the tests.
 [[nodiscard]] std::string format_decision(const Decision& d);
+
+/// Parse one request line "<d0> <v> <mdata> <rho> [min_d]" into a query
+/// stamped from `defaults`. On a malformed line returns false and sets
+/// `err` to the message of the protocol's `err` reply.
+[[nodiscard]] bool parse_query(std::string_view line, const Query& defaults, Query* out,
+                               std::string* err);
 
 }  // namespace skyferry::policy

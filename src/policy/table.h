@@ -65,7 +65,7 @@ class PolicyTable {
  public:
   static constexpr int kFormatVersion = 1;
   /// Axis order (and flattened-index order, first axis slowest) — the
-  /// same order exp::Sweep::cartesian() enumerates the compile sweep in.
+  /// order Compiler::compile decodes its flat knot indices in.
   static constexpr std::array<const char*, 4> kAxisNames = {"d0_m", "speed_mps", "mdata_bytes",
                                                             "rho_per_m"};
 

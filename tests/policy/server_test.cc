@@ -117,6 +117,35 @@ TEST(LineServer, ProtocolErrorsAreReportedNotFatal) {
   EXPECT_EQ(lines[4].rfind("ok ", 0), 0u) << lines[4];
 }
 
+// The old stream reader stopped inside a field, or failed on the fifth
+// and never reached its trailing-garbage check, and served these lines.
+// Each field must now be one whole finite decimal.
+TEST(LineServer, MalformedFieldsAreErrorsNotDroppedCharacters) {
+  const auto model = core::PaperLogThroughput::airplane();
+  const DecisionService service(model);
+  ServerOptions opt;
+  opt.banner = false;
+  const LineServer server(service, opt);
+
+  std::istringstream in(
+      "300 10 28e6 2e-3 abc\n"
+      "300 10 28e6 2e-3x\n"
+      "300 10 28e6 2e-3 1e\n"
+      "300 10 28e6 0x10\n"
+      "300 10 28e6 2e-3 1e400\n"
+      "300 10 inf 2e-3\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.run(in, out), 0u);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(lines[0], "err bad min_d 'abc'");
+  EXPECT_EQ(lines[1], "err bad rho '2e-3x'");
+  EXPECT_EQ(lines[2], "err bad min_d '1e'");
+  EXPECT_EQ(lines[3], "err bad rho '0x10'");
+  EXPECT_EQ(lines[4], "err bad min_d '1e400'");
+  EXPECT_EQ(lines[5], "err bad mdata 'inf'");
+}
+
 TEST(LineServer, StatsAndQuitAndEofInsideBatch) {
   const auto model = core::PaperLogThroughput::airplane();
   const DecisionService service(model);

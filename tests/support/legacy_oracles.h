@@ -1,0 +1,160 @@
+// Verbatim copies of implementations that were replaced by faster ones,
+// kept as exactness oracles: the replacement must reproduce their output
+// bit for bit. Also the probe sets the oracle tests share between the
+// fast and slow tiers.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/delay.h"
+#include "core/optimizer.h"
+#include "core/throughput_model.h"
+#include "core/utility.h"
+#include "exp/runner.h"
+#include "exp/sweep.h"
+#include "policy/compiler.h"
+#include "sim/rng.h"
+#include "uav/failure.h"
+
+namespace skyferry::legacy {
+
+/// io::json_number as it was: try %.15g, %.16g, %.17g and keep the first
+/// that strtod parses back to v.
+inline std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
+  char buf[64];
+  for (int prec : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+/// Doubles for the json_number oracle: every power of two with both
+/// neighbours and both signs (the only place %.16g can fail to round-trip
+/// while the shortest form has 16 digits), the subnormal range, integers,
+/// short decimals, printf ties, ±0 and the extremes — then `random_count`
+/// seeded draws split between raw bit patterns and log-uniform values.
+inline std::vector<double> json_number_probes(std::size_t random_count, std::uint64_t seed) {
+  using lim = std::numeric_limits<double>;
+  std::vector<double> v = {0.0,           -0.0,          lim::min(),   lim::denorm_min(),
+                           lim::max(),    lim::lowest(), lim::epsilon(), 0.1,
+                           1.0 / 3.0,     1e23,          9.007199254740993e15,
+                           5e-324,        2.2250738585072009e-308,     1e-300,
+                           lim::infinity(), lim::quiet_NaN()};
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double s : {1.0, -1.0}) {
+      v.push_back(s * p);
+      v.push_back(s * std::nextafter(p, 0.0));
+      v.push_back(s * std::nextafter(p, lim::infinity()));
+    }
+  }
+  for (std::uint64_t m = 1; m < 4096; ++m) v.push_back(std::bit_cast<double>(m));  // subnormals
+  for (std::uint64_t m = 1; m < 4096; ++m)
+    v.push_back(std::bit_cast<double>(m * 1099511627776ULL + 3));
+  for (int i = -2000; i <= 2000; ++i) {
+    v.push_back(i);                      // integers
+    v.push_back(i + 0.5);                // halves: %g ties at low precision
+    v.push_back(i * 0.001);              // short decimals
+    v.push_back(i * 1e15 + 0.5);         // 16/17-digit halves
+    v.push_back(std::ldexp(1.0, 53) + i);  // around 2^53
+  }
+  sim::Rng rng(seed);
+  for (std::size_t i = 0; i < random_count; ++i) {
+    if (i % 2 == 0) {
+      v.push_back(std::bit_cast<double>(rng.next_u64()));
+    } else {
+      const double mag = std::pow(10.0, rng.uniform(-320.0, 308.0));
+      v.push_back(rng.bernoulli(0.5) ? mag : -mag);
+    }
+  }
+  return v;
+}
+
+/// Compiler::compile as it was: the knot sweep on exp::Sweep/Runner.
+inline policy::PolicyTable compile(const policy::CompilerConfig& cfg) {
+  using policy::Axis;
+  using policy::AxisSpec;
+  using policy::PolicyTable;
+  const auto knot_values = [](const AxisSpec& spec) {
+    Axis ax{"", spec.lo, spec.hi, spec.n, spec.log10_spaced};
+    std::vector<double> v(static_cast<std::size_t>(std::max(spec.n, 2)));
+    for (int i = 0; i < static_cast<int>(v.size()); ++i)
+      v[static_cast<std::size_t>(i)] = ax.knot(i);
+    return v;
+  };
+  struct Knot {
+    double d_opt{0.0};
+    double utility{0.0};
+  };
+  exp::Sweep sweep;
+  sweep.axis(PolicyTable::kAxisNames[0], knot_values(cfg.d0));
+  sweep.axis(PolicyTable::kAxisNames[1], knot_values(cfg.speed));
+  sweep.axis(PolicyTable::kAxisNames[2], knot_values(cfg.mdata));
+  sweep.axis(PolicyTable::kAxisNames[3], knot_values(cfg.rho));
+  const std::vector<exp::Point> points = sweep.cartesian();
+
+  exp::RunnerConfig rc;
+  rc.threads = cfg.threads;
+  rc.trials = 1;
+  rc.fail_fast = true;
+  exp::Runner runner(rc);
+  const auto run = runner.run(points, [&cfg](const exp::Point& pt, std::uint64_t) {
+    const core::PaperLogThroughput model(cfg.model.a, cfg.model.b, cfg.model.name,
+                                         cfg.model.scale, cfg.model.min_distance_m);
+    const uav::FailureModel failure(pt.at(PolicyTable::kAxisNames[3]));
+    const core::DeliveryParams params{pt.at(PolicyTable::kAxisNames[0]),
+                                      pt.at(PolicyTable::kAxisNames[1]),
+                                      pt.at(PolicyTable::kAxisNames[2]), cfg.min_distance_m};
+    const core::CommDelayModel delay(model, params);
+    const core::UtilityFunction u(delay, failure);
+    const core::OptimizeResult r = core::optimize(u, cfg.optimize);
+    return Knot{r.d_opt_m, r.utility};
+  });
+
+  std::vector<double> d_opt(points.size()), utility(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    d_opt[points[p].index] = run.results[p][0].d_opt;
+    utility[points[p].index] = run.results[p][0].utility;
+  }
+  std::array<Axis, 4> axes = {
+      Axis{PolicyTable::kAxisNames[0], cfg.d0.lo, cfg.d0.hi, cfg.d0.n, cfg.d0.log10_spaced},
+      Axis{PolicyTable::kAxisNames[1], cfg.speed.lo, cfg.speed.hi, cfg.speed.n,
+           cfg.speed.log10_spaced},
+      Axis{PolicyTable::kAxisNames[2], cfg.mdata.lo, cfg.mdata.hi, cfg.mdata.n,
+           cfg.mdata.log10_spaced},
+      Axis{PolicyTable::kAxisNames[3], cfg.rho.lo, cfg.rho.hi, cfg.rho.n, cfg.rho.log10_spaced},
+  };
+  return PolicyTable(std::move(axes), cfg.model, cfg.min_distance_m, cfg.optimize,
+                     std::move(d_opt), std::move(utility));
+}
+
+/// Equal checksum and every knot bitwise equal.
+inline void expect_same_table(const policy::PolicyTable& want, const policy::PolicyTable& got) {
+  EXPECT_EQ(got.checksum(), want.checksum());
+  ASSERT_EQ(got.knots(), want.knots());
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < want.knots(); ++k) {
+    if (std::bit_cast<std::uint64_t>(got.d_opt_at(k)) !=
+            std::bit_cast<std::uint64_t>(want.d_opt_at(k)) ||
+        std::bit_cast<std::uint64_t>(got.utility_at(k)) !=
+            std::bit_cast<std::uint64_t>(want.utility_at(k))) {
+      if (++mismatches <= 5) ADD_FAILURE() << "knot " << k << " differs";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+}  // namespace skyferry::legacy
