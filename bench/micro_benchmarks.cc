@@ -3,7 +3,8 @@
 // and its line protocol, the PER math (runs per
 // simulated A-MPDU), its PerTable fast path, binomial aggregate
 // sampling, the event queue, geodesy, full link-sim seconds at both
-// fidelities, and one Monte-Carlo mission trial.
+// fidelities, one selective-repeat ARQ batch transfer, and one
+// Monte-Carlo mission trial.
 //
 // The benchmarks named in BENCH_link_sim.json are the regression gate:
 // scripts/bench_regress.sh runs this binary with --benchmark_format=json
@@ -25,10 +26,12 @@
 #include "io/json.h"
 #include "link/multilink.h"
 #include "mac/link.h"
+#include "net/arq.h"
 #include "phy/per_table.h"
 #include "policy/compiler.h"
 #include "policy/server.h"
 #include "policy/service.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -321,6 +324,31 @@ void BM_LinkSimSecondAggregateNoJitter(benchmark::State& state) {
   link_sim_second(state, mac::LinkFidelity::kAggregate, 0.0);
 }
 BENCHMARK(BM_LinkSimSecondAggregateNoJitter);
+
+// One 4096-packet batch through selective-repeat ARQ (window 64) over a
+// seeded 10 %-loss channel: the sender's per-packet bookkeeping must
+// scale with the window, not the batch.
+void BM_ArqTransfer(benchmark::State& state) {
+  constexpr std::uint32_t kPackets = 4096;
+  const net::ArqConfig cfg{64, 1470, 16};
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    net::ArqSender tx(cfg, kPackets);
+    net::ArqReceiver rx(cfg, kPackets);
+    sim::Rng loss(++seed);
+    while (!tx.complete()) {
+      const auto p = tx.next_packet(0.0);
+      if (!p) {
+        tx.on_ack(rx.make_ack());  // window full: the receiver's ack timer fires
+        continue;
+      }
+      if (loss.bernoulli(0.1)) continue;
+      if (auto ack = rx.on_packet(*p)) tx.on_ack(*ack);
+    }
+    benchmark::DoNotOptimize(tx.transmissions());
+  }
+}
+BENCHMARK(BM_ArqTransfer);
 
 void BM_MonteCarloTrial(benchmark::State& state) {
   fault::TrialSpec spec;

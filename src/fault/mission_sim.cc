@@ -51,6 +51,7 @@ void TrialSpec::validate() const {
   if (!finite(stall_timeout_s) || stall_timeout_s <= 0.0)
     throw ConfigError("TrialSpec: stall_timeout_s must be finite and > 0");
   if (retreat_after_stalls <= 0) throw ConfigError("TrialSpec: retreat_after_stalls must be > 0");
+  if (arq.window == 0) throw ConfigError("TrialSpec: arq.window must be > 0");
   if (target_packets == 0 && arq.datagram_bytes == 0)
     throw ConfigError("TrialSpec: target_packets and arq.datagram_bytes cannot both be 0");
   if (use_link_simulator && (!finite(link_sim_duration_s) || link_sim_duration_s <= 0.0))
@@ -282,6 +283,9 @@ TrialResult MissionTrial::run() {
     }
     finalize(false);
   }
+  // A verdict stops the event loop early; the outage/GPS counters still
+  // cover the whole [0, max_time_s] window.
+  injector_.play_out();
   for (const auto& ev : injector_.log()) {
     result_.link_outages += (ev.kind == FaultKind::kLinkDown) ? 1 : 0;
     result_.gps_dropouts += (ev.kind == FaultKind::kGpsDown) ? 1 : 0;
@@ -621,6 +625,8 @@ void MissionTrial::crash() {
 void MissionTrial::finalize(bool delivered) {
   if (done_) return;
   done_ = true;
+  // No later event can change the result: end the event loop here.
+  sim_.stop();
   if (transferring_) {
     result_.arq_retransmissions = transfer_.sender().retransmissions();
     transfer_.suspend();

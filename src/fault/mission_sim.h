@@ -198,6 +198,11 @@ struct TrialResult {
   int rendezvous_attempts{0};   ///< transfer attempts (resumes included)
   std::uint64_t control_retries{0};
   std::uint64_t arq_retransmissions{0};
+  /// Link outages and GPS dropouts that start in [0, max_time_s] —
+  /// including those after the verdict. The trial stops its event loop
+  /// at the verdict and FaultInjector::play_out() replays the rest of
+  /// both renewal processes, so these counts are those of a trial run
+  /// to max_time_s.
   std::uint64_t link_outages{0};
   std::uint64_t gps_dropouts{0};
 

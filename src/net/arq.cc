@@ -7,18 +7,28 @@ namespace skyferry::net {
 ArqSender::ArqSender(ArqConfig cfg, std::uint32_t total_packets, FlowId flow) noexcept
     : cfg_(cfg), total_(total_packets), flow_(flow), state_(total_packets, State::kUnsent) {}
 
-std::uint32_t ArqSender::in_flight() const noexcept {
-  std::uint32_t n = 0;
-  for (State s : state_) n += (s == State::kInFlight) ? 1 : 0;
-  return n;
+void ArqSender::ack_one(std::uint32_t seq) noexcept {
+  State& st = state_[seq];
+  if (st == State::kAcked) return;
+  if (st == State::kInFlight) --in_flight_;
+  st = State::kAcked;
+  ++acked_count_;
+}
+
+void ArqSender::advance_base() noexcept {
+  while (base_ < total_ && state_[base_] == State::kAcked) ++base_;
 }
 
 std::optional<Packet> ArqSender::next_packet(double now_s) {
   if (complete()) return std::nullopt;
-  if (in_flight() >= cfg_.window) return std::nullopt;
+  if (in_flight_ >= cfg_.window) return std::nullopt;
 
   auto make = [&](std::uint32_t seq, bool retx) {
+    // A stale ack may have acked a packet that was never sent; sending it
+    // anyway reopens the acked prefix at that sequence.
+    if (state_[seq] == State::kAcked) base_ = std::min(base_, seq);
     state_[seq] = State::kInFlight;
+    ++in_flight_;
     ++transmissions_;
     if (retx) ++retransmissions_;
     Packet p;
@@ -29,10 +39,14 @@ std::optional<Packet> ArqSender::next_packet(double now_s) {
     return p;
   };
 
-  // Gaps first (selective repeat).
-  for (std::uint32_t s = 0; s < next_new_; ++s) {
-    if (state_[s] == State::kNacked) return make(s, true);
+  // Gaps first (selective repeat), lowest sequence first.
+  for (std::uint32_t s = std::max(base_, nack_lo_); s < next_new_; ++s) {
+    if (state_[s] == State::kNacked) {
+      nack_lo_ = s + 1;
+      return make(s, true);
+    }
   }
+  nack_lo_ = next_new_;
   if (next_new_ < total_) {
     const std::uint32_t s = next_new_++;
     return make(s, false);
@@ -42,32 +56,32 @@ std::optional<Packet> ArqSender::next_packet(double now_s) {
 
 void ArqSender::on_ack(const SelectiveAck& ack) {
   const std::uint32_t cum = std::min(ack.cumulative, total_);
-  for (std::uint32_t s = 0; s < cum; ++s) {
-    if (state_[s] != State::kAcked) {
-      state_[s] = State::kAcked;
-      ++acked_count_;
-    }
-  }
+  for (std::uint32_t s = base_; s < cum; ++s) ack_one(s);
+  base_ = std::max(base_, cum);
   for (std::uint32_t i = 0; i < ack.window_bitmap.size(); ++i) {
     const std::uint32_t s = cum + i;
     if (s >= total_) break;
     if (ack.window_bitmap[i]) {
-      if (state_[s] != State::kAcked) {
-        state_[s] = State::kAcked;
-        ++acked_count_;
-      }
+      ack_one(s);
     } else if (state_[s] == State::kInFlight && s < next_new_) {
       // Reported missing: schedule a retransmission.
       state_[s] = State::kNacked;
+      --in_flight_;
+      nack_lo_ = std::min(nack_lo_, s);
     }
   }
+  advance_base();
 }
 
 bool ArqSender::complete() const noexcept { return acked_count_ == total_; }
 
 void ArqSender::on_timeout() noexcept {
-  for (std::uint32_t s = 0; s < next_new_; ++s) {
-    if (state_[s] == State::kInFlight) state_[s] = State::kNacked;
+  for (std::uint32_t s = base_; in_flight_ > 0 && s < next_new_; ++s) {
+    if (state_[s] == State::kInFlight) {
+      state_[s] = State::kNacked;
+      --in_flight_;
+      nack_lo_ = std::min(nack_lo_, s);
+    }
   }
 }
 
@@ -98,6 +112,7 @@ ArqSender ArqSender::resume(ArqConfig cfg, const ArqSenderState& st, FlowId flow
   for (std::uint32_t i = 0; i < s.next_new_; ++i) {
     if (s.state_[i] == State::kUnsent) s.state_[i] = State::kNacked;
   }
+  s.advance_base();
   s.transmissions_ = st.transmissions;
   s.retransmissions_ = st.retransmissions;
   return s;

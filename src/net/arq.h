@@ -51,6 +51,16 @@ struct ArqReceiverState {
   std::uint64_t duplicates{0};
 };
 
+/// Per-packet cost is O(window), not O(batch): the sender keeps its
+/// in-flight count as a counter, and every walk over sequence numbers
+/// starts at the selective-repeat window base instead of at 0. The
+/// invariants behind it:
+///   - `in_flight_` equals the number of kInFlight states;
+///   - every sequence below `base_` is kAcked (the acked prefix);
+///   - no sequence below `nack_lo_` is kNacked;
+///   - every kInFlight or kNacked sequence lies below `next_new_`.
+/// The packet sequence, the counters and checkpoint() are exactly those
+/// of a sender that scans the whole batch from 0.
 class ArqSender {
  public:
   /// A batch of `total_packets` datagrams, each `cfg.datagram_bytes`.
@@ -80,10 +90,15 @@ class ArqSender {
   [[nodiscard]] std::uint32_t total_packets() const noexcept { return total_; }
   [[nodiscard]] std::uint64_t transmissions() const noexcept { return transmissions_; }
   [[nodiscard]] std::uint64_t retransmissions() const noexcept { return retransmissions_; }
-  [[nodiscard]] std::uint32_t in_flight() const noexcept;
+  [[nodiscard]] std::uint32_t in_flight() const noexcept { return in_flight_; }
 
  private:
   enum class State : std::uint8_t { kUnsent, kInFlight, kAcked, kNacked };
+
+  /// Mark `seq` acked (counted once per transition into kAcked).
+  void ack_one(std::uint32_t seq) noexcept;
+  /// Move `base_` past the acked prefix.
+  void advance_base() noexcept;
 
   ArqConfig cfg_;
   std::uint32_t total_;
@@ -91,6 +106,9 @@ class ArqSender {
   std::vector<State> state_;
   std::uint32_t next_new_{0};
   std::uint32_t acked_count_{0};
+  std::uint32_t in_flight_{0};
+  std::uint32_t base_{0};     ///< first sequence not known to be acked
+  std::uint32_t nack_lo_{0};  ///< lower bound on the lowest kNacked sequence
   std::uint64_t transmissions_{0};
   std::uint64_t retransmissions_{0};
 };

@@ -101,12 +101,14 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(double t_end_s) {
-  while (!heap_.empty() && heap_.front().t <= t_end_s) execute_top();
-  if (now_ < t_end_s) now_ = t_end_s;
+  stop_ = false;
+  while (!stop_ && !heap_.empty() && heap_.front().t <= t_end_s) execute_top();
+  if (!stop_ && now_ < t_end_s) now_ = t_end_s;
 }
 
 void Simulator::run() {
-  while (!heap_.empty()) execute_top();
+  stop_ = false;
+  while (!stop_ && !heap_.empty()) execute_top();
 }
 
 void Simulator::reset() {

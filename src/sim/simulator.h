@@ -57,11 +57,17 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Run until the queue empties or `t_end_s` is reached, whichever is
-  /// first. The clock is left at min(t_end_s, last event time).
+  /// first. The clock is left at min(t_end_s, last event time) — or, when
+  /// an event calls stop(), at that event's time.
   void run_until(double t_end_s);
 
-  /// Run until the queue empties.
+  /// Run until the queue empties (or an event calls stop()).
   void run();
+
+  /// Called from inside an event: end the current run_until()/run() once
+  /// that event returns. The clock stays at the event's time and every
+  /// later event stays pending; the next run call starts afresh.
+  void stop() noexcept { stop_ = true; }
 
   /// Execute the single next event, if any. Returns false when idle.
   bool step();
@@ -106,6 +112,7 @@ class Simulator {
   bool execute_top();
 
   double now_{0.0};
+  bool stop_{false};
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
   std::uint64_t rejected_nonfinite_{0};

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/optimizer.h"
 #include "core/scenario.h"
@@ -18,7 +20,11 @@ class ThroughputIoTest : public ::testing::Test {
     out << content;
   }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/skyferry_throughput.csv";
+  // Unique per test case and per process: ctest runs each case as its
+  // own concurrent process, so a shared fixed name would race.
+  std::string path_ = ::testing::TempDir() + "/skyferry_throughput_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+                      std::to_string(::getpid()) + ".csv";
 };
 
 TEST_F(ThroughputIoTest, LoadsAndInterpolates) {

@@ -1,6 +1,8 @@
 #include "fault/injector.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +107,122 @@ TEST(FaultInjector, GpsDropoutsIndependentOfLinkStream) {
     return ts;
   };
   EXPECT_EQ(link_trace(false), link_trace(true));
+}
+
+// --- play_out(): the renewal processes finished without the event queue ---
+
+struct Outcome {
+  std::vector<FaultEvent> log;
+  bool link_up{true};
+  bool gps_up{true};
+  int link_downs{0};
+  int gps_downs{0};
+};
+
+Outcome outcome_of(const FaultInjector& inj) {
+  Outcome o;
+  o.log = inj.log();
+  o.link_up = inj.link_up();
+  o.gps_up = inj.gps_up();
+  for (const auto& e : o.log) {
+    o.link_downs += e.kind == FaultKind::kLinkDown ? 1 : 0;
+    o.gps_downs += e.kind == FaultKind::kGpsDown ? 1 : 0;
+  }
+  return o;
+}
+
+/// Every flip executed as a simulator event up to t_end.
+Outcome run_to_end(const FaultPlan& plan, double t_end) {
+  sim::Simulator sim;
+  FaultInjector inj(sim, plan);
+  inj.start(t_end);
+  sim.run_until(t_end);
+  return outcome_of(inj);
+}
+
+/// An event at `stop_t` stops the run; play_out() finishes it. With
+/// `stop_on_flip` > 0 the run instead stops inside the observer of that
+/// (1-based) link flip, right after the flip executed.
+Outcome stop_and_play_out(const FaultPlan& plan, double t_end, double stop_t, int stop_on_flip = 0) {
+  sim::Simulator sim;
+  FaultInjector inj(sim, plan);
+  int flips = 0;
+  if (stop_on_flip > 0) {
+    inj.on_link_change([&](bool, double) {
+      if (++flips == stop_on_flip) sim.stop();
+    });
+  } else {
+    // Scheduled before start(): at an equal time it runs ahead of the
+    // flip, which is left for play_out().
+    sim.schedule_at(stop_t, [&] { sim.stop(); });
+  }
+  inj.start(t_end);
+  sim.run_until(t_end);
+  inj.play_out();
+  inj.play_out();  // idempotent: nothing is left to play
+  // The cancelled flip events never fire afterwards.
+  sim.run_until(t_end);
+  return outcome_of(inj);
+}
+
+void expect_same_outcome(const Outcome& want, const Outcome& got) {
+  ASSERT_EQ(want.log.size(), got.log.size());
+  for (std::size_t i = 0; i < want.log.size(); ++i) {
+    EXPECT_EQ(want.log[i].kind, got.log[i].kind) << "entry " << i;
+    EXPECT_EQ(want.log[i].t_s, got.log[i].t_s) << "entry " << i;
+    EXPECT_EQ(want.log[i].uav, got.log[i].uav) << "entry " << i;
+  }
+  EXPECT_EQ(want.link_up, got.link_up);
+  EXPECT_EQ(want.gps_up, got.gps_up);
+  EXPECT_EQ(want.link_downs, got.link_downs);
+  EXPECT_EQ(want.gps_downs, got.gps_downs);
+}
+
+TEST(FaultInjector, PlayOutMatchesRunningEveryFlip) {
+  const double t_end = 7200.0;
+  sim::Rng pick(2024);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    FaultPlan plan = FaultPlan::harsh();
+    if (seed % 3 == 0) {
+      plan.link_outage = {0.5, 0.7};  // dense flips
+    } else if (seed % 4 == 0) {
+      plan.gps_dropout = {};  // link only
+    } else if (seed % 5 == 0) {
+      plan.link_outage = {};  // GPS only
+    }
+    plan.seed = seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Outcome want = run_to_end(plan, t_end);
+    ASSERT_FALSE(want.log.empty());
+
+    // Random stop times, before the first event and after the last.
+    for (int k = 0; k < 5; ++k) {
+      expect_same_outcome(want, stop_and_play_out(plan, t_end, pick.uniform(0.0, t_end)));
+    }
+    expect_same_outcome(want, stop_and_play_out(plan, t_end, 0.0));
+    expect_same_outcome(want, stop_and_play_out(plan, t_end, want.log.back().t_s + 1e-3));
+    expect_same_outcome(want, stop_and_play_out(plan, t_end, t_end));
+    // Exactly at a flip time: the stop runs first and the flip is replayed.
+    const auto at = static_cast<std::size_t>(pick.uniform_int(want.log.size()));
+    expect_same_outcome(want, stop_and_play_out(plan, t_end, want.log[at].t_s));
+    expect_same_outcome(want, stop_and_play_out(plan, t_end, want.log.back().t_s));
+    // Stopped from inside a flip's own observer.
+    if (want.link_downs > 0) {
+      expect_same_outcome(want, stop_and_play_out(plan, t_end, 0.0, 1));
+      expect_same_outcome(want, stop_and_play_out(plan, t_end, 0.0, 2 * want.link_downs - 1));
+    }
+  }
+}
+
+TEST(FaultInjector, PlayOutWithNothingArmedChangesNothing) {
+  sim::Simulator sim;
+  FaultInjector inj(sim, FaultPlan::none());
+  inj.start(100.0);
+  sim.run_until(100.0);
+  inj.play_out();
+  EXPECT_TRUE(inj.log().empty());
+  EXPECT_TRUE(inj.link_up());
+  EXPECT_TRUE(inj.gps_up());
 }
 
 TEST(FaultKindNames, AllDistinct) {

@@ -185,6 +185,25 @@ TEST(MonteCarlo, ValidateRejectsBadConfigsTyped) {
   }
 }
 
+TEST(MonteCarlo, ZeroArqWindowIsRejected) {
+  // A zero window never sends a packet: the trial would stall and retreat
+  // to a silent failure instead of flagging the spec.
+  TrialSpec spec;
+  spec.arq.window = 0;
+  try {
+    spec.validate();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "TrialSpec: arq.window must be > 0");
+  }
+  auto cfg = crash_only_config(core::Scenario::quadrocopter(), 10);
+  cfg.spec.arq.window = 0;
+  EXPECT_THROW(cfg.validate(), ConfigError);
+  EXPECT_THROW((void)run_monte_carlo(cfg), ConfigError);
+  cfg.spec.arq.window = 1;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(MonteCarlo, RunStatsSidecarIsPopulated) {
   const auto scen = core::Scenario::quadrocopter();
   auto cfg = crash_only_config(scen, 64);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 namespace skyferry::io {
 namespace {
@@ -21,7 +22,11 @@ std::string read_file(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/skyferry_csv_test.csv";
+  // Unique per test case and per process: ctest runs each case as its
+  // own concurrent process, so a shared fixed name would race.
+  std::string path_ = ::testing::TempDir() + "/skyferry_csv_test_" +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+                      std::to_string(::getpid()) + ".csv";
 };
 
 TEST_F(CsvTest, HeaderAndRows) {

@@ -268,5 +268,56 @@ TEST(Simulator, RejectsNonFiniteTimes) {
   EXPECT_EQ(sim.rejected_nonfinite(), 0u);
 }
 
+TEST(Simulator, StopEndsRunUntilAfterTheCurrentEvent) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1.0, [&] { order.push_back(1); });
+  sim.schedule(2.0, [&] {
+    order.push_back(2);
+    sim.stop();
+  });
+  sim.schedule(2.0, [&] { order.push_back(22); });  // same time, later in FIFO order
+  sim.schedule(3.0, [&] { order.push_back(3); });
+  sim.run_until(10.0);
+  // The clock stays at the stopping event's time, not at t_end.
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(sim.pending(), 2u);
+
+  // Later events stay pending and the next run picks them up.
+  sim.run_until(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 22, 3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, StopEndsRun) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(1.0, [&] {
+    ++fired;
+    sim.stop();
+  });
+  sim.schedule(5.0, [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulator, StopOutsideARunIsForgotten) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule(1.0, [&] { ++fired; });
+  sim.schedule(2.0, [&] { ++fired; });
+  sim.stop();
+  sim.run_until(3.0);
+  EXPECT_EQ(fired, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+}
+
 }  // namespace
 }  // namespace skyferry::sim

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/utility.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
+#include "net/arq.h"
 #include "policy/compiler.h"
 #include "sim/rng.h"
 #include "uav/failure.h"
@@ -156,5 +158,129 @@ inline void expect_same_table(const policy::PolicyTable& want, const policy::Pol
   }
   EXPECT_EQ(mismatches, 0u);
 }
+
+/// net::ArqSender as it was: every call scans the batch from sequence 0.
+class ArqSender {
+ public:
+  using ArqConfig = net::ArqConfig;
+  using ArqSenderState = net::ArqSenderState;
+  using FlowId = net::FlowId;
+  using Packet = net::Packet;
+  using SelectiveAck = net::SelectiveAck;
+
+  ArqSender(ArqConfig cfg, std::uint32_t total_packets, FlowId flow = 0) noexcept
+      : cfg_(cfg), total_(total_packets), flow_(flow), state_(total_packets, State::kUnsent) {}
+
+  std::uint32_t in_flight() const noexcept {
+    std::uint32_t n = 0;
+    for (State s : state_) n += (s == State::kInFlight) ? 1 : 0;
+    return n;
+  }
+
+  std::optional<Packet> next_packet(double now_s) {
+    if (complete()) return std::nullopt;
+    if (in_flight() >= cfg_.window) return std::nullopt;
+
+    auto make = [&](std::uint32_t seq, bool retx) {
+      state_[seq] = State::kInFlight;
+      ++transmissions_;
+      if (retx) ++retransmissions_;
+      Packet p;
+      p.flow = flow_;
+      p.seq = seq;
+      p.payload_bytes = cfg_.datagram_bytes;
+      p.created_t_s = now_s;
+      return p;
+    };
+
+    // Gaps first (selective repeat).
+    for (std::uint32_t s = 0; s < next_new_; ++s) {
+      if (state_[s] == State::kNacked) return make(s, true);
+    }
+    if (next_new_ < total_) {
+      const std::uint32_t s = next_new_++;
+      return make(s, false);
+    }
+    return std::nullopt;
+  }
+
+  void on_ack(const SelectiveAck& ack) {
+    const std::uint32_t cum = std::min(ack.cumulative, total_);
+    for (std::uint32_t s = 0; s < cum; ++s) {
+      if (state_[s] != State::kAcked) {
+        state_[s] = State::kAcked;
+        ++acked_count_;
+      }
+    }
+    for (std::uint32_t i = 0; i < ack.window_bitmap.size(); ++i) {
+      const std::uint32_t s = cum + i;
+      if (s >= total_) break;
+      if (ack.window_bitmap[i]) {
+        if (state_[s] != State::kAcked) {
+          state_[s] = State::kAcked;
+          ++acked_count_;
+        }
+      } else if (state_[s] == State::kInFlight && s < next_new_) {
+        // Reported missing: schedule a retransmission.
+        state_[s] = State::kNacked;
+      }
+    }
+  }
+
+  bool complete() const noexcept { return acked_count_ == total_; }
+
+  void on_timeout() noexcept {
+    for (std::uint32_t s = 0; s < next_new_; ++s) {
+      if (state_[s] == State::kInFlight) state_[s] = State::kNacked;
+    }
+  }
+
+  ArqSenderState checkpoint() const {
+    ArqSenderState st;
+    st.total = total_;
+    st.acked.resize(total_, false);
+    for (std::uint32_t s = 0; s < total_; ++s) st.acked[s] = (state_[s] == State::kAcked);
+    st.frontier = next_new_;
+    st.transmissions = transmissions_;
+    st.retransmissions = retransmissions_;
+    return st;
+  }
+
+  static ArqSender resume(ArqConfig cfg, const ArqSenderState& st, FlowId flow = 0) {
+    ArqSender s(cfg, st.total, flow);
+    const std::uint32_t n = std::min<std::uint32_t>(st.total,
+                                                    static_cast<std::uint32_t>(st.acked.size()));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (st.acked[i]) {
+        s.state_[i] = State::kAcked;
+        ++s.acked_count_;
+      }
+    }
+    // Unacked packets below the old send frontier were sent at least once
+    // but never confirmed: retransmit them. Beyond the frontier stays fresh.
+    s.next_new_ = std::min(st.frontier, st.total);
+    for (std::uint32_t i = 0; i < s.next_new_; ++i) {
+      if (s.state_[i] == State::kUnsent) s.state_[i] = State::kNacked;
+    }
+    s.transmissions_ = st.transmissions;
+    s.retransmissions_ = st.retransmissions;
+    return s;
+  }
+
+  std::uint64_t transmissions() const noexcept { return transmissions_; }
+  std::uint64_t retransmissions() const noexcept { return retransmissions_; }
+
+ private:
+  enum class State : std::uint8_t { kUnsent, kInFlight, kAcked, kNacked };
+
+  ArqConfig cfg_;
+  std::uint32_t total_;
+  FlowId flow_;
+  std::vector<State> state_;
+  std::uint32_t next_new_{0};
+  std::uint32_t acked_count_{0};
+  std::uint64_t transmissions_{0};
+  std::uint64_t retransmissions_{0};
+};
 
 }  // namespace skyferry::legacy
