@@ -7,7 +7,9 @@
 //
 // The headline contract (DESIGN.md §12): 1000 UAVs simulate faster than
 // real time on one core. `--check` turns that into an exit code so the
-// CI tier can pin it (ctest entry fleet_scale_realtime).
+// CI tier can pin it (ctest entry fleet_scale_realtime). The text report
+// also splits each size's wall time across the engine's phases
+// (FleetEngine::phase_seconds); wall-clock numbers stay out of --json.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +31,7 @@ struct ScaleRow {
   double per_uav_step_ns{0.0};
   double realtime_factor{0.0};
   skyferry::fleet::FleetTotals totals{};
+  skyferry::fleet::FleetPhaseSeconds phases{};
 };
 
 // Mission layout: groups of six UAVs share one receiver cell (enough to
@@ -72,6 +75,7 @@ ScaleRow run_scale(int n, double duration_s, skyferry::fleet::SchedulerPolicy po
   row.per_uav_step_ns = row.wall_s * 1e9 / (steps * n);
   row.realtime_factor = duration_s / row.wall_s;
   row.totals = eng.totals();
+  row.phases = eng.phase_seconds();
   return row;
 }
 
@@ -143,9 +147,18 @@ int main(int argc, char** argv) {
               " s simulated)");
   t.columns({"n", "wall_s", "ns/UAV-step", "x real time", "done", "failed", "deadline util"});
 
+  io::Table split("where the step time went [% of FleetEngine::step wall]");
+  split.columns({"n", "decide", "kinematics", "tx-set+admission", "exchanges", "chaos+reelect",
+                 "step_s"});
+
   bool realtime_ok = true;
   for (const int size : sizes) {
     const ScaleRow r = run_scale(size, duration, policy, threads, seed, table_path);
+    const fleet::FleetPhaseSeconds& ph = r.phases;
+    const double pct = ph.total() > 0.0 ? 100.0 / ph.total() : 0.0;
+    split.add_row(io::format_number(r.n),
+                  {ph.decide * pct, ph.kinematics * pct, ph.admission * pct,
+                   ph.exchanges * pct, ph.chaos * pct, ph.total()});
     t.add_row(io::format_number(r.n),
               {r.wall_s, r.per_uav_step_ns, r.realtime_factor,
                static_cast<double>(r.totals.completed), static_cast<double>(r.totals.failed),
@@ -157,6 +170,7 @@ int main(int argc, char** argv) {
     }
   }
   t.print();
+  split.print();
 
   // Scheduler ordering under contention (wall-clock free, golden-pinned;
   // the faster-than-real-time contract stays with --check / ctest since

@@ -3,15 +3,19 @@
 // and its line protocol, the PER math (runs per
 // simulated A-MPDU), its PerTable fast path, binomial aggregate
 // sampling, the event queue, geodesy, full link-sim seconds at both
-// fidelities, one selective-repeat ARQ batch transfer, and one
-// Monte-Carlo mission trial.
+// fidelities, one selective-repeat ARQ batch transfer, one
+// Monte-Carlo mission trial, and fleet sweeps (idle and mixed-phase).
 //
 // The benchmarks named in BENCH_link_sim.json are the regression gate:
 // scripts/bench_regress.sh runs this binary with --benchmark_format=json
 // and fails on >25% regression of any baselined counter.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -266,6 +270,21 @@ void BM_RngBinomial(benchmark::State& state) {
 }
 BENCHMARK(BM_RngBinomial);
 
+// The draw every fleet A-MPDU exchange makes: n = 14 subframes (the
+// fleet's MCS-limited aggregate), delivery probability swept over
+// 0.6-0.99 so the walk runs on the flipped small tail, as it does for a
+// mostly-clean link.
+void BM_RngBinomialAmpdu(benchmark::State& state) {
+  std::array<double, 64> ps{};
+  for (std::size_t i = 0; i < ps.size(); ++i) ps[i] = 0.6 + 0.39 * static_cast<double>(i) / 63.0;
+  sim::Rng rng(42);
+  std::uint64_t acc = 0;
+  std::size_t j = 0;
+  for (auto _ : state) acc += rng.binomial(14, ps[j++ & 63]);
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngBinomialAmpdu);
+
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
@@ -391,13 +410,13 @@ BENCHMARK(BM_StrategyTransferCurve);
 
 // --- Fleet-scale stepping (DESIGN.md §12) --------------------------------
 //
-// 1000 UAVs in one shared collision domain, saturated transfers that
-// never drain, advanced one 50 ms step per iteration. The Bianchi
-// stretch makes each exchange span many sweeps, so most iterations take
-// the idle-sweep skip: this mostly times that skip, not the exchange
-// kernel (perfbench's fleet workloads measure the sweep end to end).
-// bench_regress.sh pins it under an absolute ceiling (the
-// real-time-at-n=1000 claim needs < 50 ms/step on one core).
+// BM_FleetStep1k: 1000 UAVs in one shared collision domain, saturated
+// transfers that never drain, advanced one 50 ms step per iteration.
+// The Bianchi stretch makes each exchange span many sweeps, so nearly
+// every iteration takes the idle-sweep skip: it times that skip, not
+// the exchange kernel (BM_FleetWifiMix below does). bench_regress.sh
+// pins it under an absolute ceiling (the real-time-at-n=1000 claim
+// needs < 50 ms/step on one core).
 
 void BM_FleetStep1k(benchmark::State& state) {
   fleet::FleetConfig cfg;
@@ -419,8 +438,96 @@ void BM_FleetStep1k(benchmark::State& state) {
     eng.step();
     benchmark::DoNotOptimize(eng.now());
   }
+  state.SetLabel("idle-sweep skip");
 }
 BENCHMARK(BM_FleetStep1k);
+
+// BM_FleetWifiMix: perfbench's fleet_wifi shape at microbenchmark size.
+// 160 missions arrive as a Poisson stream (10/s) into six-UAV receiver
+// groups on a 500 m grid, decide through a compiled policy table, ferry,
+// and ship 8 MB each through contended cells. One iteration runs a
+// fresh fleet from the first spawn to a 40 s horizon, so the timed steps
+// mix decides, kinematics, transmit-set rebuilds (arrivals alone land
+// every other sweep), admission and A-MPDU exchanges.
+// Building the engine and registering the missions is untimed. The
+// ns_per_active_uav_step counter is perfbench's fleet.ns_per_active_uav_step
+// at this size.
+struct WifiMix {
+  std::vector<fleet::MissionSpec> missions;
+  policy::PolicyTable table;
+  double horizon_s{40.0};
+  double active_uav_steps{0.0};
+  bool table_only{false};  ///< every decide was a table lookup
+};
+
+std::unique_ptr<fleet::FleetEngine> wifi_mix_engine(const WifiMix& mix) {
+  auto eng = std::make_unique<fleet::FleetEngine>(fleet::FleetConfig{}, 1);
+  for (const fleet::MissionSpec& m : mix.missions) eng->add_mission(m);
+  eng->install_policy_table(mix.table);
+  return eng;
+}
+
+const WifiMix& wifi_mix() {
+  static const WifiMix mix = [] {
+    WifiMix m;
+    sim::Rng rng(sim::derive_seed(1, "bench/fleet_wifi_mix"));
+    double t = 0.0;
+    for (int i = 0; i < 160; ++i) {
+      t += rng.exponential(10.0);
+      const int g = i / 6;
+      fleet::MissionSpec s;
+      s.receiver_pos = {500.0 * (g % 6), 500.0 * (g / 6), 10.0};
+      s.start_pos = s.receiver_pos + geo::Vec3{rng.uniform(150.0, 275.0), 0.0, 0.0};
+      s.mdata_bytes = 8.0e6;
+      s.rho_per_m = 1.0e-4;
+      s.spawn_t_s = t;
+      s.deadline_s = t + 90.0;
+      m.missions.push_back(s);
+    }
+    // perfbench's quadrocopter table: every spawn query is a lookup.
+    policy::CompilerConfig c;
+    c.model = {-10.5, 73.0, 1e6, 20.0, "paper-quadrocopter"};
+    c.min_distance_m = 20.0;
+    c.d0 = {40.0, 400.0, 19};
+    c.speed = {1.0, 10.0, 5};
+    c.mdata = {1e6, 1e8, 9, true};
+    c.rho = {1e-5, 1e-3, 5, true};
+    m.table = policy::Compiler(c).compile();
+    // Active UAV-steps (spawned, not yet done or failed) and the decide
+    // backend, checked once on an untimed pass of the same inputs.
+    const std::unique_ptr<fleet::FleetEngine> eng = wifi_mix_engine(m);
+    std::size_t spawned = 0;
+    while (eng->now() + eng->config().dt_s <= m.horizon_s + 1e-12) {
+      while (spawned < m.missions.size() && m.missions[spawned].spawn_t_s <= eng->now())
+        ++spawned;
+      const fleet::FleetTotals before = eng->totals();
+      m.active_uav_steps +=
+          static_cast<double>(spawned - std::min(spawned, before.completed + before.failed));
+      eng->step();
+    }
+    m.table_only = eng->service().counters().exact == 0;
+    return m;
+  }();
+  return mix;
+}
+
+void BM_FleetWifiMix(benchmark::State& state) {
+  const WifiMix& mix = wifi_mix();
+  if (!mix.table_only) state.SkipWithError("decide escaped the table");
+  double timed_s = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::unique_ptr<fleet::FleetEngine> eng = wifi_mix_engine(mix);
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    eng->run_until(mix.horizon_s);
+    timed_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    benchmark::DoNotOptimize(eng->now());
+  }
+  state.counters["ns_per_active_uav_step"] =
+      timed_s * 1e9 / (static_cast<double>(state.iterations()) * mix.active_uav_steps);
+}
+BENCHMARK(BM_FleetWifiMix)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <string>
@@ -17,6 +18,11 @@ namespace {
 /// every chunk writes disjoint UAV rows, so results are bit-identical
 /// for any FleetConfig::threads.
 constexpr std::size_t kChunk = 256;
+
+using Clock = std::chrono::steady_clock;
+double seconds(Clock::time_point a, Clock::time_point b) {
+  return std::chrono::duration<double>(b - a).count();
+}
 }  // namespace
 
 /// All per-UAV state as parallel contiguous columns. One row = one
@@ -53,6 +59,7 @@ struct FleetEngine::Soa {
   std::vector<double> battery;           ///< remaining endurance [s]
   std::vector<std::uint8_t> phase;       ///< fleet::Phase
   std::vector<std::uint8_t> active;      ///< 0 until the spawn event fires
+  std::vector<std::uint8_t> in_cells;    ///< row sits in cell_keys_
   // Kinematics scratch (batched mode pass 1 -> pass 2 handoff).
   std::vector<std::uint8_t> arriving;
   // Per-UAV stochastic state (independent streams; order-insensitive).
@@ -174,6 +181,7 @@ int FleetEngine::add_mission(const MissionSpec& spec) {
   s.battery.push_back(cfg_.battery_autonomy_s);
   s.phase.push_back(static_cast<std::uint8_t>(Phase::kFerry));
   s.active.push_back(0);
+  s.in_cells.push_back(0);
   s.arriving.push_back(0);
   s.chaos.emplace_back(nullptr);
   s.down_since.push_back(-1.0);
@@ -478,33 +486,58 @@ void FleetEngine::step_transfers(double t0) {
   }
   tx_set_dirty_.store(false, std::memory_order_relaxed);
 
-  // 1. Bucket live transmitters into shared-channel ground cells. A
-  //    non-wifi burst election does not occupy the 802.11n channel:
-  //    it skips cell contention and is admitted outright with the
-  //    identity efficiency row (index 0, prepopulated in the ctor).
-  cell_keys_.clear();
+  // 1. Bring the set of wifi transmitters up to date. cell_keys_ stays
+  //    sorted by (cell key, row) between rebuilds, and a row's key is
+  //    fixed while it stays in kTransmit: only kFerry rows move, an
+  //    in-place retarget keeps the position, and a closer one sends the
+  //    row back to kFerry and out of the set. So a rebuild drops the
+  //    rows that left (or switched to a non-wifi link), sorts only the
+  //    rows that joined, and merges them in — the exact sequence a full
+  //    re-bucket and sort would give. A non-wifi burst election does not
+  //    occupy the 802.11n channel: it skips cell contention and is
+  //    admitted outright with the identity efficiency row (index 0,
+  //    prepopulated in the ctor).
   winners_.clear();
   winner_eff_row_.clear();
   winners_contended_ = false;
+  const auto on_wifi = [&](std::uint32_t i) {
+    const std::int32_t bl = s.burst_link[i];
+    return bl < 0 || link_is_wifi_[static_cast<std::size_t>(bl)] != 0;
+  };
+  std::size_t kept = 0;
+  for (const auto& kr : cell_keys_) {
+    const std::uint32_t i = kr.second;
+    if (s.in_cells[i] && s.phase[i] == kTransmitU8 && on_wifi(i)) {
+      cell_keys_[kept++] = kr;
+    } else {
+      s.in_cells[i] = 0;
+    }
+  }
+  cell_keys_.resize(kept);
+  cell_joiners_.clear();
   const double inv_cell = 1.0 / std::max(cfg_.cell_size_m, 1e-6);
   for (std::uint32_t i = 0; i < count_; ++i) {
     if (!s.active[i] || s.phase[i] != kTransmitU8) continue;
-    const std::int32_t bl = s.burst_link[i];
-    if (bl >= 0 && !link_is_wifi_[static_cast<std::size_t>(bl)]) {
+    if (!on_wifi(i)) {
       winners_.push_back(i);
       winner_eff_row_.push_back(0);
       continue;
     }
+    if (s.in_cells[i]) continue;
+    s.in_cells[i] = 1;
     const auto cx = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(std::floor(s.px[i] * inv_cell)));
     const auto cy = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(std::floor(s.py[i] * inv_cell)));
-    cell_keys_.emplace_back((static_cast<std::uint64_t>(cx) << 32) | cy, i);
+    cell_joiners_.emplace_back((static_cast<std::uint64_t>(cx) << 32) | cy, i);
+  }
+  if (!cell_joiners_.empty()) {
+    std::sort(cell_joiners_.begin(), cell_joiners_.end());
+    cell_keys_.insert(cell_keys_.end(), cell_joiners_.begin(), cell_joiners_.end());
+    std::inplace_merge(cell_keys_.begin(), cell_keys_.end() - cell_joiners_.size(),
+                       cell_keys_.end());
   }
   if (cell_keys_.empty() && winners_.empty()) return;
-  if (!std::is_sorted(cell_keys_.begin(), cell_keys_.end())) {
-    std::sort(cell_keys_.begin(), cell_keys_.end());
-  }
 
   // 2. Per cell: admit up to max_tx_per_cell transmitters (the
   //    scheduler's "now or later?" under contention) and attach the
@@ -558,6 +591,7 @@ void FleetEngine::step_transfers(double t0) {
 // chunk_min_ slot (fixed kChunk boundaries, so the serial reduction is
 // thread-count independent); the reduced watermark drives the idle-skip.
 void FleetEngine::run_winners(double t0) {
+  const Clock::time_point c0 = Clock::now();
   const double t1 = t0 + cfg_.dt_s;
   const std::size_t n = winners_.size();
   chunk_min_.assign(std::max<std::size_t>((n + kChunk - 1) / kChunk, 1),
@@ -570,6 +604,7 @@ void FleetEngine::run_winners(double t0) {
     chunk_min_[b / kChunk] = low;
   });
   next_fire_s_ = *std::min_element(chunk_min_.begin(), chunk_min_.end());
+  phase_s_.exchanges += seconds(c0, Clock::now());
 }
 
 // Exchanges occupy contiguous airtime, so the clock alone decides
@@ -784,6 +819,9 @@ void FleetEngine::retarget(std::uint32_t i, double t, double d_new) {
     s.tz[i] = s.rz[i] + dz * f;
     s.phase[i] = static_cast<std::uint8_t>(Phase::kFerry);
     s.arriving[i] = 0;
+    // Its cell key moves with it: the next rebuild re-buckets the row
+    // even if it lands again before that rebuild runs.
+    s.in_cells[i] = 0;
     ferrying_.fetch_add(1, std::memory_order_relaxed);
   } else {
     // Already there: restart the exchange clock after the new attach.
@@ -904,15 +942,27 @@ void FleetEngine::process_reelections(double t) {
 
 void FleetEngine::step() {
   const double t0 = now_;
+  const Clock::time_point c0 = Clock::now();
   sim_.run_until(t0);  // spawn / fault events due by the sweep start
   decide_pending();
+  const Clock::time_point c1 = Clock::now();
   // Storm windows are sampled serially before any parallel sweep; the
   // workers only read them.
   if (storms_ != nullptr) storms_->ensure_horizon(t0, t0 + cfg_.dt_s);
+  const Clock::time_point c2 = Clock::now();
   step_kinematics(t0);
+  const Clock::time_point c3 = Clock::now();
+  const double exchanges_before = phase_s_.exchanges;
   step_transfers(t0);
+  const Clock::time_point c4 = Clock::now();
   if (chaos_on_ && cfg_.reelection.enabled) process_reelections(t0 + cfg_.dt_s);
   now_ = t0 + cfg_.dt_s;
+  const Clock::time_point c5 = Clock::now();
+  phase_s_.decide += seconds(c0, c1);
+  phase_s_.kinematics += seconds(c2, c3);
+  // run_winners books its own share of the transfer pass.
+  phase_s_.admission += seconds(c3, c4) - (phase_s_.exchanges - exchanges_before);
+  phase_s_.chaos += seconds(c1, c2) + seconds(c4, c5);
 }
 
 void FleetEngine::run_until(double t_s) {

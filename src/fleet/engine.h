@@ -222,6 +222,19 @@ struct FleetTotals {
   std::size_t stalled_out_of_range{0};  ///< kOutOfRange
 };
 
+/// Wall-clock seconds FleetEngine::step() spent per phase, summed over
+/// every sweep so far. Timing only: no result depends on it.
+struct FleetPhaseSeconds {
+  double decide{0.0};      ///< spawn/crash events + the batched decide
+  double kinematics{0.0};  ///< ferry sweep + endurance drain
+  double admission{0.0};   ///< transmit-set maintenance + cell admission
+  double exchanges{0.0};   ///< winners' transfer rounds, chaos gates included
+  double chaos{0.0};       ///< storm horizon + the re-election ladder
+  [[nodiscard]] double total() const noexcept {
+    return decide + kinematics + admission + exchanges + chaos;
+  }
+};
+
 class FleetEngine {
  public:
   FleetEngine(FleetConfig cfg, std::uint64_t seed);
@@ -249,6 +262,9 @@ class FleetEngine {
   [[nodiscard]] MissionStatus mission(int i) const;
   [[nodiscard]] geo::Vec3 position(int i) const;
   [[nodiscard]] FleetTotals totals() const;
+  /// Where step() has spent its time so far (accumulated serially
+  /// between the phases, outside every result path).
+  [[nodiscard]] const FleetPhaseSeconds& phase_seconds() const noexcept { return phase_s_; }
 
   [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] const policy::DecisionService& service() const noexcept { return service_; }
@@ -333,12 +349,16 @@ class FleetEngine {
   std::vector<mac::FrameErrors> link_errors_;
 
   std::vector<std::uint32_t> pending_decisions_;
-  // step_transfers scratch (member to avoid per-sweep allocation). The
+  // step_transfers state (members to avoid per-sweep allocation). The
   // winner set is memoized across sweeps: transmitters hover, so cell
-  // membership only changes on a phase transition, which raises
-  // tx_set_dirty_ (atomic: arrivals/completions flip it from inside
-  // parallel chunks; the flag's value is thread-count independent).
+  // membership only changes on a phase transition or a link switch,
+  // which raise tx_set_dirty_ (atomic: arrivals/completions flip it from
+  // inside parallel chunks; the flag's value is thread-count
+  // independent). cell_keys_ holds every wifi transmitter as a
+  // (cell key, row) pair, kept sorted across rebuilds (Soa::in_cells
+  // marks its rows); cell_joiners_ collects the rows a rebuild adds.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> cell_keys_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> cell_joiners_;
   std::vector<TxCandidate> cell_candidates_;
   std::vector<std::uint32_t> winners_;
   std::vector<std::uint32_t> winner_eff_row_;
@@ -363,6 +383,8 @@ class FleetEngine {
   /// extended serially at the top of each step; the parallel sweeps
   /// only perform const queries against them.
   std::unique_ptr<fault::StormSchedule> storms_;
+
+  FleetPhaseSeconds phase_s_{};
 };
 
 }  // namespace skyferry::fleet

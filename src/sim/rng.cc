@@ -19,6 +19,25 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
 
+// The reference inversion: CDF walk via the pmf recurrence
+//   pmf(k+1) = pmf(k) * (n-k)/(k+1) * q/(1-q),
+// starting from pmf(0) = exp(n*log1p(-q)). binomial_inverse_cdf must
+// return exactly this walk's k, and falls back to it for any comparison
+// its exp-free walk cannot settle. Precondition: 0 < q <= 0.5 (or NaN).
+std::uint64_t inverse_cdf_exp(std::uint64_t n, double q, double u) noexcept {
+  const double r = q / (1.0 - q);
+  // exp(n*log1p(-q)) == (1-q)^n but ~2x cheaper than pow on glibc.
+  double pmf = std::exp(static_cast<double>(n) * std::log1p(-q));
+  double cdf = pmf;
+  std::uint64_t k = 0;
+  while (u >= cdf && k < n) {
+    pmf *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
+    cdf += pmf;
+    ++k;
+  }
+  return k;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -92,33 +111,51 @@ bool Rng::bernoulli(double p) noexcept {
 std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
   if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
+  if (n <= 64) return binomial_inverse_cdf(n, p, uniform());
+  // Normal-tail fallback with continuity correction on the smaller
+  // tail, clamped to [0,n].
+  const bool flip = p > 0.5;
+  const double q = flip ? 1.0 - p : p;
+  const double mean = static_cast<double>(n) * q;
+  const double sd = std::sqrt(mean * (1.0 - q));
+  const double draw = std::floor(mean + sd * gaussian() + 0.5);
+  const double hi = static_cast<double>(n);
+  const auto k = static_cast<std::uint64_t>(draw < 0.0 ? 0.0 : (draw > hi ? hi : draw));
+  return flip ? n - k : k;
+}
+
+std::uint64_t binomial_inverse_cdf(std::uint64_t n, double p, double u) noexcept {
   // Work with the smaller tail so the inversion walk stays short and the
   // pmf recurrence stays well-conditioned.
   const bool flip = p > 0.5;
   const double q = flip ? 1.0 - p : p;
+  const double r = q / (1.0 - q);
+  // pmf(0) = (1-q)^n >= 2^-64 > 0 by square-and-multiply (at most six
+  // squarings). It differs from the exp/log1p walk's pmf(0) by a few
+  // hundred ulp at most, and so does every cdf(k) below; kBand is ~90000
+  // ulp, so a comparison outside it is settled for both walks alike.
+  double pmf = 1.0;
+  double base = 1.0 - q;
+  for (std::uint64_t e = n;; base *= base) {
+    if (e & 1) pmf *= base;
+    e >>= 1;
+    if (e == 0) break;
+  }
+  constexpr double kBand = 1e-11;
+  const double u_hi = u * (1.0 + kBand);
+  const double u_lo = u * (1.0 - kBand);
+  double cdf = pmf;
   std::uint64_t k = 0;
-  if (n <= 64) {
-    // CDF inversion via the pmf recurrence
-    //   pmf(k+1) = pmf(k) * (n-k)/(k+1) * q/(1-q).
-    // One uniform draw per call; pmf(0) = (1-q)^n >= 2^-64 > 0, so the
-    // walk always starts on a representable mass.
-    const double r = q / (1.0 - q);
-    // exp(n*log1p(-q)) == (1-q)^n but ~2x cheaper than pow on glibc.
-    double pmf = std::exp(static_cast<double>(n) * std::log1p(-q));
-    double cdf = pmf;
-    const double u = uniform();
-    while (u >= cdf && k < n) {
-      pmf *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
-      cdf += pmf;
-      ++k;
+  while (k < n) {
+    if (u_hi < cdf) break;  // u < cdf(k) for the exp/log1p walk too
+    if (!(u_lo >= cdf)) {
+      // Too close to call (or NaN p): re-decide the whole draw exactly.
+      k = inverse_cdf_exp(n, q, u);
+      break;
     }
-  } else {
-    // Normal-tail fallback with continuity correction, clamped to [0,n].
-    const double mean = static_cast<double>(n) * q;
-    const double sd = std::sqrt(mean * (1.0 - q));
-    const double draw = std::floor(mean + sd * gaussian() + 0.5);
-    const double hi = static_cast<double>(n);
-    k = static_cast<std::uint64_t>(draw < 0.0 ? 0.0 : (draw > hi ? hi : draw));
+    pmf *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
+    cdf += pmf;
+    ++k;
   }
   return flip ? n - k : k;
 }

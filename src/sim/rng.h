@@ -38,10 +38,10 @@ class Rng {
 
   /// Binomial(n, p) draw: the number of successes in n independent
   /// Bernoulli(p) trials, in one call. Exact CDF inversion for n <= 64
-  /// (one uniform draw — this is the aggregate-sampling fast path of the
-  /// link simulator, where n is the A-MPDU subframe count), a
-  /// continuity-corrected normal tail fallback for larger n. p is
-  /// clamped to [0, 1].
+  /// (one uniform draw fed to binomial_inverse_cdf — this is the
+  /// aggregate-sampling fast path of the link simulator, where n is the
+  /// A-MPDU subframe count), a continuity-corrected normal tail fallback
+  /// for larger n. p is clamped to [0, 1].
   std::uint64_t binomial(std::uint64_t n, double p) noexcept;
 
   /// Magnitude of a Rician-fading envelope with K-factor (linear, not dB)
@@ -54,6 +54,17 @@ class Rng {
   bool has_spare_{false};
   double spare_{0.0};
 };
+
+/// The n <= 64 branch of Rng::binomial as a pure function of its one
+/// uniform u in [0, 1): the smallest k with u < cdf(k), walked on the
+/// smaller tail (q = min(p, 1 - p)) through the pmf recurrence and
+/// flipped back (n when u lies above every cdf(k), 0 for NaN p).
+/// pmf(0) = (1-q)^n comes from square-and-multiply, not exp/log1p; a
+/// comparison that lands within a 1e-11 relative band of the cdf is
+/// re-decided by the exp/log1p walk, so the returned k is exactly the
+/// one that walk gives for the same u (DESIGN.md §7).
+/// Precondition: 0 < n <= 64 and p in (0, 1) or NaN.
+[[nodiscard]] std::uint64_t binomial_inverse_cdf(std::uint64_t n, double p, double u) noexcept;
 
 /// Derive a child seed from a master seed and a component name, so that
 /// e.g. "fading/link0" and "gps/uav1" draw independent streams.

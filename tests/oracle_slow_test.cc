@@ -1,6 +1,7 @@
 // The slow tier of the exactness oracles: the same checks as
-// io/json_number_oracle_test.cc and policy/compiler_oracle_test.cc at
-// full size — two million doubles, and the compiler's default grid.
+// io/json_number_oracle_test.cc, policy/compiler_oracle_test.cc and
+// sim/binomial_oracle_test.cc at full size — two million doubles, the
+// compiler's default grid, and ten million binomial inversions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,6 +31,10 @@ TEST(CompilerOracleSlow, DefaultGridMatchesTheSweepCompile) {
   const policy::PolicyTable want = legacy::compile(cfg);
   ASSERT_EQ(want.knots(), 160'225u);
   legacy::expect_same_table(want, policy::Compiler(cfg).compile());
+}
+
+TEST(BinomialOracleSlow, TenMillionRandomProbesMatchTheExpWalk) {
+  EXPECT_EQ(legacy::binomial_random_mismatches(10'000'000, /*seed=*/32), 0u);
 }
 
 }  // namespace

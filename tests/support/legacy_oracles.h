@@ -283,4 +283,96 @@ class ArqSender {
   std::uint64_t retransmissions_{0};
 };
 
+/// sim::Rng::binomial's n <= 64 branch as it was, as a function of its
+/// one uniform u: pmf(0) = exp(n*log1p(-q)), then the pmf-recurrence
+/// walk on the smaller tail. Precondition: 0 < n <= 64, p in (0, 1) or
+/// NaN.
+inline std::uint64_t binomial_inverse_cdf(std::uint64_t n, double p, double u) {
+  // Work with the smaller tail so the inversion walk stays short and the
+  // pmf recurrence stays well-conditioned.
+  const bool flip = p > 0.5;
+  const double q = flip ? 1.0 - p : p;
+  std::uint64_t k = 0;
+  // CDF inversion via the pmf recurrence
+  //   pmf(k+1) = pmf(k) * (n-k)/(k+1) * q/(1-q).
+  // One uniform draw per call; pmf(0) = (1-q)^n >= 2^-64 > 0, so the
+  // walk always starts on a representable mass.
+  const double r = q / (1.0 - q);
+  // exp(n*log1p(-q)) == (1-q)^n but ~2x cheaper than pow on glibc.
+  double pmf = std::exp(static_cast<double>(n) * std::log1p(-q));
+  double cdf = pmf;
+  while (u >= cdf && k < n) {
+    pmf *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
+    cdf += pmf;
+    ++k;
+  }
+  return flip ? n - k : k;
+}
+
+/// sim::Rng::binomial as it was, drawing from the caller's stream.
+inline std::uint64_t binomial(sim::Rng& rng, std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  if (n <= 64) return binomial_inverse_cdf(n, p, rng.uniform());
+  // Normal-tail fallback with continuity correction, clamped to [0,n].
+  const bool flip = p > 0.5;
+  const double q = flip ? 1.0 - p : p;
+  const double mean = static_cast<double>(n) * q;
+  const double sd = std::sqrt(mean * (1.0 - q));
+  const double draw = std::floor(mean + sd * rng.gaussian() + 0.5);
+  const double hi = static_cast<double>(n);
+  const auto k = static_cast<std::uint64_t>(draw < 0.0 ? 0.0 : (draw > hi ? hi : draw));
+  return flip ? n - k : k;
+}
+
+/// The cdf values the walk above compares u against for (n, p): cdf(0)
+/// .. cdf(n) on the smaller tail. A u equal to one of them (or one ulp
+/// off) is where an inexact replacement would first pick another k.
+inline std::vector<double> binomial_walk_cdf(std::uint64_t n, double p) {
+  const double q = p > 0.5 ? 1.0 - p : p;
+  const double r = q / (1.0 - q);
+  double pmf = std::exp(static_cast<double>(n) * std::log1p(-q));
+  std::vector<double> cdf{pmf};
+  for (std::uint64_t k = 0; k < n; ++k) {
+    pmf *= r * static_cast<double>(n - k) / static_cast<double>(k + 1);
+    cdf.push_back(cdf.back() + pmf);
+  }
+  return cdf;
+}
+
+/// Random (n <= 64, p, u) probes of sim::binomial_inverse_cdf against
+/// the walk above; returns the number of mismatches (the first few are
+/// reported). p mixes uniform, tiny, near-one and near-half values; u
+/// alternates between a real uniform() draw and a cdf value of the walk
+/// nudged by up to four ulp either way.
+inline std::size_t binomial_random_mismatches(std::size_t count, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t n = 1 + rng.uniform_int(64);
+    double p = rng.uniform();
+    switch (rng.uniform_int(5)) {
+      case 0: p = std::pow(10.0, rng.uniform(-300.0, -1.0)); break;
+      case 1: p = 1.0 - std::pow(10.0, rng.uniform(-16.0, -1.0)); break;
+      case 2: p = 0.5 + rng.uniform(-1e-6, 1e-6); break;
+      default: break;
+    }
+    if (p <= 0.0 || p >= 1.0) continue;
+    double u = rng.uniform();
+    if (i % 2 == 1) {
+      const std::vector<double> cdf = binomial_walk_cdf(n, p);
+      u = cdf[rng.uniform_int(cdf.size())];
+      const int ulps = static_cast<int>(rng.uniform_int(9)) - 4;
+      for (int s = 0; s < std::abs(ulps); ++s) u = std::nextafter(u, ulps < 0 ? 0.0 : 2.0);
+    }
+    const std::uint64_t want = binomial_inverse_cdf(n, p, u);
+    const std::uint64_t got = sim::binomial_inverse_cdf(n, p, u);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "n=" << n << " p=" << std::hexfloat << p << " u=" << u << ": want "
+                    << want << ", got " << got;
+    }
+  }
+  return mismatches;
+}
+
 }  // namespace skyferry::legacy
