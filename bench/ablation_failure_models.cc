@@ -6,7 +6,10 @@
 //
 // Engine-backed: the (scenario x rho x law) grid is an exp::Sweep with
 // one deterministic optimizer solve per point — the seeds are unused,
-// the parallelism is free, and the table order is the sweep order.
+// the parallelism is free, and the table order is the sweep order. Each
+// point writes its own pre-assigned row, so the engine's result grid
+// only carries a status (nothing is checkpointed, no codec is needed)
+// and a throwing solve is recorded, not retried.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -16,7 +19,7 @@
 #include "core/nonstationary.h"
 #include "core/scenario.h"
 #include "exp/cli.h"
-#include "exp/runner.h"
+#include "exp/supervisor.h"
 #include "io/table.h"
 #include "policy/api.h"
 
@@ -65,9 +68,13 @@ int main(int argc, char** argv) {
     exp::RunnerConfig rc;
     rc.threads = threads;
     rc.trials = 1;  // the solve is deterministic; the sweep is the work
+    exp::SupervisorOptions so;
+    so.max_retries = 0;
+    std::vector<LawRow> rows(points.size());
     // One shared service, decide_one() from every worker thread — the
     // service's decide path is const and race-free by design.
-    auto run = exp::Runner(rc).run(points, [&](const exp::Point& p, std::uint64_t) {
+    const auto run = exp::SupervisedRunner(rc, so).run(points, [&](const exp::Point& p,
+                                                                   std::uint64_t) {
       policy::Query q;
       q.d0_m = scen.d0_m;
       q.speed_mps = scen.delivery_params().speed_mps;
@@ -76,7 +83,8 @@ int main(int argc, char** argv) {
       q.rho_per_m = p.at("rho");
       q.law = laws[static_cast<int>(p.at("law"))].law;
       const auto r = service.decide_one(q);
-      return LawRow{r.d_opt_m, r.utility, r.discount};
+      rows[p.index] = LawRow{r.d_opt_m, r.utility, r.discount};
+      return 0;
     });
     total.merge(run.stats);
 
@@ -85,7 +93,7 @@ int main(int argc, char** argv) {
     io::Table t("failure-law ablation");
     t.columns({"rho_1/m", "law", "d_opt_m", "U(d_opt)", "survival@d_opt"});
     for (const auto& p : points) {
-      const LawRow& r = run.results[p.index][0];
+      const LawRow& r = rows[p.index];
       t.add_row(io::format_number(p.at("rho")) + " " + laws[static_cast<int>(p.at("law"))].name,
                 {r.d_opt_m, r.utility, r.discount});
     }
@@ -96,9 +104,9 @@ int main(int argc, char** argv) {
     double agree_spread = 0.0;
     double exp_dopt_hi = 0.0, weibull_dopt_hi = 0.0;
     for (const auto& p : points) {
-      const LawRow& r = run.results[p.index][0];
+      const LawRow& r = rows[p.index];
       if (p.at("rho") == rhos.front()) {
-        const LawRow& base = run.results[points[0].index][0];
+        const LawRow& base = rows[points[0].index];
         agree_spread = std::max(agree_spread, std::abs(r.d_opt_m - base.d_opt_m));
       }
       if (p.at("rho") == 1e-2) {
@@ -143,19 +151,24 @@ int main(int argc, char** argv) {
     exp::RunnerConfig rc;
     rc.threads = threads;
     rc.trials = 1;
-    auto run = exp::Runner(rc).run(points, [&](const exp::Point& p, std::uint64_t) {
+    exp::SupervisorOptions so;
+    so.max_retries = 0;
+    std::vector<LawRow> out(points.size());
+    const auto run = exp::SupervisedRunner(rc, so).run(points, [&](const exp::Point& p,
+                                                                   std::uint64_t) {
       const auto r = core::optimize_nonstationary(delay, rows[static_cast<int>(p.at("profile"))].rho);
-      return LawRow{r.d_opt_m, r.utility, r.survival};
+      out[p.index] = LawRow{r.d_opt_m, r.utility, r.survival};
+      return 0;
     });
     total.merge(run.stats);
     for (const auto& p : points) {
-      const LawRow& r = run.results[p.index][0];
+      const LawRow& r = out[p.index];
       t.add_row(rows[static_cast<int>(p.at("profile"))].name, {r.d_opt_m, r.utility, r.discount});
     }
     t.print();
 
-    const double hazard_dopt = run.results[points[1].index][0].d_opt_m;
-    const double linear_dopt = run.results[points[2].index][0].d_opt_m;
+    const double hazard_dopt = out[points[1].index].d_opt_m;
+    const double linear_dopt = out[points[2].index].d_opt_m;
     report.metric("nonstationary_hazard_zone_dopt_m", hazard_dopt,
                   check::Tolerance::absolute(5.0),
                   "EXPERIMENTS.md: optimum parks at the ~40 m hazard boundary");

@@ -5,7 +5,6 @@
 
 #include "io/format.h"
 #include "stats/ecdf.h"
-#include "stats/quantile.h"
 
 namespace skyferry::check {
 
@@ -68,79 +67,6 @@ CheckResult OrderingExpect::check_ranked(const std::vector<std::string>& actual)
                          "]");
 }
 
-CurveExpect::CurveExpect(std::string name, std::vector<double> xs, std::vector<double> ys)
-    : name_(std::move(name)), xs_(std::move(xs)), ys_(std::move(ys)) {}
-
-CheckResult CurveExpect::monotone(Direction dir, double slack) const {
-  if (ys_.size() < 2) return fail(name_, "monotonicity needs >= 2 points");
-  const double sign = dir == Direction::kIncreasing ? 1.0 : -1.0;
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    const double step = sign * (ys_[i] - ys_[i - 1]);
-    if (step < -slack) {
-      const double x_prev = i - 1 < xs_.size() ? xs_[i - 1] : static_cast<double>(i - 1);
-      const double x_here = i < xs_.size() ? xs_[i] : static_cast<double>(i);
-      return fail(name_, std::string("not monotone ") +
-                             (dir == Direction::kIncreasing ? "increasing" : "decreasing") +
-                             ": y(" + num(x_prev) + ")=" + num(ys_[i - 1]) + " -> y(" +
-                             num(x_here) + ")=" + num(ys_[i]) + " (slack " + num(slack) + ")");
-    }
-  }
-  return pass(name_, std::string("monotone ") +
-                         (dir == Direction::kIncreasing ? "increasing" : "decreasing") +
-                         " over " + std::to_string(ys_.size()) + " points");
-}
-
-CheckResult CurveExpect::arg_extremum_in(double x_lo, double x_hi, bool minimum) const {
-  if (xs_.empty() || xs_.size() != ys_.size())
-    return fail(name_, "curve needs matching non-empty xs/ys");
-  std::size_t arg = 0;
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    if (minimum ? ys_[i] < ys_[arg] : ys_[i] > ys_[arg]) arg = i;
-  }
-  const double x = xs_[arg];
-  const char* what = minimum ? "argmin" : "argmax";
-  std::string msg = std::string(what) + " at x=" + num(x) + " (y=" + num(ys_[arg]) +
-                    "), window [" + num(x_lo) + ", " + num(x_hi) + "]";
-  return (x >= x_lo && x <= x_hi) ? pass(name_, std::move(msg)) : fail(name_, std::move(msg));
-}
-
-CheckResult CurveExpect::argmin_in(double x_lo, double x_hi) const {
-  return arg_extremum_in(x_lo, x_hi, true);
-}
-
-CheckResult CurveExpect::argmax_in(double x_lo, double x_hi) const {
-  return arg_extremum_in(x_lo, x_hi, false);
-}
-
-CheckResult CurveExpect::crossover_in(const CurveExpect& other, double x_lo, double x_hi) const {
-  if (xs_.size() != other.xs_.size() || xs_.size() != ys_.size() ||
-      other.xs_.size() != other.ys_.size() || xs_.size() < 2)
-    return fail(name_, "crossover needs two curves on one x grid (>= 2 points)");
-  for (std::size_t i = 0; i < xs_.size(); ++i) {
-    if (xs_[i] != other.xs_[i]) return fail(name_, "crossover: x grids differ");
-  }
-  double found_x = std::nan("");
-  for (std::size_t i = 1; i < xs_.size(); ++i) {
-    const double d0 = ys_[i - 1] - other.ys_[i - 1];
-    const double d1 = ys_[i] - other.ys_[i];
-    if (d0 == 0.0) {
-      found_x = xs_[i - 1];
-    } else if (d0 * d1 < 0.0) {
-      const double w = d0 / (d0 - d1);  // linear interpolation of the sign change
-      found_x = xs_[i - 1] + w * (xs_[i] - xs_[i - 1]);
-    } else {
-      continue;
-    }
-    if (found_x >= x_lo && found_x <= x_hi)
-      return pass(name_, "crossover at x=" + num(found_x) + ", window [" + num(x_lo) + ", " +
-                             num(x_hi) + "]");
-  }
-  if (std::isnan(found_x))
-    return fail(name_, "curves never cross (window [" + num(x_lo) + ", " + num(x_hi) + "])");
-  return fail(name_, "crossover at x=" + num(found_x) + " outside window [" + num(x_lo) + ", " +
-                         num(x_hi) + "]");
-}
-
 DistributionExpect::DistributionExpect(std::string name, std::vector<double> reference)
     : name_(std::move(name)), reference_(std::move(reference)) {
   std::erase_if(reference_, [](double v) { return !std::isfinite(v); });
@@ -158,76 +84,6 @@ CheckResult DistributionExpect::ks(std::span<const double> sample, double alpha)
                     num(alpha) + ", n_ref " + std::to_string(reference_.size()) + ", n " +
                     std::to_string(got.size()) + ")";
   return {d <= crit, name_, std::move(msg)};
-}
-
-CheckResult DistributionExpect::chi_square(std::span<const double> sample, int bins,
-                                           double alpha) const {
-  if (bins < 2) return {false, name_, "chi-square needs >= 2 bins"};
-  if (reference_.size() < static_cast<std::size_t>(bins) || sample.empty())
-    return {false, name_, "chi-square needs reference >= bins samples and a non-empty sample"};
-  // Equiprobable bin edges from the reference quantiles.
-  std::vector<double> edges;
-  for (int b = 1; b < bins; ++b) {
-    edges.push_back(stats::quantile_sorted(reference_, static_cast<double>(b) / bins));
-  }
-  std::vector<double> observed(static_cast<std::size_t>(bins), 0.0);
-  std::size_t n = 0;
-  for (const double v : sample) {
-    if (!std::isfinite(v)) continue;
-    const auto it = std::upper_bound(edges.begin(), edges.end(), v);
-    observed[static_cast<std::size_t>(it - edges.begin())] += 1.0;
-    ++n;
-  }
-  if (n == 0) return {false, name_, "chi-square: sample has no finite values"};
-  const double expected = static_cast<double>(n) / bins;
-  double stat = 0.0;
-  for (const double o : observed) stat += (o - expected) * (o - expected) / expected;
-  const int dof = bins - 1;
-  const double crit = chi_square_critical(alpha, dof);
-  std::string msg = "chi-square " + num(stat) + " vs critical " + num(crit) + " (dof " +
-                    std::to_string(dof) + ", alpha " + num(alpha) + ", n " + std::to_string(n) +
-                    ")";
-  return {stat <= crit, name_, std::move(msg)};
-}
-
-double normal_quantile(double p) noexcept {
-  if (!(p > 0.0 && p < 1.0)) return std::nan("");
-  // Acklam's rational approximation.
-  static constexpr double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
-                                 -2.759285104469687e+02, 1.383577518672690e+02,
-                                 -3.066479806614716e+01, 2.506628277459239e+00};
-  static constexpr double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
-                                 -1.556989798598866e+02, 6.680131188771972e+01,
-                                 -1.328068155288572e+01};
-  static constexpr double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
-                                 -2.400758277161838e+00, -2.549732539343734e+00,
-                                 4.374664141464968e+00,  2.938163982698783e+00};
-  static constexpr double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
-                                 2.445134137142996e+00, 3.754408661907416e+00};
-  constexpr double p_low = 0.02425;
-  if (p < p_low) {
-    const double q = std::sqrt(-2.0 * std::log(p));
-    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  if (p > 1.0 - p_low) {
-    const double q = std::sqrt(-2.0 * std::log(1.0 - p));
-    return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
-           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-  }
-  const double q = p - 0.5;
-  const double r = q * q;
-  return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
-         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
-}
-
-double chi_square_critical(double alpha, int dof) noexcept {
-  if (dof <= 0 || !(alpha > 0.0 && alpha < 1.0)) return std::nan("");
-  // Wilson-Hilferty: chi2_q ~ dof * (1 - 2/(9 dof) + z_q sqrt(2/(9 dof)))^3.
-  const double z = normal_quantile(1.0 - alpha);
-  const double k = 2.0 / (9.0 * dof);
-  const double t = 1.0 - k + z * std::sqrt(k);
-  return dof * t * t * t;
 }
 
 double ks_critical(double alpha, std::size_t n, std::size_t m) noexcept {

@@ -5,8 +5,7 @@
 //
 //   Expect             scalar with absolute/relative/sigma tolerance
 //   OrderingExpect     a pinned ranking of named alternatives
-//   CurveExpect        monotonicity, argmin/argmax windows, crossovers
-//   DistributionExpect KS / chi-square against committed samples
+//   DistributionExpect KS against committed samples
 //
 // Every check returns a CheckResult instead of asserting, so the same
 // comparators serve gtest assertions (EXPECT_TRUE(r.ok) << r.message),
@@ -94,40 +93,6 @@ class OrderingExpect {
   std::vector<std::string> expected_;
 };
 
-/// Shape checks over a sampled curve y(x). The slack parameters absorb
-/// simulation noise: a "monotone" stochastic curve may jitter by less
-/// than `slack` against the trend without failing.
-class CurveExpect {
- public:
-  CurveExpect(std::string name, std::vector<double> xs, std::vector<double> ys);
-
-  enum class Direction { kIncreasing, kDecreasing };
-
-  /// y moves in `dir` along x, allowing counter-trend jitter < slack.
-  [[nodiscard]] CheckResult monotone(Direction dir, double slack = 0.0) const;
-
-  /// argmin/argmax of y lies within [x_lo, x_hi] (inclusive).
-  [[nodiscard]] CheckResult argmin_in(double x_lo, double x_hi) const;
-  [[nodiscard]] CheckResult argmax_in(double x_lo, double x_hi) const;
-
-  /// The two curves cross (sign change of this->y - other.y, linearly
-  /// interpolated) at some x within [x_lo, x_hi]. Both curves must share
-  /// this curve's x grid.
-  [[nodiscard]] CheckResult crossover_in(const CurveExpect& other, double x_lo,
-                                         double x_hi) const;
-
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const std::vector<double>& xs() const noexcept { return xs_; }
-  [[nodiscard]] const std::vector<double>& ys() const noexcept { return ys_; }
-
- private:
-  [[nodiscard]] CheckResult arg_extremum_in(double x_lo, double x_hi, bool minimum) const;
-
-  std::string name_;
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-};
-
 /// Distribution equality against committed reference samples.
 class DistributionExpect {
  public:
@@ -138,11 +103,6 @@ class DistributionExpect {
   /// c(alpha) * sqrt((n+m)/(n*m)).
   [[nodiscard]] CheckResult ks(std::span<const double> sample, double alpha = 1e-3) const;
 
-  /// Chi-square GOF: bins the reference into `bins` equiprobable cells
-  /// (by reference quantiles) and tests the sample's counts at `alpha`.
-  [[nodiscard]] CheckResult chi_square(std::span<const double> sample, int bins = 8,
-                                       double alpha = 1e-3) const;
-
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::vector<double>& reference() const noexcept { return reference_; }
 
@@ -152,13 +112,6 @@ class DistributionExpect {
 };
 
 // ---- statistical helpers (exposed for tests and reuse) ----------------------
-
-/// Standard-normal quantile (Acklam's rational approximation, |err| < 1.2e-9).
-[[nodiscard]] double normal_quantile(double p) noexcept;
-
-/// Upper-tail chi-square critical value at significance `alpha` with
-/// `dof` degrees of freedom (Wilson-Hilferty approximation).
-[[nodiscard]] double chi_square_critical(double alpha, int dof) noexcept;
 
 /// Two-sample KS critical distance at significance `alpha` for sample
 /// sizes n and m (asymptotic: c(alpha)*sqrt((n+m)/(n*m))).

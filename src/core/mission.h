@@ -52,9 +52,6 @@ struct SectorMissionPlan {
   /// Probability that every round's approach survives (independent
   /// exponential legs multiply).
   double mission_delivery_probability{1.0};
-  /// Orphaned area [m^2] this sector absorbed from a crashed scout
-  /// (recovery re-plan only; 0 in the nominal plan).
-  double absorbed_orphan_area_m2{0.0};
 };
 
 struct MissionPlan {
@@ -71,14 +68,6 @@ class MissionPlanner {
       : model_(model), cfg_(cfg) {}
 
   [[nodiscard]] MissionPlan plan() const;
-
-  /// Recovery re-plan after a scout crash: the crashed scout had swept
-  /// `completed_fraction` of its sector; the unswept remainder is absorbed
-  /// by the least-loaded survivor (its sector grows by the orphaned area
-  /// and its now-or-later decisions are re-run). With no survivors the
-  /// returned plan is infeasible and empty.
-  [[nodiscard]] MissionPlan replan_after_crash(int crashed_sector_index,
-                                               double completed_fraction) const;
 
   [[nodiscard]] const MissionConfig& config() const noexcept { return cfg_; }
 

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sys/stat.h>
 
+#include "stats/quantile.h"
+
 namespace skyferry::exp {
 namespace {
 
@@ -23,6 +25,41 @@ struct sigaction g_prev_term;
 #endif
 
 }  // namespace
+
+RunStats make_run_stats(const RunnerConfig& cfg, const std::vector<Point>& points,
+                        const std::vector<std::vector<double>>& latency_ms, int workers,
+                        int chunk, double wall_s) {
+  RunStats st;
+  st.threads = workers;
+  st.points = points.size();
+  st.trials_per_point = cfg.trials;
+  st.seed = cfg.seed;
+  st.chunk = chunk;
+  st.wall_s = wall_s;
+  double total_ms = 0.0;
+  for (const auto& row : latency_ms)
+    for (double ms : row) total_ms += ms;
+  st.total_trial_s = total_ms / 1e3;
+  const double total_trials = static_cast<double>(points.size()) * cfg.trials;
+  st.trials_per_s = wall_s > 0.0 ? total_trials / wall_s : 0.0;
+  st.occupancy = (wall_s > 0.0 && workers > 0) ? st.total_trial_s / (wall_s * workers) : 0.0;
+  st.speedup_vs_serial = wall_s > 0.0 ? st.total_trial_s / wall_s : 0.0;
+  st.per_point.reserve(points.size());
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    auto sorted = latency_ms[p];
+    std::sort(sorted.begin(), sorted.end());
+    PointStats ps;
+    ps.point_index = points[p].index;
+    ps.label = points[p].label();
+    ps.trials = cfg.trials;
+    if (!sorted.empty()) {
+      ps.p50_ms = stats::quantile_sorted(sorted, 0.50);
+      ps.p99_ms = stats::quantile_sorted(sorted, 0.99);
+    }
+    st.per_point.push_back(std::move(ps));
+  }
+  return st;
+}
 
 bool interrupt_requested() noexcept {
   return g_interrupt_signal.load(std::memory_order_relaxed) != 0;

@@ -1,11 +1,18 @@
-// Crash-safe campaign execution on top of the experiment engine: the
-// SupervisedRunner fans seeded trials out exactly like exp::Runner (same
-// sim::fork seeding, same pre-assigned slots, bit-identical grid for any
-// thread count) and adds the supervision a long campaign needs:
+// The experiment engine's execution core: fan N deterministic trials per
+// sweep point across a ThreadPool. Per-trial seeds come from
+// sim::fork(seed, point_index, trial_index) and every result lands in a
+// pre-assigned [point][trial] slot, so the grid is bit-identical for any
+// thread count and any scheduling order — the parallelism is pure
+// wall-clock. Trials are enqueued in contiguous chunks (no work
+// stealing) to amortize queue traffic on cheap trials.
+//
+// On top of that fan-out the SupervisedRunner adds the supervision a
+// long campaign needs:
 //
 //  * per-trial exception capture into TrialFailure records instead of
 //    campaign abort, with bounded same-seed retries and quarantine after
-//    SupervisorOptions::max_retries;
+//    SupervisorOptions::max_retries (max_retries = 0: record and move
+//    on; fail_fast: abort on the first exception);
 //  * a soft-deadline watchdog (trial_timeout_ms) that flags hung trials
 //    and fires their CancelToken — a cooperative trial observes the
 //    token (or calls poll_cancel) and throws TrialCancelled, getting
@@ -28,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <future>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -39,9 +47,28 @@
 
 #include "exp/checkpoint.h"
 #include "exp/codec.h"
-#include "exp/runner.h"
+#include "exp/run_stats.h"
+#include "exp/sweep.h"
+#include "exp/thread_pool.h"
+#include "sim/rng.h"
 
 namespace skyferry::exp {
+
+struct RunnerConfig {
+  int threads{0};  ///< <= 0: one worker per hardware thread
+  int trials{1};   ///< seeded trials per sweep point
+  std::uint64_t seed{1};
+  /// Trials per enqueued task; <= 0 picks ~4 chunks per worker per point
+  /// (small enough to balance, big enough to amortize queueing), or
+  /// ~64 chunks per point when checkpointing.
+  int chunk{0};
+};
+
+/// Timing sidecar of one run: wall time, throughput, occupancy,
+/// per-point latency quantiles.
+RunStats make_run_stats(const RunnerConfig& cfg, const std::vector<Point>& points,
+                        const std::vector<std::vector<double>>& latency_ms, int workers,
+                        int chunk, double wall_s);
 
 /// Cooperative cancellation handle passed to trials that accept a third
 /// parameter: fn(point, seed, const CancelToken&). stop_requested()
@@ -104,8 +131,8 @@ struct SupervisorOptions {
   /// trials (token-aware) get cancelled and quarantined; others are
   /// flagged in the report but keep their (late) result.
   double trial_timeout_ms{0.0};
-  /// Old Runner behavior: first trial exception aborts the campaign
-  /// (after in-flight work drains) and rethrows. No retries.
+  /// First trial exception aborts the campaign (after in-flight work
+  /// drains) and rethrows. No retries.
   bool fail_fast{false};
   /// Journal completed chunks here (empty = no persistence). Written
   /// atomically (tmp+rename), so a SIGKILL never leaves a torn file.

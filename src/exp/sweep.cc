@@ -61,24 +61,4 @@ std::vector<Point> Sweep::cartesian() const {
   return points;
 }
 
-std::vector<Point> Sweep::zipped() const {
-  if (axes_.empty()) return cartesian();
-  const std::size_t n = axes_.front().values.size();
-  for (const auto& a : axes_)
-    if (a.values.size() != n)
-      throw SweepError("zipped sweep needs equal-length axes ('" + axes_.front().name + "' has " +
-                       std::to_string(n) + ", '" + a.name + "' has " +
-                       std::to_string(a.values.size()) + ")");
-  std::vector<Point> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Point p;
-    p.index = i;
-    p.coords.reserve(axes_.size());
-    for (const auto& a : axes_) p.coords.emplace_back(a.name, a.values[i]);
-    points.push_back(std::move(p));
-  }
-  return points;
-}
-
 }  // namespace skyferry::exp

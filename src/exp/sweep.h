@@ -1,9 +1,9 @@
 // Named parameter axes expanded into a flat grid of sweep points. A
 // Sweep is the declarative half of an experiment: it says *where* to
-// evaluate; the Runner says how many seeded trials to fan out per point
-// and on how many threads. Points carry a stable index so per-trial
-// seeds (sim::fork(seed, point, trial)) and result slots are independent
-// of execution order.
+// evaluate; the SupervisedRunner says how many seeded trials to fan out
+// per point and on how many threads. Points carry a stable index so
+// per-trial seeds (sim::fork(seed, point, trial)) and result slots are
+// independent of execution order.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,7 @@
 namespace skyferry::exp {
 
 /// Thrown for malformed sweeps and points (duplicate/missing axis,
-/// zipped axes of different lengths, empty axis).
+/// empty axis).
 struct SweepError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
@@ -45,12 +45,8 @@ class Sweep {
 
   /// Cartesian product of all axes, first axis slowest. An empty sweep
   /// expands to a single axis-less point (index 0), so "no sweep, just N
-  /// trials" is not a special case for the Runner.
+  /// trials" is not a special case for the SupervisedRunner.
   [[nodiscard]] std::vector<Point> cartesian() const;
-
-  /// Element-wise zip of all axes: point i takes value i of every axis.
-  /// Throws SweepError unless all axes have equal lengths.
-  [[nodiscard]] std::vector<Point> zipped() const;
 
  private:
   struct AxisDef {

@@ -1,9 +1,9 @@
 // Fixed-size worker pool for the experiment engine. Deliberately
 // work-stealing-free: one shared FIFO queue, workers pull whole tasks.
-// Determinism comes from the *callers* (the Runner enqueues chunks whose
-// results land in pre-assigned slots), so the pool itself only needs to
-// run every task exactly once and propagate exceptions — which it does
-// through std::future, never by terminating a worker.
+// Determinism comes from the *callers* (the SupervisedRunner enqueues
+// chunks whose results land in pre-assigned slots), so the pool itself
+// only needs to run every task exactly once and propagate exceptions —
+// which it does through std::future, never by terminating a worker.
 #pragma once
 
 #include <condition_variable>

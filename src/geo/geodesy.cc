@@ -19,23 +19,6 @@ double haversine_m(const GeoPoint& a, const GeoPoint& b) noexcept {
   return 2.0 * kEarthRadiusM * std::asin(std::sqrt(hc));
 }
 
-double slant_distance_m(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double ground = haversine_m(a, b);
-  const double dalt = b.alt_m - a.alt_m;
-  return std::hypot(ground, dalt);
-}
-
-double bearing_deg(const GeoPoint& a, const GeoPoint& b) noexcept {
-  const double lat1 = deg2rad(a.lat_deg);
-  const double lat2 = deg2rad(b.lat_deg);
-  const double dlon = deg2rad(b.lon_deg - a.lon_deg);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) - std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  double brg = rad2deg(std::atan2(y, x));
-  if (brg < 0.0) brg += 360.0;
-  return brg;
-}
-
 LocalFrame::LocalFrame(const GeoPoint& origin) noexcept
     : origin_(origin), cos_lat_(std::cos(deg2rad(origin.lat_deg))) {}
 

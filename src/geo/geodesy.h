@@ -28,14 +28,6 @@ struct GeoPoint {
 /// (Haversine formula; altitude is ignored).
 [[nodiscard]] double haversine_m(const GeoPoint& a, const GeoPoint& b) noexcept;
 
-/// Slant distance [m]: Haversine ground distance combined with the
-/// altitude difference. This matches how the paper derives link distance
-/// from GPS fixes of two UAVs at different altitudes.
-[[nodiscard]] double slant_distance_m(const GeoPoint& a, const GeoPoint& b) noexcept;
-
-/// Initial great-circle bearing [deg, 0..360) from `a` to `b`.
-[[nodiscard]] double bearing_deg(const GeoPoint& a, const GeoPoint& b) noexcept;
-
 /// Local tangent-plane converter anchored at `origin`. Valid for the
 /// hundreds-of-meters scales of the paper's field tests (equirectangular
 /// approximation; error < 1e-4 relative at 1 km).

@@ -49,11 +49,4 @@ Vec3 GpsReceiver::measure(const Vec3& true_pos, double dt_s) noexcept {
   return true_pos + err_;
 }
 
-double gps_distance_estimate_m(const LocalFrame& frame, const Vec3& fix_a,
-                               const Vec3& fix_b) noexcept {
-  const GeoPoint ga = frame.to_geo(fix_a);
-  const GeoPoint gb = frame.to_geo(fix_b);
-  return slant_distance_m(ga, gb);
-}
-
 }  // namespace skyferry::geo

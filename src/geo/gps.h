@@ -49,9 +49,4 @@ class GpsReceiver {
   double spare_{0.0};
 };
 
-/// Distance between two noisy GPS fixes expressed back in geodetic form
-/// and measured with Haversine — exactly the estimation chain of the paper.
-[[nodiscard]] double gps_distance_estimate_m(const LocalFrame& frame, const Vec3& fix_a,
-                                             const Vec3& fix_b) noexcept;
-
 }  // namespace skyferry::geo

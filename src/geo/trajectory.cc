@@ -35,19 +35,6 @@ Vec3 Trajectory::position_at(double t_s) const noexcept {
   return a.pos + (b.pos - a.pos) * w;
 }
 
-Vec3 Trajectory::velocity_at(double t_s) const noexcept {
-  assert(!samples_.empty());
-  if (t_s <= samples_.front().t_s) return samples_.front().vel;
-  if (t_s >= samples_.back().t_s) return samples_.back().vel;
-  const std::size_t i = lower_index(t_s);
-  const TrajectorySample& a = samples_[i];
-  const TrajectorySample& b = samples_[i + 1];
-  const double span = b.t_s - a.t_s;
-  if (span <= 0.0) return a.vel;
-  const double w = (t_s - a.t_s) / span;
-  return a.vel + (b.vel - a.vel) * w;
-}
-
 double Trajectory::path_length() const noexcept {
   double len = 0.0;
   for (std::size_t i = 1; i < samples_.size(); ++i) {
@@ -60,18 +47,6 @@ std::vector<GeoPoint> Trajectory::to_geo(const LocalFrame& frame) const {
   std::vector<GeoPoint> out;
   out.reserve(samples_.size());
   for (const TrajectorySample& s : samples_) out.push_back(frame.to_geo(s.pos));
-  return out;
-}
-
-std::vector<DistanceSample> pairwise_distance(const Trajectory& a, const Trajectory& b,
-                                              double dt_s) {
-  std::vector<DistanceSample> out;
-  if (a.empty() || b.empty() || dt_s <= 0.0) return out;
-  const double t0 = std::max(a.start_time(), b.start_time());
-  const double t1 = std::min(a.end_time(), b.end_time());
-  for (double t = t0; t <= t1 + 1e-9; t += dt_s) {
-    out.push_back({t, distance(a.position_at(t), b.position_at(t))});
-  }
   return out;
 }
 

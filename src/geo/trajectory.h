@@ -36,10 +36,6 @@ class Trajectory {
   /// Precondition: !empty().
   [[nodiscard]] Vec3 position_at(double t_s) const noexcept;
 
-  /// Linear interpolation of velocity at time t (clamped to the trace span).
-  /// Precondition: !empty().
-  [[nodiscard]] Vec3 velocity_at(double t_s) const noexcept;
-
   /// Total path length [m] (sum of segment lengths).
   [[nodiscard]] double path_length() const noexcept;
 
@@ -52,14 +48,5 @@ class Trajectory {
 
   std::vector<TrajectorySample> samples_;
 };
-
-/// Series of pairwise distances between two traces sampled every dt_s over
-/// their overlapping time span. Returns {time, distance} pairs.
-struct DistanceSample {
-  double t_s{0.0};
-  double distance_m{0.0};
-};
-[[nodiscard]] std::vector<DistanceSample> pairwise_distance(const Trajectory& a,
-                                                            const Trajectory& b, double dt_s);
 
 }  // namespace skyferry::geo

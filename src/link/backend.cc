@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "exp/codec.h"
 #include "mac/rate_control.h"
 #include "phy/mcs.h"
 #include "sim/rng.h"
@@ -308,28 +307,6 @@ class GenericBackend final : public LinkBackend {
 
 }  // namespace
 
-const char* to_string(BackendKind k) noexcept {
-  switch (k) {
-    case BackendKind::kWifi80211n:
-      return "wifi-802.11n";
-    case BackendKind::kCellular:
-      return "cellular";
-    case BackendKind::kMesh:
-      return "mesh";
-    case BackendKind::kLeo:
-      return "leo";
-  }
-  return "?";
-}
-
-BackendKind backend_kind_from_tag(const std::string& tag) {
-  for (BackendKind k : {BackendKind::kWifi80211n, BackendKind::kCellular, BackendKind::kMesh,
-                        BackendKind::kLeo}) {
-    if (tag == to_string(k)) return k;
-  }
-  throw ConfigError("LinkBackendConfig: unknown backend kind '" + tag + "'");
-}
-
 LinkBackend::LinkBackend(LinkBackendConfig cfg)
     : cfg_(std::move(cfg)),
       tables_(cfg_.shared_tables
@@ -464,152 +441,6 @@ void LinkBackendConfig::validate() const {
         "mac.shared_tables does not match mac (error, channel.spatial_correlation, per_table) "
         "— build it with mac::make_shared_per_tables on this config");
   }
-}
-
-namespace {
-
-const char* fidelity_tag(mac::LinkFidelity f) noexcept {
-  return f == mac::LinkFidelity::kAggregate ? "aggregate" : "per-mpdu";
-}
-const char* rate_control_tag(WifiRateControl rc) noexcept {
-  switch (rc) {
-    case WifiRateControl::kFixedMcs:
-      return "fixed-mcs";
-    case WifiRateControl::kArf:
-      return "arf";
-    case WifiRateControl::kMinstrel:
-      return "minstrel";
-  }
-  return "?";
-}
-
-}  // namespace
-
-io::Json LinkBackendConfig::to_json() const {
-  using exp::Codec;
-  io::Json j = io::Json::object();
-  j.set("kind", to_string(kind));
-  j.set("name", name);
-  const auto d = [&j](const char* key, double v) { j.set(key, Codec<double>::encode(v)); };
-  d("wifi_a", wifi_a);
-  d("wifi_b", wifi_b);
-  d("wifi_scale", wifi_scale);
-  d("cell_peak_bps", cell_peak_bps);
-  d("cell_floor_bps", cell_floor_bps);
-  d("cell_half_m", cell_half_m);
-  d("cell_max_range_m", cell_max_range_m);
-  d("mesh_hop_rate_bps", mesh_hop_rate_bps);
-  d("mesh_hop_m", mesh_hop_m);
-  j.set("mesh_max_hops", Codec<int>::encode(mesh_max_hops));
-  d("leo_rate_bps", leo_rate_bps);
-  d("leo_max_range_m", leo_max_range_m);
-  d("min_distance_m", min_distance_m);
-  d("session_setup_s", session_setup_s);
-  d("rtt_s", rtt_s);
-  d("availability", outage.availability);
-  d("mean_outage_s", outage.mean_outage_s);
-  j.set("mcs_index", Codec<int>::encode(mcs_index));
-  j.set("frame_bits", Codec<int>::encode(frame_bits));
-  d("snr_ref_db", snr_ref_db);
-  d("snr_ref_distance_m", snr_ref_distance_m);
-  d("snr_slope_db_per_decade", snr_slope_db_per_decade);
-  d("snr_fade_sigma_db", snr_fade_sigma_db);
-  d("snr_jitter_db", snr_jitter_db);
-  j.set("frames_per_burst", Codec<int>::encode(frames_per_burst));
-  j.set("fidelity", fidelity_tag(fidelity));
-  d("error_coding_gain_half_db", error.coding_gain_half_db);
-  d("error_coding_gain_two_thirds_db", error.coding_gain_two_thirds_db);
-  d("error_coding_gain_three_quarters_db", error.coding_gain_three_quarters_db);
-  d("error_coding_gain_five_sixths_db", error.coding_gain_five_sixths_db);
-  d("error_stbc_gain_db", error.stbc_gain_db);
-  d("error_sdm_power_split_db", error.sdm_power_split_db);
-  d("error_sdm_max_correlation_penalty_db", error.sdm_max_correlation_penalty_db);
-  d("spatial_correlation", spatial_correlation);
-  d("per_table_snr_min_db", per_table.snr_min_db);
-  d("per_table_snr_max_db", per_table.snr_max_db);
-  d("per_table_step_db", per_table.step_db);
-  j.set("wifi_rate_control", rate_control_tag(wifi_rate_control));
-  return j;
-}
-
-LinkBackendConfig LinkBackendConfig::from_json(const io::Json& j) {
-  if (!j.is_object()) throw ConfigError("LinkBackendConfig: expected a JSON object");
-  LinkBackendConfig c;
-  try {
-    const io::Json* kind = j.find("kind");
-    if (kind == nullptr || !kind->is_string())
-      throw ConfigError("LinkBackendConfig: missing 'kind' tag");
-    c.kind = backend_kind_from_tag(kind->as_string());
-    const io::Json* name = j.find("name");
-    if (name == nullptr || !name->is_string())
-      throw ConfigError("LinkBackendConfig: missing 'name'");
-    c.name = name->as_string();
-    using exp::field;
-    c.wifi_a = field<double>(j, "wifi_a");
-    c.wifi_b = field<double>(j, "wifi_b");
-    c.wifi_scale = field<double>(j, "wifi_scale");
-    c.cell_peak_bps = field<double>(j, "cell_peak_bps");
-    c.cell_floor_bps = field<double>(j, "cell_floor_bps");
-    c.cell_half_m = field<double>(j, "cell_half_m");
-    c.cell_max_range_m = field<double>(j, "cell_max_range_m");
-    c.mesh_hop_rate_bps = field<double>(j, "mesh_hop_rate_bps");
-    c.mesh_hop_m = field<double>(j, "mesh_hop_m");
-    c.mesh_max_hops = field<int>(j, "mesh_max_hops");
-    c.leo_rate_bps = field<double>(j, "leo_rate_bps");
-    c.leo_max_range_m = field<double>(j, "leo_max_range_m");
-    c.min_distance_m = field<double>(j, "min_distance_m");
-    c.session_setup_s = field<double>(j, "session_setup_s");
-    c.rtt_s = field<double>(j, "rtt_s");
-    c.outage.availability = field<double>(j, "availability");
-    c.outage.mean_outage_s = field<double>(j, "mean_outage_s");
-    c.mcs_index = field<int>(j, "mcs_index");
-    c.frame_bits = field<int>(j, "frame_bits");
-    c.snr_ref_db = field<double>(j, "snr_ref_db");
-    c.snr_ref_distance_m = field<double>(j, "snr_ref_distance_m");
-    c.snr_slope_db_per_decade = field<double>(j, "snr_slope_db_per_decade");
-    c.snr_fade_sigma_db = field<double>(j, "snr_fade_sigma_db");
-    c.snr_jitter_db = field<double>(j, "snr_jitter_db");
-    c.frames_per_burst = field<int>(j, "frames_per_burst");
-    c.error.coding_gain_half_db = field<double>(j, "error_coding_gain_half_db");
-    c.error.coding_gain_two_thirds_db = field<double>(j, "error_coding_gain_two_thirds_db");
-    c.error.coding_gain_three_quarters_db =
-        field<double>(j, "error_coding_gain_three_quarters_db");
-    c.error.coding_gain_five_sixths_db = field<double>(j, "error_coding_gain_five_sixths_db");
-    c.error.stbc_gain_db = field<double>(j, "error_stbc_gain_db");
-    c.error.sdm_power_split_db = field<double>(j, "error_sdm_power_split_db");
-    c.error.sdm_max_correlation_penalty_db =
-        field<double>(j, "error_sdm_max_correlation_penalty_db");
-    c.spatial_correlation = field<double>(j, "spatial_correlation");
-    c.per_table.snr_min_db = field<double>(j, "per_table_snr_min_db");
-    c.per_table.snr_max_db = field<double>(j, "per_table_snr_max_db");
-    c.per_table.step_db = field<double>(j, "per_table_step_db");
-  } catch (const exp::CodecError& e) {
-    throw ConfigError(std::string("LinkBackendConfig: ") + e.what());
-  }
-  const io::Json* fid = j.find("fidelity");
-  if (fid == nullptr || !fid->is_string())
-    throw ConfigError("LinkBackendConfig: missing 'fidelity' tag");
-  if (fid->as_string() == "aggregate") {
-    c.fidelity = mac::LinkFidelity::kAggregate;
-  } else if (fid->as_string() == "per-mpdu") {
-    c.fidelity = mac::LinkFidelity::kPerMpdu;
-  } else {
-    throw ConfigError("LinkBackendConfig: unknown fidelity '" + fid->as_string() + "'");
-  }
-  const io::Json* rc = j.find("wifi_rate_control");
-  if (rc == nullptr || !rc->is_string())
-    throw ConfigError("LinkBackendConfig: missing 'wifi_rate_control' tag");
-  if (rc->as_string() == "fixed-mcs") {
-    c.wifi_rate_control = WifiRateControl::kFixedMcs;
-  } else if (rc->as_string() == "arf") {
-    c.wifi_rate_control = WifiRateControl::kArf;
-  } else if (rc->as_string() == "minstrel") {
-    c.wifi_rate_control = WifiRateControl::kMinstrel;
-  } else {
-    throw ConfigError("LinkBackendConfig: unknown wifi_rate_control '" + rc->as_string() + "'");
-  }
-  c.validate();
-  return c;
 }
 
 std::unique_ptr<LinkBackend> make_backend(LinkBackendConfig cfg) {

@@ -21,11 +21,10 @@
 //     bit-identically); the other backends run a frame-burst ARQ loop
 //     gated by their outage process.
 //
-// Configs are plain data with a strict JSON codec (exp::Codec idiom:
-// exact doubles, unknown backend tags rejected) and a validate() that
-// refuses NaN/Inf/negative rates and latencies and mismatched shared
-// PER-table caches (the trap warned about at mac::LinkConfig::
-// shared_tables) before any simulation starts.
+// Configs are plain data with a validate() that refuses
+// NaN/Inf/negative rates and latencies and mismatched shared PER-table
+// caches (the trap warned about at mac::LinkConfig::shared_tables)
+// before any simulation starts.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +34,6 @@
 
 #include "core/throughput_model.h"
 #include "fault/link_chaos.h"
-#include "io/json.h"
 #include "link/outage.h"
 #include "mac/exchange.h"
 #include "mac/link.h"
@@ -45,8 +43,8 @@
 
 namespace skyferry::link {
 
-/// Thrown by LinkBackendConfig::validate() / from_json() on any
-/// malformed, non-finite, or inconsistent configuration.
+/// Thrown by LinkBackendConfig::validate() on any malformed, non-finite,
+/// or inconsistent configuration.
 struct ConfigError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -58,19 +56,13 @@ enum class BackendKind : std::uint8_t {
   kLeo,         ///< LEO satellite: high RTT, outage-driven availability
 };
 
-/// Stable config-file tag ("wifi-802.11n", "cellular", "mesh", "leo").
-[[nodiscard]] const char* to_string(BackendKind k) noexcept;
-/// Inverse of to_string(); throws ConfigError on an unknown tag.
-[[nodiscard]] BackendKind backend_kind_from_tag(const std::string& tag);
-
 /// Rate controller driving the 802.11n backend's sessions.
 enum class WifiRateControl : std::uint8_t { kFixedMcs, kArf, kMinstrel };
 
 /// One backend's full description: decision-layer rate curve, latency,
 /// outage statistics, and the PHY curve its sessions sample. Flat plain
 /// data — only the fields of the active `kind` shape its rate curve,
-/// but every field always round-trips through JSON, so a config file
-/// can be re-tagged without loss.
+/// but validate() checks every field whatever the kind.
 struct LinkBackendConfig {
   BackendKind kind{BackendKind::kWifi80211n};
   std::string name{"wifi-802.11n"};
@@ -130,8 +122,7 @@ struct LinkBackendConfig {
 
   // -- 802.11n full-MAC session (kWifi80211n only) ---------------------------
   /// Passed to mac::LinkSimulator verbatim (including its own
-  /// shared_tables, checked by validate() too). Not serialized: the MAC
-  /// sub-config is code-level; JSON carries the decision/PHY surface.
+  /// shared_tables, checked by validate() too).
   mac::LinkConfig mac{};
   WifiRateControl wifi_rate_control{WifiRateControl::kFixedMcs};
 
@@ -146,13 +137,6 @@ struct LinkBackendConfig {
   /// shared PER-table cache whose fingerprint does not match this
   /// config (mac::LinkConfig::shared_tables' silent-wrong-PER trap).
   void validate() const;
-
-  /// Strict JSON codec (exp::Codec exact doubles). from_json throws
-  /// ConfigError on unknown kind tags, missing fields, or any value
-  /// validate() would reject; runtime-only members (shared_tables, mac)
-  /// are not serialized.
-  [[nodiscard]] io::Json to_json() const;
-  [[nodiscard]] static LinkBackendConfig from_json(const io::Json& j);
 };
 
 /// One seeded transfer simulation over a backend. The 802.11n session

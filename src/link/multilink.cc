@@ -2,17 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <utility>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
-#include "exp/codec.h"
 
 namespace skyferry::link {
 namespace {
@@ -32,14 +23,6 @@ constexpr int kPathSegments = 8;
 /// (tests/link/multilink_contract).
 using core::golden_grid_search;
 using SearchOut = core::ScalarSearchResult;
-
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) noexcept {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// Ferry time from d0 in to d.
 double tship_s(double d_m, const MultiLinkParams& p) noexcept {
@@ -320,91 +303,6 @@ std::vector<const LinkBackend*> LinkSet::views() const {
   v.reserve(backends_.size());
   for (const auto& b : backends_) v.push_back(b.get());
   return v;
-}
-
-std::string LinkSet::checksum() const {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const LinkBackendConfig& c : configs_) {
-    h = fnv1a(h, c.to_json().dump());
-    h = fnv1a(h, "|");
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-  return buf;
-}
-
-io::Json LinkSet::to_json() const {
-  io::Json j = io::Json::object();
-  j.set("skyferry_link_set", kFormatVersion);
-  io::Json arr = io::Json::array();
-  for (const LinkBackendConfig& c : configs_) arr.push_back(c.to_json());
-  j.set("links", std::move(arr));
-  j.set("checksum", checksum());
-  return j;
-}
-
-LinkSet LinkSet::from_json(const io::Json& j) {
-  if (!j.is_object()) throw ConfigError("link set: expected a JSON object");
-  const io::Json* version = j.find("skyferry_link_set");
-  if (version == nullptr || !version->is_number() ||
-      static_cast<int>(version->as_number()) != kFormatVersion) {
-    throw ConfigError("link set: unsupported format version (want " +
-                      std::to_string(kFormatVersion) + ")");
-  }
-  const io::Json* arr = j.find("links");
-  if (arr == nullptr || !arr->is_array()) throw ConfigError("link set: missing 'links' array");
-  std::vector<LinkBackendConfig> configs;
-  configs.reserve(arr->items().size());
-  for (const io::Json& lj : arr->items()) configs.push_back(LinkBackendConfig::from_json(lj));
-  LinkSet set(std::move(configs));
-  const io::Json* want = j.find("checksum");
-  if (want == nullptr || !want->is_string()) throw ConfigError("link set: missing checksum");
-  const std::string have = set.checksum();
-  if (want->as_string() != have) {
-    throw ConfigError("link set: checksum mismatch (file says " + want->as_string() +
-                      ", content hashes to " + have +
-                      ") — the link set was tampered with or corrupted");
-  }
-  return set;
-}
-
-void LinkSet::save_atomic(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::FILE* fp = std::fopen(tmp.c_str(), "wb");
-  if (fp == nullptr) throw ConfigError("link set: cannot open " + tmp + " for writing");
-  const std::string text = to_json().dump(1);
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), fp) == text.size() && std::fflush(fp) == 0;
-#ifndef _WIN32
-  // fsync before rename: the rename must never land ahead of the data.
-  const bool synced = wrote && ::fsync(::fileno(fp)) == 0;
-#else
-  const bool synced = wrote;
-#endif
-  std::fclose(fp);
-  if (!synced) {
-    std::remove(tmp.c_str());
-    throw ConfigError("link set: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw ConfigError("link set: cannot rename " + tmp + " -> " + path);
-  }
-}
-
-LinkSet LinkSet::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ConfigError("link set: cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string error;
-  const auto j = io::Json::parse(buf.str(), &error);
-  if (!j) throw ConfigError("link set: " + path + " is truncated or not valid JSON (" + error + ")");
-  try {
-    return from_json(*j);
-  } catch (const ConfigError& e) {
-    throw ConfigError(std::string(e.what()) + " [" + path + "]");
-  }
 }
 
 }  // namespace skyferry::link

@@ -32,24 +32,19 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/optimizer.h"
-#include "io/json.h"
 #include "link/backend.h"
 #include "uav/failure.h"
 
 namespace skyferry::link {
 
-/// An owning, validated collection of link backends with a strict
-/// checksummed on-disk format (the policy::PolicyTable idiom: versioned
-/// JSON, exact-double codec, FNV-1a content tag; tampered or truncated
-/// files fail load()).
+/// An owning, validated collection of link backends, built in memory
+/// from configs: every backend goes through make_backend (and so
+/// LinkBackendConfig::validate()) before the set exists.
 class LinkSet {
  public:
-  static constexpr int kFormatVersion = 1;
-
   LinkSet() = default;
   /// Validates and builds every backend; throws ConfigError.
   explicit LinkSet(std::vector<LinkBackendConfig> configs);
@@ -60,17 +55,6 @@ class LinkSet {
   [[nodiscard]] const std::vector<LinkBackendConfig>& configs() const noexcept { return configs_; }
   /// Non-owning views in index order, the shape optimize_multilink takes.
   [[nodiscard]] std::vector<const LinkBackend*> views() const;
-
-  // ---- on-disk format -------------------------------------------------------
-  [[nodiscard]] io::Json to_json() const;
-  /// Strict decode: version mismatch, missing fields, unknown backend
-  /// tags, or a checksum mismatch all throw ConfigError.
-  [[nodiscard]] static LinkSet from_json(const io::Json& j);
-  /// tmp + fsync + rename (exp::Checkpoint crash-safety contract).
-  void save_atomic(const std::string& path) const;
-  [[nodiscard]] static LinkSet load(const std::string& path);
-  /// FNV-1a over the compact-encoded link configs.
-  [[nodiscard]] std::string checksum() const;
 
  private:
   std::vector<LinkBackendConfig> configs_;

@@ -70,11 +70,4 @@ ContentionResult analyze_contention(int stations, const MacTiming& timing,
   return r;
 }
 
-double shared_goodput_bps(double single_station_bps, int stations, const MacTiming& timing,
-                          double frame_airtime_s, double ack_airtime_s) noexcept {
-  const ContentionResult r =
-      analyze_contention(stations, timing, frame_airtime_s, ack_airtime_s);
-  return single_station_bps * r.efficiency_vs_single;
-}
-
 }  // namespace skyferry::mac

@@ -25,11 +25,4 @@ struct ContentionResult {
                                                   double frame_airtime_s,
                                                   double ack_airtime_s) noexcept;
 
-/// Convenience: per-station goodput [bit/s] when `stations` saturated
-/// links share the channel and a lone station would achieve
-/// `single_station_bps`.
-[[nodiscard]] double shared_goodput_bps(double single_station_bps, int stations,
-                                        const MacTiming& timing, double frame_airtime_s,
-                                        double ack_airtime_s) noexcept;
-
 }  // namespace skyferry::mac

@@ -22,8 +22,4 @@ double block_ack_duration_s(phy::ChannelWidth w) noexcept {
   return phy::frame_duration_s(phy::mcs(0), w, phy::GuardInterval::kLong800ns, 32 * 8);
 }
 
-double ack_duration_s(phy::ChannelWidth w) noexcept {
-  return phy::frame_duration_s(phy::mcs(0), w, phy::GuardInterval::kLong800ns, 14 * 8);
-}
-
 }  // namespace skyferry::mac

@@ -27,7 +27,4 @@ struct MacTiming {
 /// basic rate (we use MCS0 of the operating width, long GI, as drivers do).
 [[nodiscard]] double block_ack_duration_s(phy::ChannelWidth w) noexcept;
 
-/// Duration [s] of a normal ACK (14 bytes) at basic rate.
-[[nodiscard]] double ack_duration_s(phy::ChannelWidth w) noexcept;
-
 }  // namespace skyferry::mac

@@ -1,64 +1,8 @@
 #include "net/flow.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace skyferry::net {
-
-BatchSource::BatchSource(FlowId flow, DataBatch batch, std::uint32_t datagram_bytes) noexcept
-    : flow_(flow), batch_(batch), datagram_bytes_(datagram_bytes) {
-  packets_per_image_ = static_cast<std::uint32_t>(
-      std::ceil(batch_.image_bytes / static_cast<double>(datagram_bytes_)));
-  if (packets_per_image_ == 0) packets_per_image_ = 1;
-  total_packets_ = packets_per_image_ * batch_.num_images;
-}
-
-std::size_t BatchSource::load_into(PacketQueue& q, double now_s) {
-  std::size_t loaded = 0;
-  std::uint32_t seq = 0;
-  for (std::uint32_t img = 0; img < batch_.num_images; ++img) {
-    for (std::uint32_t k = 0; k < packets_per_image_; ++k) {
-      Packet p;
-      p.flow = flow_;
-      p.seq = seq++;
-      p.payload_bytes = datagram_bytes_;
-      p.created_t_s = now_s;
-      p.image_index = img;
-      if (!q.push(p)) return loaded;
-      ++loaded;
-    }
-  }
-  return loaded;
-}
-
-IperfSource::IperfSource(FlowId flow, std::uint32_t datagram_bytes, double target_bps) noexcept
-    : flow_(flow), datagram_bytes_(datagram_bytes), target_bps_(target_bps) {}
-
-void IperfSource::pump(PacketQueue& q, double now_s, std::size_t backlog) {
-  auto make = [&] {
-    Packet p;
-    p.flow = flow_;
-    p.seq = seq_++;
-    p.payload_bytes = datagram_bytes_;
-    p.created_t_s = now_s;
-    return p;
-  };
-
-  if (target_bps_ <= 0.0) {
-    while (q.size() < backlog) {
-      if (!q.push(make())) break;
-    }
-    return;
-  }
-
-  // Paced: accumulate byte credit with elapsed time.
-  credit_bytes_ += target_bps_ / 8.0 * std::max(now_s - last_t_, 0.0);
-  last_t_ = now_s;
-  while (credit_bytes_ >= static_cast<double>(datagram_bytes_)) {
-    if (!q.push(make())) break;
-    credit_bytes_ -= static_cast<double>(datagram_bytes_);
-  }
-}
 
 void FlowSink::deliver(const Packet& p, double now_s) {
   if (p.seq >= seen_.size()) seen_.resize(p.seq + 1, false);

@@ -1,61 +1,13 @@
-// Traffic sources and sinks.
-//
-// BatchSource packetizes a collected image batch (the paper's Mdata) into
-// UDP-sized datagrams; IperfSource generates saturated or rate-limited
-// test traffic like the iperf tool used in the paper's field measurements;
-// FlowSink tracks in-order delivery, duplicates and per-image completion.
+// Traffic sink: FlowSink tracks in-order delivery, duplicates and
+// per-image completion of a packetized batch (the paper's Mdata).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "net/packet.h"
-#include "net/queue.h"
 
 namespace skyferry::net {
-
-/// Packetizes a DataBatch into a queue. Every packet knows which image it
-/// belongs to, so partial deliveries can report "70% of Mdata" like the
-/// paper's Figure 2.
-class BatchSource {
- public:
-  BatchSource(FlowId flow, DataBatch batch, std::uint32_t datagram_bytes = 1470) noexcept;
-
-  /// Enqueue the entire batch. Returns packets enqueued.
-  std::size_t load_into(PacketQueue& q, double now_s);
-
-  [[nodiscard]] const DataBatch& batch() const noexcept { return batch_; }
-  [[nodiscard]] std::uint32_t total_packets() const noexcept { return total_packets_; }
-  [[nodiscard]] std::uint32_t datagram_bytes() const noexcept { return datagram_bytes_; }
-
- private:
-  FlowId flow_;
-  DataBatch batch_;
-  std::uint32_t datagram_bytes_;
-  std::uint32_t total_packets_;
-  std::uint32_t packets_per_image_;
-};
-
-/// iperf-style UDP generator: fills a queue either saturated (keep
-/// `backlog` packets queued) or paced at a target bitrate.
-class IperfSource {
- public:
-  IperfSource(FlowId flow, std::uint32_t datagram_bytes = 1470,
-              double target_bps = 0.0 /* 0 = saturated */) noexcept;
-
-  /// Top up `q` given the current time; call before each MAC service.
-  void pump(PacketQueue& q, double now_s, std::size_t backlog = 64);
-
-  [[nodiscard]] std::uint64_t generated() const noexcept { return seq_; }
-
- private:
-  FlowId flow_;
-  std::uint32_t datagram_bytes_;
-  double target_bps_;
-  std::uint32_t seq_{0};
-  double credit_bytes_{0.0};
-  double last_t_{0.0};
-};
 
 /// Receiver-side accounting.
 class FlowSink {

@@ -4,29 +4,6 @@
 #include <cmath>
 
 namespace skyferry::phy {
-namespace {
-constexpr double kSpeedOfLight = 299792458.0;
-}
-
-double free_space_path_loss_db(double distance_m, double freq_hz) noexcept {
-  const double d = std::max(distance_m, 0.1);
-  // FSPL = 20 log10(4 pi d f / c).
-  return 20.0 * std::log10(4.0 * M_PI * d * freq_hz / kSpeedOfLight);
-}
-
-LogDistancePathLoss LogDistancePathLoss::from_freespace_ref(double exponent,
-                                                            double freq_hz) noexcept {
-  return {exponent, 1.0, free_space_path_loss_db(1.0, freq_hz)};
-}
-
-double LogDistancePathLoss::loss_db(double distance_m) const noexcept {
-  const double d = std::max(distance_m, d_ref_ * 1e-3);
-  return pl_ref_ + 10.0 * n_ * std::log10(d / d_ref_);
-}
-
-double LinkBudget::noise_floor_dbm() const noexcept {
-  return -174.0 + 10.0 * std::log10(bandwidth_hz) + noise_figure_db;
-}
 
 double AerialSnrModel::median_snr_db(double distance_m) const noexcept {
   const double d = std::max(distance_m, 1.0);

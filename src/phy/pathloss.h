@@ -1,4 +1,4 @@
-// Path-loss and median-SNR models for aerial line-of-sight links.
+// Median-SNR model for aerial line-of-sight links.
 //
 // The paper reduces the 802.11n aerial link to a distance-dependent median
 // throughput; underneath that sits a median received SNR falling roughly
@@ -8,42 +8,6 @@
 #pragma once
 
 namespace skyferry::phy {
-
-/// Free-space path loss [dB] at distance d [m] and carrier f [Hz].
-[[nodiscard]] double free_space_path_loss_db(double distance_m, double freq_hz) noexcept;
-
-/// Log-distance path loss [dB]: PL(d) = PL(d_ref) + 10*n*log10(d/d_ref).
-class LogDistancePathLoss {
- public:
-  /// `exponent` n (2 = free space), reference distance and loss at it.
-  LogDistancePathLoss(double exponent, double ref_distance_m, double ref_loss_db) noexcept
-      : n_(exponent), d_ref_(ref_distance_m), pl_ref_(ref_loss_db) {}
-
-  /// Convenience: free-space-calibrated reference at 1 m for carrier f.
-  static LogDistancePathLoss from_freespace_ref(double exponent, double freq_hz) noexcept;
-
-  [[nodiscard]] double loss_db(double distance_m) const noexcept;
-  [[nodiscard]] double exponent() const noexcept { return n_; }
-
- private:
-  double n_;
-  double d_ref_;
-  double pl_ref_;
-};
-
-/// Link-budget constants of the paper's platform (Ralink RT3572 USB,
-/// 5 GHz channel 40, 40 MHz, planar omni antennas on small airframes).
-struct LinkBudget {
-  double tx_power_dbm{15.0};
-  double tx_antenna_gain_dbi{2.0};
-  double rx_antenna_gain_dbi{2.0};
-  double noise_figure_db{6.0};
-  double bandwidth_hz{40e6};
-  double freq_hz{5.2e9};  // channel 40
-
-  /// Thermal noise floor + noise figure [dBm].
-  [[nodiscard]] double noise_floor_dbm() const noexcept;
-};
 
 /// Median *effective* SNR [dB] versus distance for an aerial link:
 /// snr(d) = a - b*log2(d). "Effective" folds in everything that degrades

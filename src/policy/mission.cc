@@ -74,58 +74,4 @@ MissionPlan MissionPlanner::plan() const {
   return plan;
 }
 
-MissionPlan MissionPlanner::replan_after_crash(int crashed_sector_index,
-                                               double completed_fraction) const {
-  const auto sectors = make_grid();
-  const double f = std::clamp(completed_fraction, 0.0, 1.0);
-
-  double orphan_area = 0.0;
-  std::vector<ctrl::Sector> survivors;
-  for (const auto& s : sectors) {
-    if (s.index == crashed_sector_index) {
-      orphan_area = s.area_m2() * (1.0 - f);
-    } else {
-      survivors.push_back(s);
-    }
-  }
-  MissionPlan plan;
-  if (survivors.empty() || orphan_area < 0.0 ||
-      crashed_sector_index >= static_cast<int>(sectors.size())) {
-    plan.feasible = false;
-    return plan;
-  }
-
-  // Least-loaded survivor absorbs the orphaned remainder: smallest nominal
-  // completion time, ties broken by index for determinism.
-  int absorber = -1;
-  double best_time = std::numeric_limits<double>::infinity();
-  std::vector<SectorMissionPlan> base;
-  base.reserve(survivors.size());
-  for (const auto& s : survivors) {
-    base.push_back(plan_sector(s, s.index));
-    if (base.back().total_time_s < best_time) {
-      best_time = base.back().total_time_s;
-      absorber = static_cast<int>(base.size()) - 1;
-    }
-  }
-
-  // Grow the absorber's sector by the orphaned area (same track width, the
-  // sweep just runs longer) and re-run every now-or-later decision on the
-  // bigger batches.
-  ctrl::Sector grown = survivors[static_cast<std::size_t>(absorber)];
-  grown.height_m += orphan_area / std::max(grown.width_m, 1e-9);
-  SectorMissionPlan grown_plan = plan_sector(grown, grown.index);
-  grown_plan.absorbed_orphan_area_m2 = orphan_area;
-  base[static_cast<std::size_t>(absorber)] = std::move(grown_plan);
-
-  plan.feasible = true;
-  for (auto& sp : base) {
-    plan.makespan_s = std::max(plan.makespan_s, sp.total_time_s);
-    for (const auto& r : sp.rounds) plan.total_data_mb += r.batch_bytes / 1e6;
-    plan.feasible = plan.feasible && sp.battery_feasible;
-    plan.sectors.push_back(std::move(sp));
-  }
-  return plan;
-}
-
 }  // namespace skyferry::core

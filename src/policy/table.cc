@@ -115,42 +115,6 @@ bool PolicyTable::covers(double d0_m, double speed_mps, double mdata_bytes,
          axes_[2].contains(mdata_bytes) && axes_[3].contains(rho_per_m);
 }
 
-namespace {
-
-/// 16-corner multilinear blend over one knot array. A weight-zero
-/// corner (query exactly on a knot plane) is skipped, so knot queries
-/// reproduce the stored value exactly.
-double interp4(const double* data, const std::array<Axis, 4>& axes, double x0, double x1,
-               double x2, double x3) {
-  int i[4];
-  double f[4];
-  const double x[4] = {x0, x1, x2, x3};
-  for (int a = 0; a < 4; ++a) axes[a].locate(x[a], &i[a], &f[a]);
-  const std::size_t s3 = 1;
-  const std::size_t s2 = s3 * static_cast<std::size_t>(axes[3].n);
-  const std::size_t s1 = s2 * static_cast<std::size_t>(axes[2].n);
-  const std::size_t s0 = s1 * static_cast<std::size_t>(axes[1].n);
-  const std::size_t base =
-      static_cast<std::size_t>(i[0]) * s0 + static_cast<std::size_t>(i[1]) * s1 +
-      static_cast<std::size_t>(i[2]) * s2 + static_cast<std::size_t>(i[3]) * s3;
-  double acc = 0.0;
-  for (int c = 0; c < 16; ++c) {
-    const int b0 = c & 1, b1 = (c >> 1) & 1, b2 = (c >> 2) & 1, b3 = (c >> 3) & 1;
-    const double w = (b0 ? f[0] : 1.0 - f[0]) * (b1 ? f[1] : 1.0 - f[1]) *
-                     (b2 ? f[2] : 1.0 - f[2]) * (b3 ? f[3] : 1.0 - f[3]);
-    if (w == 0.0) continue;
-    acc += w * data[base + b0 * s0 + b1 * s1 + b2 * s2 + b3 * s3];
-  }
-  return acc;
-}
-
-}  // namespace
-
-double PolicyTable::lookup_d_opt(double d0_m, double speed_mps, double mdata_bytes,
-                                 double rho_per_m) const noexcept {
-  return interp4(d_opt_.data(), axes_, d0_m, speed_mps, mdata_bytes, rho_per_m);
-}
-
 PolicyTable::DOptCandidates PolicyTable::lookup_d_opt_candidates(
     double d0_m, double speed_mps, double mdata_bytes, double rho_per_m) const noexcept {
   int i[4];
@@ -181,11 +145,6 @@ PolicyTable::DOptCandidates PolicyTable::lookup_d_opt_candidates(
   out.lo = lo;
   out.hi = hi;
   return out;
-}
-
-double PolicyTable::lookup_utility(double d0_m, double speed_mps, double mdata_bytes,
-                                   double rho_per_m) const noexcept {
-  return interp4(utility_.data(), axes_, d0_m, speed_mps, mdata_bytes, rho_per_m);
 }
 
 std::string PolicyTable::checksum() const {

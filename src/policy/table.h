@@ -93,14 +93,12 @@ class PolicyTable {
   [[nodiscard]] bool covers(double d0_m, double speed_mps, double mdata_bytes,
                             double rho_per_m) const noexcept;
 
-  /// Multilinear 16-corner interpolation of d*. The caller is expected
-  /// to have checked covers(); out-of-range coordinates clamp to the
-  /// boundary knots. Never allocates.
-  [[nodiscard]] double lookup_d_opt(double d0_m, double speed_mps, double mdata_bytes,
-                                    double rho_per_m) const noexcept;
-
-  /// The interpolation cell's d* candidates: the multilinear blend plus
-  /// the min/max corner d* among the contributing corners. In a cell
+  /// The interpolation cell's d* candidates: the multilinear 16-corner
+  /// blend plus the min/max corner d* among the contributing corners.
+  /// The caller is expected to have checked covers(); out-of-range
+  /// coordinates clamp to the boundary knots. A weight-zero corner
+  /// (query exactly on a knot plane) is skipped, so knot queries
+  /// reproduce the stored value exactly. Never allocates. In a cell
   /// where two utility modes tie (interior optimum vs an interval end)
   /// the blend lands in the valley between them, but `lo`/`hi` still
   /// carry each mode's own optimum — the serving path evaluates U
@@ -113,10 +111,6 @@ class PolicyTable {
   [[nodiscard]] DOptCandidates lookup_d_opt_candidates(double d0_m, double speed_mps,
                                                        double mdata_bytes,
                                                        double rho_per_m) const noexcept;
-  /// Same interpolation over the compiled U* knots (diagnostic surface;
-  /// the DecisionService serves the exact re-evaluation instead).
-  [[nodiscard]] double lookup_utility(double d0_m, double speed_mps, double mdata_bytes,
-                                      double rho_per_m) const noexcept;
 
   // ---- on-disk format -------------------------------------------------------
   [[nodiscard]] io::Json to_json() const;

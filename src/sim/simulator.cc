@@ -8,19 +8,6 @@
 
 namespace skyferry::sim {
 
-void Simulator::reserve(std::size_t events) {
-  heap_.reserve(events);
-  if (slots_.size() < events) {
-    const std::uint32_t old = static_cast<std::uint32_t>(slots_.size());
-    slots_.resize(events);
-    free_slots_.reserve(events);
-    // Hand out low indices first: push the new tail in reverse.
-    for (std::uint32_t i = static_cast<std::uint32_t>(events); i > old; --i) {
-      free_slots_.push_back(i - 1);
-    }
-  }
-}
-
 std::uint32_t Simulator::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t s = free_slots_.back();

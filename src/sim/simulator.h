@@ -35,9 +35,6 @@ class Simulator {
   /// immediately (their heap placeholder is skipped when it surfaces).
   [[nodiscard]] std::size_t pending() const noexcept { return live_count_; }
 
-  /// Pre-size the slot pool and heap for `events` concurrent events.
-  void reserve(std::size_t events);
-
   /// Schedule `fn` to run `delay_s` seconds from now (delay clamped to >= 0).
   /// A NaN/Inf delay is rejected: the event is dropped, the rejection is
   /// counted, and the invalid id 0 is returned.

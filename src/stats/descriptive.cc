@@ -17,23 +17,6 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& o) noexcept {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(o.n_);
-  const double delta = o.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += o.m2_ + delta * delta * na * nb / nt;
-  n_ += o.n_;
-  if (o.min_ < min_) min_ = o.min_;
-  if (o.max_ > max_) max_ = o.max_;
-}
-
 double RunningStats::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -45,33 +28,6 @@ double mean(std::span<const double> xs) noexcept {
   RunningStats rs;
   for (double x : xs) rs.add(x);
   return rs.mean();
-}
-
-double variance(std::span<const double> xs) noexcept {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.variance();
-}
-
-double stddev(std::span<const double> xs) noexcept { return std::sqrt(variance(xs)); }
-
-double correlation(std::span<const double> xs, std::span<const double> ys) noexcept {
-  const std::size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace skyferry::stats

@@ -13,9 +13,6 @@ class RunningStats {
  public:
   void add(double x) noexcept;
 
-  /// Merge another accumulator (parallel-combinable, Chan et al.).
-  void merge(const RunningStats& o) noexcept;
-
   void reset() noexcept { *this = RunningStats{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
@@ -37,11 +34,5 @@ class RunningStats {
 };
 
 [[nodiscard]] double mean(std::span<const double> xs) noexcept;
-[[nodiscard]] double variance(std::span<const double> xs) noexcept;  ///< unbiased
-[[nodiscard]] double stddev(std::span<const double> xs) noexcept;
-
-/// Pearson correlation coefficient; 0 if either side is constant.
-/// Precondition: xs.size() == ys.size().
-[[nodiscard]] double correlation(std::span<const double> xs, std::span<const double> ys) noexcept;
 
 }  // namespace skyferry::stats

@@ -4,10 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "sim/rng.h"
-#include "stats/descriptive.h"
-#include "stats/quantile.h"
-
 namespace skyferry::stats {
 
 Ecdf::Ecdf(std::span<const double> xs) {
@@ -40,44 +36,6 @@ double Ecdf::ks_distance(const Ecdf& other) const noexcept {
   for (double x : sorted_) d = std::max(d, std::abs((*this)(x) - other(x)));
   for (double x : other.sorted_) d = std::max(d, std::abs((*this)(x) - other(x)));
   return d;
-}
-
-namespace {
-
-template <typename Stat>
-BootstrapCi bootstrap_ci(std::span<const double> xs, double level, int resamples,
-                         std::uint64_t seed, Stat stat) {
-  BootstrapCi ci;
-  ci.resamples = resamples;
-  if (xs.empty()) return ci;
-  ci.point = stat(xs);
-
-  sim::Rng rng(seed);
-  std::vector<double> resample(xs.size());
-  std::vector<double> stats_v;
-  stats_v.reserve(static_cast<std::size_t>(resamples));
-  for (int r = 0; r < resamples; ++r) {
-    for (auto& v : resample) v = xs[rng.uniform_int(xs.size())];
-    stats_v.push_back(stat(std::span<const double>(resample)));
-  }
-  const double alpha = (1.0 - level) / 2.0;
-  ci.lo = quantile(stats_v, alpha);
-  ci.hi = quantile(stats_v, 1.0 - alpha);
-  return ci;
-}
-
-}  // namespace
-
-BootstrapCi bootstrap_median_ci(std::span<const double> xs, double level, int resamples,
-                                std::uint64_t seed) {
-  return bootstrap_ci(xs, level, resamples, seed,
-                      [](std::span<const double> s) { return median(s); });
-}
-
-BootstrapCi bootstrap_mean_ci(std::span<const double> xs, double level, int resamples,
-                              std::uint64_t seed) {
-  return bootstrap_ci(xs, level, resamples, seed,
-                      [](std::span<const double> s) { return mean(s); });
 }
 
 }  // namespace skyferry::stats

@@ -1,9 +1,9 @@
-// Empirical CDFs and bootstrap confidence intervals — the tools needed
-// to report measured throughput distributions with honest uncertainty
-// (the paper shows boxplots; downstream users often want CDFs and CIs).
+// Empirical CDFs — the tool needed to report measured throughput
+// distributions (the paper shows boxplots; downstream users often want
+// CDFs).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -33,21 +33,5 @@ class Ecdf {
  private:
   std::vector<double> sorted_;
 };
-
-/// Percentile-bootstrap confidence interval for a statistic of a sample.
-struct BootstrapCi {
-  double point{0.0};  ///< statistic on the original sample
-  double lo{0.0};
-  double hi{0.0};
-  int resamples{0};
-};
-
-/// Bootstrap CI for the *median* at confidence `level` (e.g. 0.95).
-[[nodiscard]] BootstrapCi bootstrap_median_ci(std::span<const double> xs, double level = 0.95,
-                                              int resamples = 1000, std::uint64_t seed = 1);
-
-/// Bootstrap CI for the *mean*.
-[[nodiscard]] BootstrapCi bootstrap_mean_ci(std::span<const double> xs, double level = 0.95,
-                                            int resamples = 1000, std::uint64_t seed = 1);
 
 }  // namespace skyferry::stats

@@ -55,16 +55,4 @@ Log2Fit log2_fit(std::span<const double> xs, std::span<const double> ys) {
   return f;
 }
 
-double r_squared(std::span<const double> observed, std::span<const double> predicted) noexcept {
-  if (observed.size() != predicted.size() || observed.empty()) return 0.0;
-  const double my = mean(observed);
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    ss_res += (observed[i] - predicted[i]) * (observed[i] - predicted[i]);
-    ss_tot += (observed[i] - my) * (observed[i] - my);
-  }
-  return (ss_tot == 0.0) ? 1.0 : 1.0 - ss_res / ss_tot;
-}
-
 }  // namespace skyferry::stats

@@ -36,8 +36,4 @@ struct Log2Fit {
 
 [[nodiscard]] Log2Fit log2_fit(std::span<const double> xs, std::span<const double> ys);
 
-/// Coefficient of determination of predictions vs observations.
-[[nodiscard]] double r_squared(std::span<const double> observed,
-                               std::span<const double> predicted) noexcept;
-
 }  // namespace skyferry::stats

@@ -26,12 +26,6 @@ void Autopilot::set_plan(std::deque<Waypoint> plan) {
   }
 }
 
-void Autopilot::clear() noexcept {
-  plan_.clear();
-  current_.reset();
-  phase_ = AutopilotPhase::kIdle;
-}
-
 VelocityCommand Autopilot::command_towards(const KinematicState& s,
                                            const Waypoint& wp) const noexcept {
   const geo::Vec3 to_wp = wp.pos - s.pos;

@@ -33,8 +33,6 @@ class Autopilot {
   /// Replace the flight plan (drops any current hold).
   void set_plan(std::deque<Waypoint> plan);
 
-  void clear() noexcept;
-
   /// Compute the command for the current state at time t; advances the
   /// internal phase machine (arrival detection, hold timers).
   [[nodiscard]] VelocityCommand update(const KinematicState& s, double t_s, double dt_s);

@@ -24,12 +24,4 @@ void Battery::drain(double dt_s, double speed_mps) noexcept {
   soc_ = std::max(0.0, soc_ - rate * dt_s);
 }
 
-double Battery::remaining_endurance_s() const noexcept {
-  return soc_ * spec_.battery_autonomy_s;
-}
-
-double Battery::remaining_range_m() const noexcept {
-  return remaining_endurance_s() * spec_.cruise_speed_mps;
-}
-
 }  // namespace skyferry::uav

@@ -18,12 +18,6 @@ class Battery {
   [[nodiscard]] double soc() const noexcept { return soc_; }
   [[nodiscard]] bool depleted() const noexcept { return soc_ <= 0.0; }
 
-  /// Estimated remaining flight time [s] at cruise speed.
-  [[nodiscard]] double remaining_endurance_s() const noexcept;
-
-  /// Estimated remaining range [m] at cruise speed.
-  [[nodiscard]] double remaining_range_m() const noexcept;
-
   /// Relative drain rate at a speed (1.0 at cruise).
   [[nodiscard]] double drain_factor(double speed_mps) const noexcept;
 

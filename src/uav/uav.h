@@ -24,7 +24,7 @@ struct UavConfig {
   double trace_sample_period_s{0.5};
   /// Optional wind field: world-frame wind vector at time t. The vehicle
   /// flies in the airmass, so its ground track drifts with the wind and
-  /// the autopilot has to keep re-aiming (see uav/wind.h for models).
+  /// the autopilot has to keep re-aiming.
   std::function<geo::Vec3(double t_s)> wind;
   /// In-flight failure rate [1/m]; 0 disables random failures. When set,
   /// a distance-to-failure is drawn at spawn (exponential, the paper's

@@ -83,42 +83,6 @@ TEST(OrderingExpect, CheckRanked) {
   EXPECT_FALSE(o.check_ranked({"a"}).ok);
 }
 
-TEST(CurveExpect, Monotone) {
-  const CurveExpect up("u", {1, 2, 3, 4}, {1.0, 2.0, 2.0, 5.0});
-  EXPECT_TRUE(up.monotone(CurveExpect::Direction::kIncreasing).ok);
-  EXPECT_FALSE(up.monotone(CurveExpect::Direction::kDecreasing).ok);
-
-  const CurveExpect noisy("n", {1, 2, 3}, {1.0, 0.95, 2.0});
-  EXPECT_FALSE(noisy.monotone(CurveExpect::Direction::kIncreasing).ok);
-  EXPECT_TRUE(noisy.monotone(CurveExpect::Direction::kIncreasing, 0.1).ok);
-}
-
-TEST(CurveExpect, ArgminWindow) {
-  // Fig.1 shape: completion time minimized at d=40, window {40, 60}.
-  const CurveExpect c("total", {20, 40, 60, 80, 100}, {21.0, 18.2, 18.9, 20.5, 24.0});
-  EXPECT_TRUE(c.argmin_in(40.0, 60.0).ok);
-  EXPECT_FALSE(c.argmin_in(60.0, 100.0).ok);
-  EXPECT_TRUE(c.argmax_in(90.0, 100.0).ok);
-}
-
-TEST(CurveExpect, CrossoverInterpolates) {
-  const CurveExpect a("a", {0, 10, 20}, {0.0, 10.0, 20.0});
-  const CurveExpect b("b", {0, 10, 20}, {12.0, 12.0, 12.0});
-  // a - b changes sign between x=10 and x=20, crossing at x=12.
-  EXPECT_TRUE(a.crossover_in(b, 11.0, 13.0).ok);
-  EXPECT_FALSE(a.crossover_in(b, 0.0, 11.0).ok);
-  const CurveExpect c("c", {0, 10, 20}, {100.0, 100.0, 100.0});
-  EXPECT_FALSE(a.crossover_in(c, 0.0, 20.0).ok);  // never cross
-}
-
-TEST(CurveExpect, MismatchedGridsFail) {
-  const CurveExpect a("a", {0, 1}, {0.0, 1.0});
-  const CurveExpect b("b", {0, 2}, {1.0, 0.0});
-  EXPECT_FALSE(a.crossover_in(b, 0.0, 2.0).ok);
-  EXPECT_FALSE(CurveExpect("e", {}, {}).argmin_in(0.0, 1.0).ok);
-  EXPECT_FALSE(CurveExpect("one", {0}, {1.0}).monotone(CurveExpect::Direction::kIncreasing).ok);
-}
-
 std::vector<double> normal_draws(std::uint64_t seed, int n, double mean, double sd) {
   sim::Rng rng(seed);
   std::vector<double> v;
@@ -139,33 +103,11 @@ TEST(DistributionExpect, KsRejectsShiftedDistribution) {
   EXPECT_FALSE(d.ks(shifted).ok);
 }
 
-TEST(DistributionExpect, ChiSquareAcceptsAndRejects) {
-  const DistributionExpect d("thr", normal_draws(1, 2000, 10.0, 2.0));
-  EXPECT_TRUE(d.chi_square(normal_draws(2, 1000, 10.0, 2.0)).ok);
-  EXPECT_FALSE(d.chi_square(normal_draws(2, 1000, 14.0, 2.0)).ok);
-  EXPECT_FALSE(d.chi_square(normal_draws(2, 1000, 10.0, 2.0), 1).ok);  // < 2 bins
-}
-
 TEST(DistributionExpect, EmptyInputsFail) {
   const DistributionExpect d("thr", {});
   EXPECT_FALSE(d.ks(std::vector<double>{1.0}).ok);
   const DistributionExpect e("thr", {1.0, 2.0});
   EXPECT_FALSE(e.ks(std::vector<double>{}).ok);
-}
-
-TEST(StatHelpers, NormalQuantile) {
-  EXPECT_NEAR(normal_quantile(0.5), 0.0, 1e-9);
-  EXPECT_NEAR(normal_quantile(0.975), 1.959964, 1e-5);
-  EXPECT_NEAR(normal_quantile(0.001), -3.090232, 1e-5);
-  EXPECT_TRUE(std::isnan(normal_quantile(0.0)));
-  EXPECT_TRUE(std::isnan(normal_quantile(1.0)));
-}
-
-TEST(StatHelpers, ChiSquareCritical) {
-  // Reference values: chi2inv(0.95, k).
-  EXPECT_NEAR(chi_square_critical(0.05, 7), 14.067, 0.15);
-  EXPECT_NEAR(chi_square_critical(0.01, 10), 23.209, 0.25);
-  EXPECT_TRUE(std::isnan(chi_square_critical(0.05, 0)));
 }
 
 TEST(StatHelpers, KsCritical) {

@@ -29,23 +29,6 @@ TEST(Sweep, CartesianFirstAxisSlowest) {
   for (std::size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(pts[i].index, i);
 }
 
-TEST(Sweep, ZippedTakesElementwiseTuples) {
-  const auto pts = Sweep{}
-                       .axis("mdata", {28.0, 56.2})
-                       .axis("speed", {10.0, 4.5})
-                       .zipped();
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_DOUBLE_EQ(pts[1].at("mdata"), 56.2);
-  EXPECT_DOUBLE_EQ(pts[1].at("speed"), 4.5);
-}
-
-TEST(Sweep, ZippedRejectsUnequalLengths) {
-  Sweep s;
-  s.axis("a", {1.0, 2.0}).axis("b", {1.0, 2.0, 3.0});
-  EXPECT_THROW(s.zipped(), SweepError);
-  EXPECT_NO_THROW(s.cartesian());
-}
-
 TEST(Sweep, RejectsEmptyAxisAndDuplicateName) {
   Sweep s;
   EXPECT_THROW(s.axis("a", {}), SweepError);

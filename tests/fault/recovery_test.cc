@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/mission.h"
 #include "fault/mission_sim.h"
 
 namespace skyferry::fault {
@@ -185,47 +184,6 @@ TEST(RecoveryIntegration, OutagesForceResumedAttemptsThatStillComplete) {
     }
   }
   EXPECT_TRUE(saw_resume) << "no resumed-and-completed transfer in 60 seeds";
-}
-
-// ---- integration: crashed scout's sector is reassigned ------------------
-
-TEST(RecoveryIntegration, CrashedScoutSectorAbsorbedBySurvivor) {
-  core::MissionConfig cfg;
-  cfg.area_width_m = 200.0;
-  cfg.area_height_m = 100.0;
-  cfg.uav_count = 2;
-  cfg.survey_altitude_m = 10.0;
-  cfg.platform = uav::PlatformSpec::arducopter();
-  cfg.rho_per_m = 2.46e-4;
-  cfg.rendezvous_d0_m = 100.0;
-  const auto model = core::PaperLogThroughput::quadrocopter();
-  const core::MissionPlanner planner(model, cfg);
-
-  const core::MissionPlan nominal = planner.plan();
-  ASSERT_EQ(nominal.sectors.size(), 2u);
-
-  // Scout 0 dies 40% through its sweep; scout 1 absorbs the rest.
-  const core::MissionPlan replan = planner.replan_after_crash(0, 0.4);
-  ASSERT_EQ(replan.sectors.size(), 1u);
-  const auto& survivor = replan.sectors[0];
-  EXPECT_EQ(survivor.sector_index, 1);
-  const double orphan = 100.0 * 100.0 * 0.6;
-  EXPECT_NEAR(survivor.absorbed_orphan_area_m2, orphan, 1.0);
-  // The survivor's workload (and thus sweep time) grew past its nominal.
-  EXPECT_GT(survivor.total_time_s, nominal.sectors[1].total_time_s);
-  // Now-or-later decisions were re-run on the bigger batches.
-  EXPECT_GT(survivor.rounds[0].batch_bytes, nominal.sectors[1].rounds[0].batch_bytes);
-  EXPECT_GT(survivor.rounds[0].decision.delivery_probability, 0.0);
-}
-
-TEST(RecoveryIntegration, ReplanWithNoSurvivorsIsInfeasible) {
-  core::MissionConfig cfg;
-  cfg.uav_count = 1;
-  const auto model = core::PaperLogThroughput::quadrocopter();
-  const core::MissionPlanner planner(model, cfg);
-  const core::MissionPlan replan = planner.replan_after_crash(0, 0.5);
-  EXPECT_FALSE(replan.feasible);
-  EXPECT_TRUE(replan.sectors.empty());
 }
 
 }  // namespace

@@ -35,37 +35,6 @@ TEST(Haversine, ShortBaselineMatchesPlanarApproximation) {
   EXPECT_NEAR(haversine_m(kOrigin, east), 100.0, 0.01);
 }
 
-TEST(SlantDistance, IncludesAltitude) {
-  // The paper's airplanes fly at 80 and 100 m for collision avoidance:
-  // two aircraft at the same lat/lon but 20 m apart vertically.
-  GeoPoint high = kOrigin;
-  high.alt_m += 20.0;
-  EXPECT_DOUBLE_EQ(slant_distance_m(kOrigin, high), 20.0);
-
-  GeoPoint far = kOrigin;
-  far.lat_deg += rad2deg(30.0 / kEarthRadiusM);  // 30 m north
-  far.alt_m += 40.0;
-  EXPECT_NEAR(slant_distance_m(kOrigin, far), 50.0, 0.01);
-}
-
-TEST(Bearing, CardinalDirections) {
-  GeoPoint north = kOrigin;
-  north.lat_deg += 0.01;
-  EXPECT_NEAR(bearing_deg(kOrigin, north), 0.0, 0.1);
-
-  GeoPoint east = kOrigin;
-  east.lon_deg += 0.01;
-  EXPECT_NEAR(bearing_deg(kOrigin, east), 90.0, 0.1);
-
-  GeoPoint south = kOrigin;
-  south.lat_deg -= 0.01;
-  EXPECT_NEAR(bearing_deg(kOrigin, south), 180.0, 0.1);
-
-  GeoPoint west = kOrigin;
-  west.lon_deg -= 0.01;
-  EXPECT_NEAR(bearing_deg(kOrigin, west), 270.0, 0.1);
-}
-
 TEST(LocalFrame, RoundTripsPositions) {
   const LocalFrame frame(kOrigin);
   const Vec3 enu{123.4, -56.7, 89.0};

@@ -72,31 +72,5 @@ TEST(GpsReceiver, IndependentStreamsForDifferentSeeds) {
   EXPECT_GT(diff, 1.0);
 }
 
-TEST(GpsDistanceEstimate, MatchesTrueDistanceWithoutNoise) {
-  const LocalFrame frame(GeoPoint{47.0, 8.0, 0.0});
-  const Vec3 a{0.0, 0.0, 80.0};
-  const Vec3 b{60.0, 0.0, 100.0};
-  // Haversine+altitude on noise-free fixes should recover the slant range.
-  const double d = gps_distance_estimate_m(frame, a, b);
-  EXPECT_NEAR(d, std::hypot(60.0, 20.0), 0.05);
-}
-
-TEST(GpsDistanceEstimate, NoiseProducesMeterScaleError) {
-  const LocalFrame frame(GeoPoint{47.0, 8.0, 0.0});
-  GpsNoiseConfig cfg;
-  GpsReceiver rx_a(cfg, 11), rx_b(cfg, 22);
-  const Vec3 a{0.0, 0.0, 10.0};
-  const Vec3 b{80.0, 0.0, 10.0};
-  stats::RunningStats err;
-  for (int i = 0; i < 1000; ++i) {
-    const double est =
-        gps_distance_estimate_m(frame, rx_a.measure(a, 0.2), rx_b.measure(b, 0.2));
-    err.add(est - 80.0);
-  }
-  // Error stddev should be a few meters, not zero and not wild.
-  EXPECT_GT(err.stddev(), 0.3);
-  EXPECT_LT(err.stddev(), 10.0);
-}
-
 }  // namespace
 }  // namespace skyferry::geo

@@ -32,13 +32,6 @@ TEST(Trajectory, ClampsOutsideSpan) {
   EXPECT_DOUBLE_EQ(t.position_at(99.0).x, 100.0);
 }
 
-TEST(Trajectory, VelocityInterpolation) {
-  Trajectory t;
-  t.push({0.0, {}, {0.0, 0.0, 0.0}});
-  t.push({10.0, {50.0, 0.0, 0.0}, {10.0, 0.0, 0.0}});
-  EXPECT_DOUBLE_EQ(t.velocity_at(5.0).x, 5.0);
-}
-
 TEST(Trajectory, PathLength) {
   Trajectory t;
   t.push({0.0, {0.0, 0.0, 0.0}, {}});
@@ -64,38 +57,6 @@ TEST(Trajectory, ToGeoRoundTrip) {
   const auto geos = t.to_geo(frame);
   ASSERT_EQ(geos.size(), 2u);
   EXPECT_NEAR(frame.to_enu(geos[1]).x, 100.0, 1e-6);
-}
-
-TEST(PairwiseDistance, ConstantSeparation) {
-  Trajectory a = straight_line();
-  Trajectory b;
-  b.push({0.0, {0.0, 60.0, 0.0}, {10.0, 0.0, 0.0}});
-  b.push({10.0, {100.0, 60.0, 0.0}, {10.0, 0.0, 0.0}});
-  const auto ds = pairwise_distance(a, b, 1.0);
-  ASSERT_EQ(ds.size(), 11u);
-  for (const auto& s : ds) EXPECT_NEAR(s.distance_m, 60.0, 1e-9);
-}
-
-TEST(PairwiseDistance, ApproachingUavs) {
-  // Two platforms closing head-on at 10 m/s each from 200 m apart.
-  Trajectory a, b;
-  a.push({0.0, {0.0, 0.0, 0.0}, {10.0, 0.0, 0.0}});
-  a.push({10.0, {100.0, 0.0, 0.0}, {10.0, 0.0, 0.0}});
-  b.push({0.0, {200.0, 0.0, 0.0}, {-10.0, 0.0, 0.0}});
-  b.push({10.0, {100.0, 0.0, 0.0}, {-10.0, 0.0, 0.0}});
-  const auto ds = pairwise_distance(a, b, 1.0);
-  ASSERT_FALSE(ds.empty());
-  EXPECT_NEAR(ds.front().distance_m, 200.0, 1e-9);
-  EXPECT_NEAR(ds.back().distance_m, 0.0, 1e-9);
-  // Monotone decrease.
-  for (std::size_t i = 1; i < ds.size(); ++i) EXPECT_LT(ds[i].distance_m, ds[i - 1].distance_m);
-}
-
-TEST(PairwiseDistance, EmptyOrBadInputs) {
-  Trajectory a = straight_line();
-  Trajectory empty;
-  EXPECT_TRUE(pairwise_distance(a, empty, 1.0).empty());
-  EXPECT_TRUE(pairwise_distance(a, a, 0.0).empty());
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include "core/planner.h"
 #include "core/scenario.h"
 #include "core/strategy.h"
-#include "exp/runner.h"
+#include "exp/supervisor.h"
 #include "exp/sweep.h"
 #include "io/format.h"
 #include "mac/ampdu.h"
@@ -189,7 +189,10 @@ Fig2Run RunFig2(int trials, int threads, std::uint64_t seed, double rho) {
   rc.threads = threads;
   rc.trials = trials;
   rc.seed = seed;
-  const auto run = exp::Runner(rc).run(points, [&](const exp::Point& p, std::uint64_t s) {
+  exp::SupervisorOptions so;
+  so.max_retries = 0;
+  const auto run = exp::SupervisedRunner(rc, so).run(points, [&](const exp::Point& p,
+                                                                 std::uint64_t s) {
     const uav::FailureModel failure(rho);
     sim::Rng rng(s);
     return failure.sample_failure_distance(rng) >= params.d0_m - p.at("d") ? 1 : 0;

@@ -1,17 +1,14 @@
-// Adversarial configuration suite: validate() must refuse every
-// non-finite / negative / inconsistent field, mismatched shared
-// PER-table caches, and unknown tags; the LinkSet on-disk format must
-// fail strict load on tampered or truncated files (the
-// policy::PolicyTable contract).
-#include <cstdio>
-#include <fstream>
+// Adversarial configuration suite: validate() (and so make_backend)
+// must refuse every non-finite / negative / inconsistent field and
+// mismatched shared PER-table caches, each with its own message, and
+// accept every in-range boundary value.
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "link/backend.h"
-#include "link/multilink.h"
 #include "mac/link.h"
 #include "phy/per_table.h"
 
@@ -172,90 +169,234 @@ TEST(BackendConfig, RejectsMismatchedWifiMacSharedTables) {
   EXPECT_NO_THROW(c.validate());
 }
 
-TEST(BackendConfig, JsonRoundTripIsExact) {
-  for (const auto& make : {&LinkBackendConfig::wifi_80211n, &LinkBackendConfig::cellular,
-                           &LinkBackendConfig::mesh, &LinkBackendConfig::leo}) {
-    const LinkBackendConfig cfg = make();
-    const LinkBackendConfig back = LinkBackendConfig::from_json(cfg.to_json());
-    EXPECT_EQ(cfg.to_json().dump(), back.to_json().dump()) << cfg.name;
-    EXPECT_EQ(back.kind, cfg.kind);
-    EXPECT_EQ(back.outage.availability, cfg.outage.availability);
+// One row per validate() guard: a preset, one bad field, and the exact
+// message of the guard that must fire. Matching the message (not just
+// the exception type) proves the intended guard rejected the config and
+// not an earlier one.
+struct GuardCase {
+  const char* name;
+  LinkBackendConfig (*preset)();
+  void (*spoil)(LinkBackendConfig&);
+  const char* message;
+};
+
+// Printed by name: the default printer would dump the pointers' bytes
+// into the test names, which then change from one run to the next.
+void PrintTo(const GuardCase& g, std::ostream* os) { *os << g.name; }
+
+class BackendConfigGuard : public ::testing::TestWithParam<GuardCase> {};
+
+TEST_P(BackendConfigGuard, RejectsWithItsOwnMessage) {
+  const GuardCase& g = GetParam();
+  LinkBackendConfig c = g.preset();
+  ASSERT_NO_THROW(c.validate());
+  g.spoil(c);
+  const std::string want = std::string("LinkBackendConfig: ") + g.message;
+  try {
+    c.validate();
+    ADD_FAILURE() << "validate() accepted " << g.name;
+  } catch (const link::ConfigError& e) {
+    EXPECT_EQ(e.what(), want);
+  }
+  try {
+    (void)link::make_backend(c);
+    ADD_FAILURE() << "make_backend() accepted " << g.name;
+  } catch (const link::ConfigError& e) {
+    EXPECT_EQ(e.what(), want);
   }
 }
 
-TEST(BackendConfig, JsonRejectsUnknownTags) {
-  {
-    io::Json j = LinkBackendConfig::cellular().to_json();
-    j.set("kind", "carrier-pigeon");
-    EXPECT_THROW((void)LinkBackendConfig::from_json(j), link::ConfigError);
-  }
-  {
-    io::Json j = LinkBackendConfig::cellular().to_json();
-    j.set("fidelity", "clairvoyant");
-    EXPECT_THROW((void)LinkBackendConfig::from_json(j), link::ConfigError);
-  }
-  {
-    io::Json j = LinkBackendConfig::wifi_80211n().to_json();
-    j.set("wifi_rate_control", "vibes");
-    EXPECT_THROW((void)LinkBackendConfig::from_json(j), link::ConfigError);
-  }
-  {
-    // A value validate() rejects must not survive decode either.
-    io::Json j = LinkBackendConfig::leo().to_json();
-    j.set("availability", io::Json(0.0));
-    EXPECT_THROW((void)LinkBackendConfig::from_json(j), link::ConfigError);
-  }
+const GuardCase kGuardCases[] = {
+    {"empty_name", &LinkBackendConfig::wifi_80211n, [](LinkBackendConfig& c) { c.name.clear(); },
+     "name must be non-empty"},
+    {"nan_wifi_a", &LinkBackendConfig::wifi_80211n, [](LinkBackendConfig& c) { c.wifi_a = kNan; },
+     "wifi fit coefficients must be finite"},
+    {"inf_wifi_b", &LinkBackendConfig::wifi_80211n, [](LinkBackendConfig& c) { c.wifi_b = -kInf; },
+     "wifi fit coefficients must be finite"},
+    {"zero_wifi_scale", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.wifi_scale = 0.0; }, "wifi_scale must be finite and > 0"},
+    {"inf_wifi_scale", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.wifi_scale = kInf; }, "wifi_scale must be finite and > 0"},
+    {"zero_cell_peak", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_peak_bps = 0.0; }, "cell_peak_bps must be finite and > 0"},
+    {"nan_cell_peak", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.cell_peak_bps = kNan; }, "cell_peak_bps must be finite and > 0"},
+    {"negative_cell_floor", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_floor_bps = -1.0; },
+     "cell_floor_bps must be finite and >= 0"},
+    {"cell_floor_above_peak", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_floor_bps = 2.0 * c.cell_peak_bps; },
+     "cell_floor_bps must not exceed cell_peak_bps"},
+    {"zero_cell_half", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_half_m = 0.0; }, "cell_half_m must be finite and > 0"},
+    {"negative_cell_max_range", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_max_range_m = -30e3; },
+     "cell_max_range_m must be finite and > 0"},
+    {"nan_mesh_hop_rate", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.mesh_hop_rate_bps = kNan; },
+     "mesh_hop_rate_bps must be finite and > 0"},
+    {"zero_mesh_hop", &LinkBackendConfig::mesh, [](LinkBackendConfig& c) { c.mesh_hop_m = 0.0; },
+     "mesh_hop_m must be finite and > 0"},
+    {"negative_mesh_max_hops", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.mesh_max_hops = -2; }, "mesh_max_hops must be >= 1"},
+    {"negative_leo_rate", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.leo_rate_bps = -4e6; }, "leo_rate_bps must be finite and > 0"},
+    {"inf_leo_max_range", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.leo_max_range_m = kInf; },
+     "leo_max_range_m must be finite and > 0"},
+    {"nan_min_distance", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.min_distance_m = kNan; },
+     "min_distance_m must be finite and > 0"},
+    {"inf_session_setup", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.session_setup_s = kInf; },
+     "session_setup_s must be finite and >= 0"},
+    {"negative_rtt", &LinkBackendConfig::mesh, [](LinkBackendConfig& c) { c.rtt_s = -0.01; },
+     "rtt_s must be finite and >= 0"},
+    {"zero_availability", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.outage.availability = 0.0; },
+     "outage.availability must be in (0, 1]"},
+    {"availability_above_one", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.outage.availability = 1.0 + 1e-12; },
+     "outage.availability must be in (0, 1]"},
+    {"zero_mean_outage_when_lossy", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) {
+       c.outage.availability = 0.9;
+       c.outage.mean_outage_s = 0.0;
+     },
+     "outage.mean_outage_s must be finite and > 0 when availability < 1"},
+    {"inf_mean_outage_when_lossy", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) {
+       c.outage.availability = 0.5;
+       c.outage.mean_outage_s = kInf;
+     },
+     "outage.mean_outage_s must be finite and > 0 when availability < 1"},
+    {"negative_mcs_index", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.mcs_index = -1; }, "mcs_index out of range"},
+    {"mcs_index_past_table", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.mcs_index = phy::kNumMcs; }, "mcs_index out of range"},
+    {"negative_frame_bits", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.frame_bits = -12000; }, "frame_bits must be > 0"},
+    {"zero_frames_per_burst", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.frames_per_burst = 0; }, "frames_per_burst must be >= 1"},
+    {"nan_snr_ref", &LinkBackendConfig::cellular, [](LinkBackendConfig& c) { c.snr_ref_db = kNan; },
+     "snr_ref_db must be finite"},
+    {"negative_snr_ref_distance", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.snr_ref_distance_m = -100.0; },
+     "snr_ref_distance_m must be finite and > 0"},
+    {"negative_snr_slope", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.snr_slope_db_per_decade = -20.0; },
+     "snr_slope_db_per_decade must be finite and >= 0"},
+    {"negative_fade_sigma", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.snr_fade_sigma_db = -0.5; },
+     "snr_fade_sigma_db must be finite and >= 0"},
+    {"nan_jitter", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.snr_jitter_db = kNan; }, "snr_jitter_db must be finite and >= 0"},
+    {"negative_spatial_correlation", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.spatial_correlation = -0.1; },
+     "spatial_correlation must be in [0, 1]"},
+    {"nan_spatial_correlation", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.spatial_correlation = kNan; },
+     "spatial_correlation must be in [0, 1]"},
+    {"empty_per_table_range", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.per_table.snr_max_db = c.per_table.snr_min_db; },
+     "per_table SNR range must be finite with min < max"},
+    {"inf_per_table_max", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.per_table.snr_max_db = kInf; },
+     "per_table SNR range must be finite with min < max"},
+    {"negative_per_table_step", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.per_table.step_db = -0.25; },
+     "per_table.step_db must be finite and > 0"},
+    {"nan_coding_gain_half", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.error.coding_gain_half_db = kNan; },
+     "error-model gains must be finite"},
+    {"inf_coding_gain_two_thirds", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.error.coding_gain_two_thirds_db = kInf; },
+     "error-model gains must be finite"},
+    {"nan_coding_gain_three_quarters", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.error.coding_gain_three_quarters_db = kNan; },
+     "error-model gains must be finite"},
+    {"inf_coding_gain_five_sixths", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.error.coding_gain_five_sixths_db = -kInf; },
+     "error-model gains must be finite"},
+    {"nan_sdm_power_split", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.error.sdm_power_split_db = kNan; },
+     "error-model gains must be finite"},
+    {"inf_sdm_correlation_penalty", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.error.sdm_max_correlation_penalty_db = kInf; },
+     "error-model gains must be finite"},
+};
+
+INSTANTIATE_TEST_SUITE_P(EveryGuard, BackendConfigGuard, ::testing::ValuesIn(kGuardCases),
+                         [](const ::testing::TestParamInfo<GuardCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Boundary values every guard must let through; the config also builds.
+struct BoundaryCase {
+  const char* name;
+  LinkBackendConfig (*preset)();
+  void (*edge)(LinkBackendConfig&);
+};
+
+void PrintTo(const BoundaryCase& b, std::ostream* os) { *os << b.name; }
+
+class BackendConfigBoundary : public ::testing::TestWithParam<BoundaryCase> {};
+
+TEST_P(BackendConfigBoundary, AcceptsAndBuilds) {
+  const BoundaryCase& b = GetParam();
+  LinkBackendConfig c = b.preset();
+  b.edge(c);
+  EXPECT_NO_THROW(c.validate());
+  EXPECT_NE(link::make_backend(c), nullptr);
 }
 
-// ---- LinkSet on-disk format -------------------------------------------------
+const BoundaryCase kBoundaryCases[] = {
+    {"cell_floor_equals_peak", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_floor_bps = c.cell_peak_bps; }},
+    {"zero_cell_floor", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.cell_floor_bps = 0.0; }},
+    {"single_mesh_hop", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.mesh_max_hops = 1; }},
+    {"zero_session_setup_and_rtt", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) {
+       c.session_setup_s = 0.0;
+       c.rtt_s = 0.0;
+     }},
+    {"always_up_ignores_mean_outage", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) {
+       c.outage.availability = 1.0;
+       c.outage.mean_outage_s = -45.0;
+     }},
+    {"tiny_availability", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) { c.outage.availability = 1e-9; }},
+    {"first_mcs", &LinkBackendConfig::cellular, [](LinkBackendConfig& c) { c.mcs_index = 0; }},
+    {"last_mcs", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.mcs_index = phy::kNumMcs - 1; }},
+    {"one_frame_per_burst", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.frames_per_burst = 1; }},
+    {"flat_snr_without_fading", &LinkBackendConfig::cellular,
+     [](LinkBackendConfig& c) {
+       c.snr_slope_db_per_decade = 0.0;
+       c.snr_fade_sigma_db = 0.0;
+       c.snr_jitter_db = 0.0;
+     }},
+    {"negative_snr_ref", &LinkBackendConfig::mesh,
+     [](LinkBackendConfig& c) { c.snr_ref_db = -5.0; }},
+    {"uncorrelated_antennas", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.spatial_correlation = 0.0; }},
+    {"fully_correlated_antennas", &LinkBackendConfig::leo,
+     [](LinkBackendConfig& c) { c.spatial_correlation = 1.0; }},
+    {"negative_wifi_fit", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) {
+       c.wifi_a = -12.0;
+       c.wifi_b = -3.0;
+     }},
+};
 
-link::LinkSet two_link_set() {
-  return link::LinkSet({LinkBackendConfig::wifi_80211n(), LinkBackendConfig::cellular()});
-}
-
-TEST(LinkSetIo, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/link_set_roundtrip.json";
-  const link::LinkSet set = two_link_set();
-  set.save_atomic(path);
-  const link::LinkSet back = link::LinkSet::load(path);
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.checksum(), set.checksum());
-  EXPECT_EQ(back.to_json().dump(), set.to_json().dump());
-  std::remove(path.c_str());
-}
-
-TEST(LinkSetIo, TamperedFileFailsLoad) {
-  const std::string path = ::testing::TempDir() + "/link_set_tampered.json";
-  two_link_set().save_atomic(path);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  // Flip the cellular link's name; the checksum no longer matches.
-  const std::string::size_type at = text.find("\"cellular\"");
-  ASSERT_NE(at, std::string::npos);
-  text.replace(at, 10, "\"cellulose\"");
-  std::ofstream(path) << text;
-  EXPECT_THROW((void)link::LinkSet::load(path), link::ConfigError);
-  std::remove(path.c_str());
-}
-
-TEST(LinkSetIo, TruncatedFileFailsLoad) {
-  const std::string path = ::testing::TempDir() + "/link_set_truncated.json";
-  two_link_set().save_atomic(path);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream(path) << text.substr(0, text.size() / 2);
-  EXPECT_THROW((void)link::LinkSet::load(path), link::ConfigError);
-  std::remove(path.c_str());
-}
-
-TEST(LinkSetIo, MissingFileAndBadVersionFailLoad) {
-  EXPECT_THROW((void)link::LinkSet::load("/nonexistent/link_set.json"), link::ConfigError);
-  io::Json j = two_link_set().to_json();
-  j.set("skyferry_link_set", 999);
-  EXPECT_THROW((void)link::LinkSet::from_json(j), link::ConfigError);
-}
+INSTANTIATE_TEST_SUITE_P(EveryEdge, BackendConfigBoundary, ::testing::ValuesIn(kBoundaryCases),
+                         [](const ::testing::TestParamInfo<BoundaryCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace skyferry

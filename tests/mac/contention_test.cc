@@ -58,26 +58,5 @@ TEST(Contention, TwoBianchiFixedPointProperties) {
   EXPECT_NEAR(r.collision_probability, r.tau, 0.01);
 }
 
-TEST(SharedGoodput, ScalesSingleStationRate) {
-  Fixture f;
-  const double single = 20e6;
-  const double two = shared_goodput_bps(single, 2, f.timing, f.frame_s, f.ack_s);
-  const double four = shared_goodput_bps(single, 4, f.timing, f.frame_s, f.ack_s);
-  EXPECT_LT(two, single / 2.0 * 1.05);
-  EXPECT_LT(four, two);
-  EXPECT_GT(four, 0.0);
-}
-
-TEST(SharedGoodput, MissionPlanningExample) {
-  // Two UAV pairs delivering simultaneously near the same relay halve
-  // (a bit worse than halve) each pair's throughput: the planner should
-  // stagger the rendezvous instead.
-  Fixture f;
-  const double alone_mbps = 11.0;  // quad link at 60 m
-  const double shared = shared_goodput_bps(alone_mbps * 1e6, 2, f.timing, f.frame_s, f.ack_s);
-  EXPECT_LT(shared / 1e6, 5.6);
-  EXPECT_GT(shared / 1e6, 3.0);
-}
-
 }  // namespace
 }  // namespace skyferry::mac

@@ -35,10 +35,5 @@ TEST(BlockAck, ShortButNonZero) {
   EXPECT_LT(d, 100e-6);  // but a tiny frame
 }
 
-TEST(Ack, ShorterThanBlockAck) {
-  EXPECT_LE(ack_duration_s(phy::ChannelWidth::kCw40MHz),
-            block_ack_duration_s(phy::ChannelWidth::kCw40MHz));
-}
-
 }  // namespace
 }  // namespace skyferry::mac

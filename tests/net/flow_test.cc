@@ -1,67 +1,9 @@
 #include "net/flow.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 namespace skyferry::net {
 namespace {
-
-TEST(BatchSource, PacketizesPaperQuadBatch) {
-  // Quad scenario: 145 images x 0.39 MB = 56.55 MB (paper rounds 56.2).
-  DataBatch batch{145, 0.39e6};
-  BatchSource src(1, batch);
-  EXPECT_NEAR(batch.total_mb(), 56.55, 0.01);
-  // ceil(0.39e6/1470) = 266 packets per image.
-  EXPECT_EQ(src.total_packets(), 266u * 145u);
-
-  PacketQueue q;
-  EXPECT_EQ(src.load_into(q, 0.0), src.total_packets());
-  EXPECT_EQ(q.size(), src.total_packets());
-}
-
-TEST(BatchSource, PacketsCarryImageIndex) {
-  DataBatch batch{3, 2940.0};  // 2 packets per image
-  BatchSource src(1, batch);
-  PacketQueue q;
-  src.load_into(q, 1.5);
-  EXPECT_EQ(q.size(), 6u);
-  int seq = 0;
-  while (auto p = q.pop()) {
-    EXPECT_EQ(p->seq, static_cast<std::uint32_t>(seq));
-    EXPECT_EQ(p->image_index, static_cast<std::uint32_t>(seq / 2));
-    EXPECT_DOUBLE_EQ(p->created_t_s, 1.5);
-    ++seq;
-  }
-}
-
-TEST(BatchSource, StopsWhenQueueFull) {
-  DataBatch batch{10, 14700.0};
-  BatchSource src(1, batch);
-  PacketQueue q(1470 * 5);
-  EXPECT_EQ(src.load_into(q, 0.0), 5u);
-}
-
-TEST(IperfSource, SaturatedKeepsBacklog) {
-  IperfSource src(2);
-  PacketQueue q;
-  src.pump(q, 0.0, 64);
-  EXPECT_EQ(q.size(), 64u);
-  // Drain some; the next pump refills.
-  for (int i = 0; i < 10; ++i) q.pop();
-  src.pump(q, 0.1, 64);
-  EXPECT_EQ(q.size(), 64u);
-}
-
-TEST(IperfSource, PacedRate) {
-  const double rate = 8e6;  // 1 MB/s
-  IperfSource src(3, 1000, rate);
-  PacketQueue q;
-  src.pump(q, 0.0, 0);
-  const auto before = q.size();
-  src.pump(q, 1.0, 0);  // one second: 1000 packets of 1000 B
-  EXPECT_EQ(q.size() - before, 1000u);
-}
 
 TEST(FlowSink, CountsUniqueAndDuplicates) {
   FlowSink sink;

@@ -1,5 +1,8 @@
 #include "phy/mcs.h"
 
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace skyferry::phy {
@@ -34,6 +37,15 @@ struct RateCase {
   double mbps;
 };
 
+// gtest's default printer dumps the struct's bytes, padding included,
+// and ctest names carry that dump, so they would change between builds.
+std::string rate_case_name(const RateCase& c) {
+  return "mcs" + std::to_string(c.mcs) + (c.w == ChannelWidth::kCw20MHz ? "_20MHz" : "_40MHz") +
+         (c.gi == GuardInterval::kShort400ns ? "_sgi" : "_lgi");
+}
+
+void PrintTo(const RateCase& c, std::ostream* os) { *os << rate_case_name(c) << " " << c.mbps; }
+
 class McsRateTest : public ::testing::TestWithParam<RateCase> {};
 
 TEST_P(McsRateTest, MatchesStandardRate) {
@@ -59,7 +71,8 @@ INSTANTIATE_TEST_SUITE_P(
         RateCase{6, ChannelWidth::kCw40MHz, GuardInterval::kShort400ns, 135.0},
         RateCase{7, ChannelWidth::kCw40MHz, GuardInterval::kShort400ns, 150.0},
         RateCase{8, ChannelWidth::kCw40MHz, GuardInterval::kShort400ns, 30.0},
-        RateCase{15, ChannelWidth::kCw40MHz, GuardInterval::kShort400ns, 300.0}));
+        RateCase{15, ChannelWidth::kCw40MHz, GuardInterval::kShort400ns, 300.0}),
+    [](const ::testing::TestParamInfo<RateCase>& info) { return rate_case_name(info.param); });
 
 TEST(Mcs, TwoStreamDoublesRate) {
   for (int i = 0; i < 8; ++i) {

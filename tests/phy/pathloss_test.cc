@@ -5,41 +5,6 @@
 namespace skyferry::phy {
 namespace {
 
-TEST(FreeSpace, KnownValueAt5GHz) {
-  // FSPL at 100 m, 5.2 GHz: 32.45 + 20log10(5200) + 20log10(0.1) ~ 86.77 dB.
-  EXPECT_NEAR(free_space_path_loss_db(100.0, 5.2e9), 86.77, 0.1);
-}
-
-TEST(FreeSpace, SixDbPerOctave) {
-  const double l1 = free_space_path_loss_db(50.0, 5.2e9);
-  const double l2 = free_space_path_loss_db(100.0, 5.2e9);
-  EXPECT_NEAR(l2 - l1, 6.02, 0.01);
-}
-
-TEST(FreeSpace, ClampsTinyDistance) {
-  EXPECT_LT(free_space_path_loss_db(0.0, 5.2e9), free_space_path_loss_db(1.0, 5.2e9));
-}
-
-TEST(LogDistance, MatchesFreeSpaceWithExponentTwo) {
-  const auto pl = LogDistancePathLoss::from_freespace_ref(2.0, 5.2e9);
-  for (double d : {10.0, 100.0, 1000.0}) {
-    EXPECT_NEAR(pl.loss_db(d), free_space_path_loss_db(d, 5.2e9), 0.01) << d;
-  }
-}
-
-TEST(LogDistance, HigherExponentLosesMore) {
-  const auto pl2 = LogDistancePathLoss::from_freespace_ref(2.0, 5.2e9);
-  const auto pl3 = LogDistancePathLoss::from_freespace_ref(3.0, 5.2e9);
-  EXPECT_GT(pl3.loss_db(100.0), pl2.loss_db(100.0));
-  EXPECT_NEAR(pl3.loss_db(10.0) - pl2.loss_db(10.0), 10.0, 0.01);  // 10(n2-n1)log10(10)
-}
-
-TEST(LinkBudget, NoiseFloor40MHz) {
-  LinkBudget lb;
-  // -174 + 10log10(40e6) + 6 = -91.98 dBm.
-  EXPECT_NEAR(lb.noise_floor_dbm(), -92.0, 0.1);
-}
-
 TEST(AerialSnrModel, MonotoneDecreasing) {
   const auto m = AerialSnrModel::airplane();
   double prev = m.median_snr_db(20.0);

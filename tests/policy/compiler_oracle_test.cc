@@ -1,5 +1,5 @@
 // Compiler::compile decodes flat knot indices and solves fixed chunks on
-// an exp::ThreadPool; the exp::Sweep/Runner compile it replaced is the
+// an exp::ThreadPool; the exp::Sweep + engine compile it replaced is the
 // oracle. Tables must match bit for bit at every thread count.
 #include <gtest/gtest.h>
 

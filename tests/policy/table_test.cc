@@ -62,8 +62,10 @@ TEST(PolicyTable, KnotLookupsReproduceStoredValuesExactly) {
       for (int i2 = 0; i2 < 2; ++i2)
         for (int i3 = 0; i3 < 2; ++i3) {
           const std::size_t flat = t.index(i0, i1, i2, i3);
-          const double d = t.lookup_d_opt(t.axes()[0].knot(i0), t.axes()[1].knot(i1),
-                                          t.axes()[2].knot(i2), t.axes()[3].knot(i3));
+          const double d =
+              t.lookup_d_opt_candidates(t.axes()[0].knot(i0), t.axes()[1].knot(i1),
+                                        t.axes()[2].knot(i2), t.axes()[3].knot(i3))
+                  .blend;
           // Bit-exact: zero-weight corners are skipped in the blend.
           EXPECT_EQ(d, t.d_opt_at(flat)) << flat;
         }
@@ -72,7 +74,7 @@ TEST(PolicyTable, KnotLookupsReproduceStoredValuesExactly) {
 TEST(PolicyTable, MidpointInterpolatesLinearly) {
   const PolicyTable t = tiny_table();
   // Halfway along the (linear) d0 axis only: average of the two knots.
-  const double mid = t.lookup_d_opt(200.0, 5.0, 1e6, 1e-4);
+  const double mid = t.lookup_d_opt_candidates(200.0, 5.0, 1e6, 1e-4).blend;
   const double lo = t.d_opt_at(t.index(0, 0, 0, 0));
   const double hi = t.d_opt_at(t.index(1, 0, 0, 0));
   EXPECT_DOUBLE_EQ(mid, 0.5 * (lo + hi));

@@ -214,15 +214,6 @@ TEST(Simulator, CancelStormKeepsAccountingExact) {
   EXPECT_EQ(ran, 100);
 }
 
-TEST(Simulator, ReserveDoesNotDisturbSemantics) {
-  Simulator sim;
-  sim.reserve(64);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) sim.schedule(1.0, [&order, i] { order.push_back(i); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
 TEST(Simulator, ManyEventsStressOrder) {
   Simulator sim;
   double last = -1.0;

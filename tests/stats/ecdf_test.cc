@@ -61,33 +61,6 @@ TEST(Ecdf, KsDetectsShift) {
   EXPECT_LT(d, 0.35);
 }
 
-TEST(Bootstrap, MedianCiCoversTruth) {
-  sim::Rng rng(7);
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.gaussian(10.0, 2.0));
-  const auto ci = bootstrap_median_ci(xs, 0.95, 500, 3);
-  EXPECT_LT(ci.lo, 10.0);
-  EXPECT_GT(ci.hi, 10.0);
-  EXPECT_NEAR(ci.point, 10.0, 0.4);
-  EXPECT_LT(ci.hi - ci.lo, 1.0);
-}
-
-TEST(Bootstrap, MeanCiNarrowerWithMoreData) {
-  sim::Rng rng(9);
-  std::vector<double> small, large;
-  for (int i = 0; i < 50; ++i) small.push_back(rng.gaussian(0.0, 1.0));
-  for (int i = 0; i < 5000; ++i) large.push_back(rng.gaussian(0.0, 1.0));
-  const auto ci_small = bootstrap_mean_ci(small, 0.95, 400, 1);
-  const auto ci_large = bootstrap_mean_ci(large, 0.95, 400, 1);
-  EXPECT_LT(ci_large.hi - ci_large.lo, ci_small.hi - ci_small.lo);
-}
-
-TEST(Bootstrap, EmptySampleIsSafe) {
-  const std::vector<double> xs;
-  const auto ci = bootstrap_median_ci(xs);
-  EXPECT_DOUBLE_EQ(ci.point, 0.0);
-}
-
 // ---- edge-case regressions (NaN rejection, boundary exactness) --------------
 
 TEST(Ecdf, EmptySampleIsSafe) {
@@ -129,14 +102,6 @@ TEST(Ecdf, KsDistanceIgnoresNonFinite) {
   std::vector<double> dirty = clean;
   dirty.push_back(std::nan(""));
   EXPECT_DOUBLE_EQ(Ecdf(clean).ks_distance(Ecdf(dirty)), 0.0);
-}
-
-TEST(Bootstrap, DeterministicForSeed) {
-  const std::vector<double> xs{1.0, 5.0, 3.0, 8.0, 2.0, 9.0};
-  const auto a = bootstrap_median_ci(xs, 0.9, 300, 42);
-  const auto b = bootstrap_median_ci(xs, 0.9, 300, 42);
-  EXPECT_DOUBLE_EQ(a.lo, b.lo);
-  EXPECT_DOUBLE_EQ(a.hi, b.hi);
 }
 
 }  // namespace

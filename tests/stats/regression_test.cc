@@ -79,18 +79,5 @@ TEST(Log2Fit, NoisyRecovery) {
   EXPECT_GT(f.r_squared, 0.9);
 }
 
-TEST(RSquared, PerfectAndPoor) {
-  const std::vector<double> obs{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(r_squared(obs, obs), 1.0);
-  const std::vector<double> anti{3.0, 2.0, 1.0};
-  EXPECT_LT(r_squared(obs, anti), 0.0);  // worse than the mean predictor
-}
-
-TEST(RSquared, SizeMismatch) {
-  const std::vector<double> a{1.0, 2.0};
-  const std::vector<double> b{1.0};
-  EXPECT_DOUBLE_EQ(r_squared(a, b), 0.0);
-}
-
 }  // namespace
 }  // namespace skyferry::stats

@@ -22,7 +22,7 @@
 #include "core/optimizer.h"
 #include "core/throughput_model.h"
 #include "core/utility.h"
-#include "exp/runner.h"
+#include "exp/supervisor.h"
 #include "exp/sweep.h"
 #include "net/arq.h"
 #include "policy/compiler.h"
@@ -85,7 +85,8 @@ inline std::vector<double> json_number_probes(std::size_t random_count, std::uin
   return v;
 }
 
-/// Compiler::compile as it was: the knot sweep on exp::Sweep/Runner.
+/// Compiler::compile as it was: the knot sweep on exp::Sweep, fanned out
+/// by the experiment engine. Each knot writes its own pre-assigned slot.
 inline policy::PolicyTable compile(const policy::CompilerConfig& cfg) {
   using policy::Axis;
   using policy::AxisSpec;
@@ -97,10 +98,6 @@ inline policy::PolicyTable compile(const policy::CompilerConfig& cfg) {
       v[static_cast<std::size_t>(i)] = ax.knot(i);
     return v;
   };
-  struct Knot {
-    double d_opt{0.0};
-    double utility{0.0};
-  };
   exp::Sweep sweep;
   sweep.axis(PolicyTable::kAxisNames[0], knot_values(cfg.d0));
   sweep.axis(PolicyTable::kAxisNames[1], knot_values(cfg.speed));
@@ -111,9 +108,10 @@ inline policy::PolicyTable compile(const policy::CompilerConfig& cfg) {
   exp::RunnerConfig rc;
   rc.threads = cfg.threads;
   rc.trials = 1;
-  rc.fail_fast = true;
-  exp::Runner runner(rc);
-  const auto run = runner.run(points, [&cfg](const exp::Point& pt, std::uint64_t) {
+  exp::SupervisorOptions so;
+  so.fail_fast = true;
+  std::vector<double> d_opt(points.size()), utility(points.size());
+  exp::SupervisedRunner(rc, so).run(points, [&](const exp::Point& pt, std::uint64_t) {
     const core::PaperLogThroughput model(cfg.model.a, cfg.model.b, cfg.model.name,
                                          cfg.model.scale, cfg.model.min_distance_m);
     const uav::FailureModel failure(pt.at(PolicyTable::kAxisNames[3]));
@@ -123,14 +121,10 @@ inline policy::PolicyTable compile(const policy::CompilerConfig& cfg) {
     const core::CommDelayModel delay(model, params);
     const core::UtilityFunction u(delay, failure);
     const core::OptimizeResult r = core::optimize(u, cfg.optimize);
-    return Knot{r.d_opt_m, r.utility};
+    d_opt[pt.index] = r.d_opt_m;
+    utility[pt.index] = r.utility;
+    return 0;
   });
-
-  std::vector<double> d_opt(points.size()), utility(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    d_opt[points[p].index] = run.results[p][0].d_opt;
-    utility[points[p].index] = run.results[p][0].utility;
-  }
   std::array<Axis, 4> axes = {
       Axis{PolicyTable::kAxisNames[0], cfg.d0.lo, cfg.d0.hi, cfg.d0.n, cfg.d0.log10_spaced},
       Axis{PolicyTable::kAxisNames[1], cfg.speed.lo, cfg.speed.hi, cfg.speed.n,

@@ -42,14 +42,6 @@ TEST(Battery, HoverStillDrainsQuad) {
   EXPECT_NEAR(b.drain_factor(0.0), 0.8, 1e-9);
 }
 
-TEST(Battery, RemainingEnduranceAndRange) {
-  const PlatformSpec spec = PlatformSpec::swinglet();
-  Battery b(spec);
-  b.drain(spec.battery_autonomy_s / 2.0, spec.cruise_speed_mps);
-  EXPECT_NEAR(b.remaining_endurance_s(), spec.battery_autonomy_s / 2.0, 1.0);
-  EXPECT_NEAR(b.remaining_range_m(), spec.range_m() / 2.0, 10.0);
-}
-
 TEST(Battery, DrainFactorAtCruiseIsOne) {
   for (const auto& spec : {PlatformSpec::swinglet(), PlatformSpec::arducopter()}) {
     Battery b(spec);
