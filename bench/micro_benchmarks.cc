@@ -211,6 +211,30 @@ void BM_MultiLinkDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiLinkDecide);
 
+// The same decision in fleet_multilink_chaos's spawn shape: d0 cycles
+// over its 150-275 m spawn ring at the default 4.5 m/s, 50 MB batches,
+// rho = 1e-4. Here 802.11n wins and its bound rules the other links out
+// without a joint search; links_pruned is the mean number skipped per
+// decision (of 3 losers).
+void BM_MultiLinkDecideFleet(benchmark::State& state) {
+  const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
+                           link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
+                           link::LinkBackendConfig::leo()});
+  const std::vector<const link::LinkBackend*> views = set.views();
+  const uav::FailureModel failure(1e-4);
+  std::vector<link::MultiLinkParams> queries;
+  for (int i = 0; i < 64; ++i) queries.push_back({150.0 + 125.0 * i / 63, 4.5, 5e7, 20.0});
+  std::size_t q = 0;
+  double pruned = 0.0;
+  for (auto _ : state) {
+    const link::MultiLinkResult r = link::optimize_multilink(views, queries[q++ & 63], failure);
+    pruned += r.links_pruned;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["links_pruned"] = benchmark::Counter(pruned, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_MultiLinkDecideFleet);
+
 // One mid-mission re-election over all four backends: the same solve,
 // finalized for every pinned burst link (the fleet's "stay" candidate
 // and each "switch" candidate) from a residual batch part-way in.

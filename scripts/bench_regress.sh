@@ -157,14 +157,17 @@ CEILING_NS = {
     # simulated time (800 sweeps with rebuilds and A-MPDU exchanges,
     # ~13 ms); the ceiling is ~4.5x the recorded median.
     "BM_FleetWifiMix": 60_000_000.0,
-    # A joint (link, d) decision over four backends runs eight exact
-    # optimizer searches (4 single + 4 joint) over one shared grid
-    # column plus the dominance nets (~0.18 ms); it must stay well under
-    # a spawn tick so fleets decide exactly, no table needed. A
-    # re-election finalizes every link's pinned election from the same
-    # solve. Both ceilings are ~4x the recorded median.
-    "BM_MultiLinkDecide": 700_000.0,
-    "BM_MultiLinkReelect": 700_000.0,
+    # A joint (link, d) decision over four backends: four single-link
+    # searches over one shared grid column, then joint searches only for
+    # the links whose utility bound reaches the best found (~50 us at
+    # d0 = 1500 m; ~25-40 us in the fleet's spawn shape, where all three
+    # losers are pruned). It must stay well under a spawn tick so fleets
+    # decide exactly, no table needed. A re-election runs every link's
+    # joint search and finalizes each pinned election (~45-65 us). The
+    # ceilings are ~4x the slower of two recorded A/B medians.
+    "BM_MultiLinkDecide": 240_000.0,
+    "BM_MultiLinkDecideFleet": 160_000.0,
+    "BM_MultiLinkReelect": 260_000.0,
     # The line protocol around BM_PolicyDecideBatch's table path: a
     # 64-query begin/end batch through LineServer (~1.9 us per line,
     # parse + decide + reply), and one exact double formatted for a

@@ -10,8 +10,9 @@
 # (integration/e2e), golden (paper-fidelity regression).
 #
 #   default    normal + sanitized builds, `ctest -L fast`
-#   --golden   additionally run the golden gate: ctest -L golden plus
-#              scripts/golden_regress.sh --check against golden/
+#   --golden   additionally run the golden gate: ctest -L golden (its
+#              golden.<bench> entries run scripts/golden_regress.sh
+#              --check against golden/, one bench each)
 #   --bench    additionally run the benchmark-regression gate
 #              (scripts/bench_regress.sh --check) when the committed
 #              BENCH_link_sim.json baseline exists — benchmarks are
@@ -56,13 +57,10 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs" "${ctest_filter[@]}"
 
-if [[ "$run_golden" == "1" ]]; then
+# --all already ran the golden-labeled ctest tier above.
+if [[ "$run_golden" == "1" && "$run_all" != "1" ]]; then
   echo "== golden paper-fidelity gate =="
-  if [[ "$run_all" != "1" ]]; then
-    # --all already ran the golden-labeled ctest tier above.
-    ctest --test-dir build --output-on-failure -j "$jobs" -L golden
-  fi
-  scripts/golden_regress.sh --check
+  ctest --test-dir build --output-on-failure -j "$jobs" -L golden
 fi
 
 if [[ "$run_bench" == "1" ]]; then

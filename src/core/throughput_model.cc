@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace skyferry::core {
 
@@ -21,17 +20,6 @@ double ThroughputModel::max_range_m() const noexcept {
     }
   }
   return lo;
-}
-
-double PaperLogThroughput::throughput_bps(double distance_m) const noexcept {
-  const double d = std::max(distance_m, min_d_);
-  return std::max(scale_ * (a_ * std::log2(d) + b_), 0.0);
-}
-
-double PaperLogThroughput::max_range_m() const noexcept {
-  if (a_ >= 0.0) return 100e3;
-  // a*log2(d) + b = 0  =>  d = 2^(-b/a) = 2^(b/|a|).
-  return std::exp2(-b_ / a_);
 }
 
 TableThroughput::TableThroughput(std::vector<std::pair<double, double>> points, std::string name)

@@ -9,6 +9,8 @@
 // measured in Fig. 7.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,6 +33,25 @@ class ThroughputModel {
   [[nodiscard]] virtual double max_range_m() const noexcept;
 };
 
+/// The paper's fit s(d) = scale * (a * log2(d) + b), clamped at >= 0, with
+/// d clamped below at `min_distance_m`. The one FP expression behind
+/// PaperLogThroughput and the 802.11n link backend's rate curve, so a
+/// single-802.11n link decision is bit-identical to core::optimize().
+[[nodiscard]] inline double paper_log_rate_bps(double a, double b, double scale,
+                                               double min_distance_m,
+                                               double distance_m) noexcept {
+  const double d = std::max(distance_m, min_distance_m);
+  return std::max(scale * (a * std::log2(d) + b), 0.0);
+}
+
+/// Largest distance with positive paper_log_rate_bps: 2^(b/|a|) for a
+/// falling fit, the 100 km search cap otherwise.
+[[nodiscard]] inline double paper_log_max_range_m(double a, double b) noexcept {
+  if (a >= 0.0) return 100e3;
+  // a*log2(d) + b = 0  =>  d = 2^(-b/a) = 2^(b/|a|).
+  return std::exp2(-b / a);
+}
+
 /// s(d) = scale * (a * log2(d) + b), clamped at >= 0, with distance
 /// clamped below at `min_distance_m` (the paper's 20 m anti-collision
 /// floor: moving closer than that is not allowed, so the model saturates).
@@ -45,9 +66,13 @@ class PaperLogThroughput final : public ThroughputModel {
   /// The paper's quadrocopter fit.
   static PaperLogThroughput quadrocopter() { return {-10.5, 73.0, "paper-quadrocopter"}; }
 
-  [[nodiscard]] double throughput_bps(double distance_m) const noexcept override;
+  [[nodiscard]] double throughput_bps(double distance_m) const noexcept override {
+    return paper_log_rate_bps(a_, b_, scale_, min_d_, distance_m);
+  }
   [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] double max_range_m() const noexcept override;
+  [[nodiscard]] double max_range_m() const noexcept override {
+    return paper_log_max_range_m(a_, b_);
+  }
 
   [[nodiscard]] double a() const noexcept { return a_; }
   [[nodiscard]] double b() const noexcept { return b_; }

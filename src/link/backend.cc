@@ -17,77 +17,6 @@ void req(bool ok, const std::string& what) {
 
 bool finite(double v) noexcept { return std::isfinite(v); }
 
-// ---- decision-layer rate curves -------------------------------------------
-
-/// Cellular: peak/(1 + (d/half)^2) floored at `floor` out to the cell
-/// range — the long-range trickle rate that never collapses to zero
-/// inside coverage.
-class CellularThroughput final : public core::ThroughputModel {
- public:
-  explicit CellularThroughput(const LinkBackendConfig& c) noexcept
-      : peak_(c.cell_peak_bps), floor_(c.cell_floor_bps), half_(c.cell_half_m),
-        range_(c.cell_max_range_m), min_d_(c.min_distance_m), name_(c.name) {}
-
-  [[nodiscard]] double throughput_bps(double distance_m) const noexcept override {
-    const double d = std::max(distance_m, min_d_);
-    if (d > range_) return 0.0;
-    const double x = d / half_;
-    return std::max(peak_ / (1.0 + x * x), floor_);
-  }
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] double max_range_m() const noexcept override { return range_; }
-
- private:
-  double peak_, floor_, half_, range_, min_d_;
-  std::string name_;
-};
-
-/// Aerial mesh: one shared channel per hop, so the end-to-end rate is
-/// the per-hop rate divided by the hop count ceil(d / hop_m); routes
-/// longer than max_hops do not form.
-class MeshThroughput final : public core::ThroughputModel {
- public:
-  explicit MeshThroughput(const LinkBackendConfig& c) noexcept
-      : hop_rate_(c.mesh_hop_rate_bps), hop_m_(c.mesh_hop_m), max_hops_(c.mesh_max_hops),
-        min_d_(c.min_distance_m), name_(c.name) {}
-
-  [[nodiscard]] double throughput_bps(double distance_m) const noexcept override {
-    const double d = std::max(distance_m, min_d_);
-    const double hops = std::max(std::ceil(d / hop_m_), 1.0);
-    if (hops > static_cast<double>(max_hops_)) return 0.0;
-    return hop_rate_ / hops;
-  }
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] double max_range_m() const noexcept override {
-    return static_cast<double>(max_hops_) * hop_m_;
-  }
-
- private:
-  double hop_rate_, hop_m_;
-  int max_hops_;
-  double min_d_;
-  std::string name_;
-};
-
-/// LEO: a flat rate wherever the constellation covers — distance to the
-/// ground station is irrelevant at mission geometry; availability (the
-/// outage process) is what varies.
-class LeoThroughput final : public core::ThroughputModel {
- public:
-  explicit LeoThroughput(const LinkBackendConfig& c) noexcept
-      : rate_(c.leo_rate_bps), range_(c.leo_max_range_m), name_(c.name) {}
-
-  [[nodiscard]] double throughput_bps(double distance_m) const noexcept override {
-    return distance_m > range_ ? 0.0 : rate_;
-  }
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] double max_range_m() const noexcept override { return range_; }
-
- private:
-  double rate_, range_;
-  std::string name_;
-};
-
 // ---- sessions --------------------------------------------------------------
 
 std::unique_ptr<mac::RateController> make_wifi_controller(const LinkBackendConfig& cfg,
@@ -268,30 +197,18 @@ class GenericSession final : public LinkSession {
 
 class WifiBackend final : public LinkBackend {
  public:
-  explicit WifiBackend(LinkBackendConfig cfg)
-      : LinkBackend(std::move(cfg)),
-        model_(cfg_.wifi_a, cfg_.wifi_b, cfg_.name, cfg_.wifi_scale, cfg_.min_distance_m) {}
+  explicit WifiBackend(LinkBackendConfig cfg) : LinkBackend(std::move(cfg)) {}
 
-  [[nodiscard]] const core::ThroughputModel& throughput() const noexcept override {
-    return model_;
-  }
   using LinkBackend::make_session;
   [[nodiscard]] std::unique_ptr<LinkSession> make_session(std::uint64_t seed) const override {
     return std::make_unique<WifiSession>(cfg_, seed);
   }
-
- private:
-  core::PaperLogThroughput model_;
 };
 
 class GenericBackend final : public LinkBackend {
  public:
-  GenericBackend(LinkBackendConfig cfg, std::unique_ptr<core::ThroughputModel> model)
-      : LinkBackend(std::move(cfg)), model_(std::move(model)) {}
+  explicit GenericBackend(LinkBackendConfig cfg) : LinkBackend(std::move(cfg)) {}
 
-  [[nodiscard]] const core::ThroughputModel& throughput() const noexcept override {
-    return *model_;
-  }
   using LinkBackend::make_session;
   [[nodiscard]] std::unique_ptr<LinkSession> make_session(std::uint64_t seed) const override {
     return std::make_unique<GenericSession>(*this, seed);
@@ -300,9 +217,6 @@ class GenericBackend final : public LinkBackend {
       std::uint64_t seed, const fault::LinkChaosConfig& chaos) const override {
     return std::make_unique<GenericSession>(*this, seed, chaos);
   }
-
- private:
-  std::unique_ptr<core::ThroughputModel> model_;
 };
 
 }  // namespace
@@ -380,6 +294,7 @@ LinkBackendConfig LinkBackendConfig::leo() {
 void LinkBackendConfig::validate() const {
   req(!name.empty(), "name must be non-empty");
   req(finite(wifi_a) && finite(wifi_b), "wifi fit coefficients must be finite");
+  req(wifi_a <= 0.0, "wifi_a must be <= 0 (the wifi rate may not rise with distance)");
   req(finite(wifi_scale) && wifi_scale > 0.0, "wifi_scale must be finite and > 0");
   req(finite(cell_peak_bps) && cell_peak_bps > 0.0, "cell_peak_bps must be finite and > 0");
   req(finite(cell_floor_bps) && cell_floor_bps >= 0.0,
@@ -448,18 +363,10 @@ std::unique_ptr<LinkBackend> make_backend(LinkBackendConfig cfg) {
   switch (cfg.kind) {
     case BackendKind::kWifi80211n:
       return std::make_unique<WifiBackend>(std::move(cfg));
-    case BackendKind::kCellular: {
-      auto model = std::make_unique<CellularThroughput>(cfg);
-      return std::make_unique<GenericBackend>(std::move(cfg), std::move(model));
-    }
-    case BackendKind::kMesh: {
-      auto model = std::make_unique<MeshThroughput>(cfg);
-      return std::make_unique<GenericBackend>(std::move(cfg), std::move(model));
-    }
-    case BackendKind::kLeo: {
-      auto model = std::make_unique<LeoThroughput>(cfg);
-      return std::make_unique<GenericBackend>(std::move(cfg), std::move(model));
-    }
+    case BackendKind::kCellular:
+    case BackendKind::kMesh:
+    case BackendKind::kLeo:
+      return std::make_unique<GenericBackend>(std::move(cfg));
   }
   throw ConfigError("LinkBackendConfig: unknown backend kind");
 }

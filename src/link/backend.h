@@ -8,9 +8,11 @@
 // different profiles. `LinkBackend` abstracts what the decision and
 // simulation layers need from any of them:
 //
-//   - a decision-layer rate curve s(d) served as a core::ThroughputModel
-//     (the 802.11n backend carries the paper's exact log2 fit, so a
-//     single-backend configuration is bit-identical to the legacy path);
+//   - a decision-layer rate curve s(d), non-increasing in distance (a
+//     plain switch over the backend kind; the 802.11n curve is
+//     core::paper_log_rate_bps, the expression core::PaperLogThroughput
+//     evaluates, so a single-backend configuration is bit-identical to
+//     the legacy path);
 //   - a session latency (setup + half-RTT) and an outage process
 //     (link::OutageConfig) for the availability discount;
 //   - an SNR→PER curve served through the phy::PerTableCache fast path,
@@ -27,6 +29,8 @@
 // before any simulation starts.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -69,8 +73,9 @@ struct LinkBackendConfig {
 
   // -- decision-layer rate curve s(d) [bit/s] --------------------------------
   /// kWifi80211n: the paper's fit s(d) = wifi_scale·(wifi_a·log2(d) + wifi_b),
-  /// clamped at ≥ 0 — served verbatim as core::PaperLogThroughput so the
-  /// single-backend decision path stays bit-identical to the legacy one.
+  /// clamped at ≥ 0 — core::paper_log_rate_bps, shared with
+  /// core::PaperLogThroughput so the single-backend decision path stays
+  /// bit-identical to the legacy one. wifi_a ≤ 0: the curve may not rise.
   double wifi_a{-5.56};
   double wifi_b{49.0};
   double wifi_scale{1e6};
@@ -132,8 +137,10 @@ struct LinkBackendConfig {
   static LinkBackendConfig mesh();
   static LinkBackendConfig leo();
 
-  /// Throws ConfigError on NaN/Inf/negative rates or latencies,
-  /// availability outside (0,1], bad grids, out-of-range MCS, or a
+  /// Throws ConfigError on NaN/Inf/negative rates or latencies, a wifi
+  /// fit that rises with distance (wifi_a > 0; the joint election's
+  /// bound needs every s(d) non-increasing), availability outside (0,1],
+  /// bad grids, out-of-range MCS, or a
   /// shared PER-table cache whose fingerprint does not match this
   /// config (mac::LinkConfig::shared_tables' silent-wrong-PER trap).
   void validate() const;
@@ -171,14 +178,12 @@ class LinkBackend {
   [[nodiscard]] const std::string& name() const noexcept { return cfg_.name; }
   [[nodiscard]] BackendKind kind() const noexcept { return cfg_.kind; }
 
-  /// Decision-layer rate curve s(d) — non-increasing in distance for
-  /// every backend (property-tested).
-  [[nodiscard]] virtual const core::ThroughputModel& throughput() const noexcept = 0;
-  [[nodiscard]] double rate_bps(double distance_m) const noexcept {
-    return throughput().throughput_bps(distance_m);
-  }
+  /// Decision-layer rate curve s(d) [bit/s] — non-increasing in distance
+  /// for every backend (property-tested), which link::optimize_multilink's
+  /// pruning bound relies on.
+  [[nodiscard]] double rate_bps(double distance_m) const noexcept;
   /// Largest distance with positive rate.
-  [[nodiscard]] double max_range_m() const noexcept { return throughput().max_range_m(); }
+  [[nodiscard]] double max_range_m() const noexcept;
 
   /// Fixed per-session latency: setup plus half an RTT (first-byte
   /// delay). Always finite and ≥ 0.
@@ -224,6 +229,47 @@ class LinkBackend {
   /// cfg_.shared_tables, or a private cache for this backend's sessions.
   std::shared_ptr<phy::PerTableCache> tables_;
 };
+
+inline double LinkBackend::rate_bps(double distance_m) const noexcept {
+  switch (cfg_.kind) {
+    case BackendKind::kWifi80211n:
+      return core::paper_log_rate_bps(cfg_.wifi_a, cfg_.wifi_b, cfg_.wifi_scale,
+                                      cfg_.min_distance_m, distance_m);
+    case BackendKind::kCellular: {
+      // peak/(1 + (d/half)²) floored at `floor` out to the cell range.
+      const double d = std::max(distance_m, cfg_.min_distance_m);
+      if (d > cfg_.cell_max_range_m) return 0.0;
+      const double x = d / cfg_.cell_half_m;
+      return std::max(cfg_.cell_peak_bps / (1.0 + x * x), cfg_.cell_floor_bps);
+    }
+    case BackendKind::kMesh: {
+      // One shared channel per hop: hop rate / ceil(d / hop_m); routes
+      // longer than max_hops do not form.
+      const double d = std::max(distance_m, cfg_.min_distance_m);
+      const double hops = std::max(std::ceil(d / cfg_.mesh_hop_m), 1.0);
+      if (hops > static_cast<double>(cfg_.mesh_max_hops)) return 0.0;
+      return cfg_.mesh_hop_rate_bps / hops;
+    }
+    case BackendKind::kLeo:
+      // Flat wherever the constellation covers; availability is what varies.
+      return distance_m > cfg_.leo_max_range_m ? 0.0 : cfg_.leo_rate_bps;
+  }
+  return 0.0;
+}
+
+inline double LinkBackend::max_range_m() const noexcept {
+  switch (cfg_.kind) {
+    case BackendKind::kWifi80211n:
+      return core::paper_log_max_range_m(cfg_.wifi_a, cfg_.wifi_b);
+    case BackendKind::kCellular:
+      return cfg_.cell_max_range_m;
+    case BackendKind::kMesh:
+      return static_cast<double>(cfg_.mesh_max_hops) * cfg_.mesh_hop_m;
+    case BackendKind::kLeo:
+      return cfg_.leo_max_range_m;
+  }
+  return 0.0;
+}
 
 /// One frame-burst ARQ round of a non-802.11n backend: frames sent and
 /// delivered, and what the round costs on air.

@@ -113,77 +113,100 @@ core::OptimizeResult to_result(const BurstEval& e, double d, double lo, double h
   return r;
 }
 
-/// One joint solve: pass 1 searches each link alone, pass 2 runs each
+/// Relative slack on the bounds that let a solve skip work: the pruning
+/// bound (upper_bounds) and the trickle floor (batch_covered). Each
+/// evaluates, at an interval's extreme corner, the same correctly
+/// rounded, monotone operations the objective evaluates at any point
+/// inside it (Tship, δ, rate·availability — non-increasing in distance
+/// for every backend, validated and property-tested — M − min(Σ, M),
+/// burst·8/rate, the Cdelay sum, δ/Cdelay), so FP keeps the order the
+/// exact argument proves. Two steps differ. (1) A link's trickle is
+/// availability·window·(path mean of 9 rates)/8 in the objective but
+/// window·(rate·availability)/8 in the bounds: equal in exact
+/// arithmetic, rounded apart by ~20 ulps (~5e-15 relative) per link plus
+/// n ulps in the sum; M − Σ may cancel and amplify that, so the slack
+/// goes on Σ before it meets M. (2) δ goes through libm's exp/pow,
+/// monotone only to the last ulp, and the bound scan's early exit
+/// compares a rounded product; the slack on the final bound covers
+/// both. 1e-9 exceeds each by five orders of magnitude and prunes as
+/// sharply.
+constexpr double kBoundSlack = 1e-9;
+
+/// One joint solve: pass 1 searches each link alone, pass 2 runs a
 /// link's joint search with the others trickling. All 2n searches scan
 /// the same grid, so their grid stages read one column computed up
-/// front; only the golden-section refinement evaluates live. The column
-/// is per-solve working memory, so concurrent solves share nothing
-/// mutable.
+/// front — its trickle cells, 9 rate samples each, only once a joint
+/// search needs them; only the golden-section refinement evaluates
+/// live. The column is per-solve working memory, so concurrent solves
+/// share nothing mutable.
 class JointSolve {
  public:
+  /// Builds the column and runs pass 1 for every link: the legacy "now
+  /// or later?" problem on each link's own rate/latency/availability
+  /// profile (MultiLinkResult::single reports all of them).
   JointSolve(const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
              const uav::FailureModel& failure, const core::OptimizeOptions& opt)
-      : links_(links), p_(p), failure_(failure), n_(static_cast<int>(links.size())) {
-    const double lo = p.min_distance_m;
-    const double hi = p.d0_m;
-    if (hi > lo) build_column(lo, hi, core::grid_size(opt));
-
-    // Pass 1: each link alone — the legacy "now or later?" problem on
-    // that link's own rate/latency/availability profile.
+      : links_(links), p_(p), failure_(failure), opt_(opt), n_(static_cast<int>(links.size())),
+        joint_(static_cast<std::size_t>(n_)), searched_(static_cast<std::size_t>(n_), 0) {
+    // No trickle sample lies past d0 by more than a few ulps, and rates
+    // do not rise with distance: each link's rate there floors its
+    // path-mean rate for every point of the interval.
+    const double far = p.d0_m + kBoundSlack * (std::abs(p.d0_m) + std::abs(p.min_distance_m));
+    terms_.reserve(static_cast<std::size_t>(n_));
+    for (int k = 0; k < n_; ++k) {
+      terms_.push_back({link(k).config().session_setup_s, link(k).latency_s(),
+                        burst_rate_bps(link(k), far, p)});
+    }
+    if (hi() > lo()) build_column(core::grid_size(opt));
     single_.resize(static_cast<std::size_t>(n_));
     for (int j = 0; j < n_; ++j) {
       const LinkBackend& bk = link(j);
       const SearchOut s = golden_grid_search(
-          lo, hi, [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
+          lo(), hi(), [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
           [&](double d) { return eval_burst(bk, d, p.mdata_bytes, p, failure).utility; }, opt);
       single_[static_cast<std::size_t>(j)] =
-          to_result(eval_burst(bk, s.d, p.mdata_bytes, p, failure), s.d, lo, hi, s.evals);
-    }
-
-    // Pass 2: each link's joint search. With one link the joint
-    // objective IS the single objective — reuse the pass-1 result
-    // verbatim, which is what makes the single-backend configuration
-    // bit-identical to core::optimize().
-    joint_.resize(static_cast<std::size_t>(n_));
-    for (int j = 0; j < n_; ++j) {
-      const core::OptimizeResult& single = single_[static_cast<std::size_t>(j)];
-      SearchOut cand{single.d_opt_m, single.utility, single.evaluations};
-      if (n_ > 1) {
-        cand = golden_grid_search(
-            lo, hi,
-            [&](int i) {
-              const double trickle = joint_trickle(n_, j, p.mdata_bytes, [&](int k) {
-                return column_.trickle[cell(i, k)];
-              });
-              return grid_utility(j, i, p.mdata_bytes - trickle);
-            },
-            [&](double d) { return joint_utility(j, d); }, opt);
-        // Dominance net: the joint objective dominates the single one
-        // pointwise, but the two searches can refine into different
-        // brackets — evaluating the joint objective at the single-link
-        // optimum guarantees result-level dominance too.
-        const double v_single = joint_utility(j, single.d_opt_m);
-        ++cand.evals;
-        if (v_single > cand.val) {
-          cand.d = single.d_opt_m;
-          cand.val = v_single;
-        }
-      }
-      joint_[static_cast<std::size_t>(j)] = cand;
+          to_result(eval_burst(bk, s.d, p.mdata_bytes, p, failure), s.d, lo(), hi(), s.evals);
     }
   }
 
-  /// The free election: the first link with the highest joint utility.
-  [[nodiscard]] int elected() const {
-    int best_j = 0;
-    for (int j = 1; j < n_; ++j) {
-      if (joint_[static_cast<std::size_t>(j)].val > joint_[static_cast<std::size_t>(best_j)].val)
-        best_j = j;
-    }
-    return best_j;
+  /// Pass 2 for every link: each pinned election reads its own search.
+  void search_all() {
+    for (int j = 0; j < n_; ++j) search_joint(j);
   }
 
-  /// Link j's pinned election, finalized with its trickle split.
+  /// The free election: the first link with the highest joint utility,
+  /// bit for bit what search_all() then a scan would elect. Pass 2 runs
+  /// in descending order of each link's utility bound and stops at the
+  /// first bound strictly below the best utility found: no later link
+  /// can reach it, and a tie is never skipped, so the first-index rule
+  /// sees every link that could win.
+  [[nodiscard]] int elect() {
+    if (n_ == 1 || !(hi() > lo()) || !(std::isfinite(p_.speed_mps) && p_.speed_mps > 0.0)) {
+      search_all();
+      return first_best();
+    }
+    const std::vector<double> ub = upper_bounds();
+    std::vector<int> order(static_cast<std::size_t>(n_));
+    for (int j = 0; j < n_; ++j) order[static_cast<std::size_t>(j)] = j;
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return ub[static_cast<std::size_t>(a)] > ub[static_cast<std::size_t>(b)];
+    });
+    double incumbent = -kInf;
+    for (const int j : order) {
+      if (ub[static_cast<std::size_t>(j)] < incumbent) break;
+      search_joint(j);
+      incumbent = std::max(incumbent, joint_[static_cast<std::size_t>(j)].val);
+    }
+    return first_best();
+  }
+
+  /// Links elect() decided without a pass-2 search.
+  [[nodiscard]] int pruned() const {
+    return n_ - static_cast<int>(std::count(searched_.begin(), searched_.end(), 1));
+  }
+
+  /// Link j's pinned election, finalized with its trickle split. Needs
+  /// link j's pass-2 search.
   [[nodiscard]] MultiLinkResult result(int j) const {
     MultiLinkResult r;
     r.single = single_;
@@ -208,19 +231,30 @@ class JointSolve {
     }
     r.burst_bytes = p_.mdata_bytes - r.trickle_bytes;
     r.decision = to_result(eval_burst(link(j), best.d, r.burst_bytes, p_, failure_), best.d,
-                           p_.min_distance_m, p_.d0_m, best.evals);
+                           lo(), hi(), best.evals);
     return r;
   }
 
  private:
   /// Every value the grid stages read at d_i = grid_point(lo, hi, n, i).
   struct GridColumn {
-    std::vector<double> tship;     ///< [i]
-    std::vector<double> discount;  ///< [i]: δ(d_i), the same for every link
-    std::vector<double> rate;      ///< [cell(i, k)]: rate_bps · availability
-    std::vector<double> trickle;   ///< [cell(i, k)]: empty with one link
+    int n{0};                         ///< grid points; 0 when hi <= lo
+    std::vector<double> tship;        ///< [i]
+    std::vector<double> discount;     ///< [i]: δ(d_i), the same for every link
+    std::vector<double> rate;         ///< [cell(i, k)]: rate_bps · availability
+    std::vector<double> trickle;      ///< [cell(i, k)]: filled on first use; empty with one link
+    std::vector<char> trickle_ready;  ///< [cell(i, k)]
   };
 
+  /// Per-link constants the bounds and the grid stages read.
+  struct LinkTerms {
+    double setup_s;       ///< session setup: the trickle window starts after it
+    double latency_s;     ///< LinkBackend::latency_s()
+    double far_rate_bps;  ///< rate · availability just past d0
+  };
+
+  [[nodiscard]] double lo() const noexcept { return p_.min_distance_m; }
+  [[nodiscard]] double hi() const noexcept { return p_.d0_m; }
   [[nodiscard]] const LinkBackend& link(int k) const {
     return *links_[static_cast<std::size_t>(k)];
   }
@@ -229,45 +263,170 @@ class JointSolve {
            static_cast<std::size_t>(k);
   }
 
-  void build_column(double lo, double hi, int n) {
+  void build_column(int n) {
     const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n_);
+    column_.n = n;
     column_.tship.resize(static_cast<std::size_t>(n));
     column_.discount.resize(static_cast<std::size_t>(n));
     column_.rate.resize(cells);
-    if (n_ > 1) column_.trickle.resize(cells);
+    if (n_ > 1) {
+      column_.trickle.resize(cells);
+      column_.trickle_ready.assign(cells, 0);
+    }
     for (int i = 0; i < n; ++i) {
-      const double d = core::grid_point(lo, hi, n, i);
+      const double d = core::grid_point(lo(), hi(), n, i);
       column_.tship[static_cast<std::size_t>(i)] = tship_s(d, p_);
       column_.discount[static_cast<std::size_t>(i)] = failure_.discount(p_.d0_m, d);
-      for (int k = 0; k < n_; ++k) {
-        column_.rate[cell(i, k)] = burst_rate_bps(link(k), d, p_);
-        if (n_ > 1) column_.trickle[cell(i, k)] = trickle_bytes(link(k), d, p_);
+      for (int k = 0; k < n_; ++k) column_.rate[cell(i, k)] = burst_rate_bps(link(k), d, p_);
+    }
+  }
+
+  /// Link k's trickle at grid point i, computed on first use.
+  double grid_trickle(int i, int k) {
+    const std::size_t c = cell(i, k);
+    if (!column_.trickle_ready[c]) {
+      column_.trickle[c] = trickle_bytes(link(k), core::grid_point(lo(), hi(), column_.n, i), p_);
+      column_.trickle_ready[c] = 1;
+    }
+    return column_.trickle[c];
+  }
+
+  /// True when the other links provably trickle the whole batch while
+  /// link j bursts after a `tship` ferry, so joint_trickle's cap returns
+  /// Mdata whatever the exact sum: each link trickles at least its
+  /// far_rate_bps over its window (the slack covers the rounding, as in
+  /// upper_bounds()).
+  [[nodiscard]] bool batch_covered(int j, double tship) const {
+    if (!(p_.mdata_bytes > 0.0)) return false;
+    double floor = 0.0;
+    for (int k = 0; k < n_; ++k) {
+      if (k == j) continue;
+      const LinkTerms& t = terms_[static_cast<std::size_t>(k)];
+      floor += std::max(tship - t.setup_s, 0.0) * t.far_rate_bps / 8.0;
+    }
+    return floor >= p_.mdata_bytes * (1.0 + kBoundSlack);
+  }
+
+  /// Mdata − link j's joint trickle at a point with ferry time `tship`;
+  /// `trickle_of(k)` supplies link k's trickle there, read only when the
+  /// batch is not provably covered.
+  template <class T>
+  [[nodiscard]] double joint_burst(int j, double tship, T&& trickle_of) const {
+    if (batch_covered(j, tship)) return p_.mdata_bytes - p_.mdata_bytes;  // the cap binds
+    return p_.mdata_bytes - joint_trickle(n_, j, p_.mdata_bytes, trickle_of);
+  }
+
+  /// Link j's joint search. With one link the joint objective IS the
+  /// single objective — the pass-1 result is reused verbatim, which is
+  /// what makes the single-backend configuration bit-identical to
+  /// core::optimize().
+  void search_joint(int j) {
+    const core::OptimizeResult& single = single_[static_cast<std::size_t>(j)];
+    SearchOut cand{single.d_opt_m, single.utility, single.evaluations};
+    if (n_ > 1) {
+      cand = golden_grid_search(
+          lo(), hi(),
+          [&](int i) {
+            return grid_utility(j, i,
+                                joint_burst(j, column_.tship[static_cast<std::size_t>(i)],
+                                            [&](int k) { return grid_trickle(i, k); }));
+          },
+          [&](double d) { return joint_utility(j, d); }, opt_);
+      // Dominance net: the joint objective dominates the single one
+      // pointwise, but the two searches can refine into different
+      // brackets — evaluating the joint objective at the single-link
+      // optimum guarantees result-level dominance too.
+      const double v_single = joint_utility(j, single.d_opt_m);
+      ++cand.evals;
+      if (v_single > cand.val) {
+        cand.d = single.d_opt_m;
+        cand.val = v_single;
       }
     }
+    joint_[static_cast<std::size_t>(j)] = cand;
+    searched_[static_cast<std::size_t>(j)] = 1;
+  }
+
+  /// The first searched link with the highest joint utility.
+  [[nodiscard]] int first_best() const {
+    int best_j = -1;
+    for (int j = 0; j < n_; ++j) {
+      if (!searched_[static_cast<std::size_t>(j)]) continue;
+      if (best_j < 0 ||
+          joint_[static_cast<std::size_t>(j)].val > joint_[static_cast<std::size_t>(best_j)].val)
+        best_j = j;
+    }
+    return best_j;
+  }
+
+  /// An upper bound on each link's joint utility at every point its
+  /// pass-2 search can evaluate (the grid span [d_0, d_{n-1}]: golden
+  /// points and the dominance probe stay inside their grid brackets),
+  /// from the column alone. On [d_i, d_{i+1}] rates do not rise with
+  /// distance, δ does not fall and Tship does not rise, and a trickle's
+  /// path-mean rate is at most the rate at the path's near end. So the
+  /// utility there is at most the burst evaluated with δ and Tship at
+  /// d_{i+1}, the burst link's rate at d_i, and the burst shrunk by every
+  /// other link trickling at its d_i rate for the Tship(d_i) window. A
+  /// NaN bound (NaN inputs) reads as +inf: never pruned.
+  [[nodiscard]] std::vector<double> upper_bounds() const {
+    std::vector<double> ub(static_cast<std::size_t>(n_), 0.0);
+    for (int j = 0; j < n_; ++j) {
+      double& b = ub[static_cast<std::size_t>(j)];
+      const double latency = terms_[static_cast<std::size_t>(j)].latency_s;
+      // From d0 inward, δ(d_{i+1}) / (Tship(d_{i+1}) + latency) caps each
+      // interval's bound and only falls, so the scan ends where it can no
+      // longer exceed b (the product's rounding is within the slack).
+      for (int i = column_.n - 2; i >= 0; --i) {
+        const auto top = static_cast<std::size_t>(i + 1);
+        if (column_.discount[top] <= b * (column_.tship[top] + latency)) break;
+        const double rate = column_.rate[cell(i, j)];
+        if (rate <= 0.0) continue;  // dead from d_i on: utility 0
+        const double tship_near = column_.tship[static_cast<std::size_t>(i)];
+        double others = 0.0;
+        for (int k = 0; k < n_; ++k) {
+          if (k == j) continue;
+          const LinkTerms& t = terms_[static_cast<std::size_t>(k)];
+          others += std::max(tship_near - t.setup_s, 0.0) * column_.rate[cell(i, k)] / 8.0;
+        }
+        const double burst =
+            p_.mdata_bytes - std::min(others * (1.0 + kBoundSlack), p_.mdata_bytes);
+        const BurstEval e = burst_eval(column_.tship[top], rate, burst, latency,
+                                       column_.discount[top]);
+        // A zero Cdelay scores 0 in burst_eval, but nearby points do not.
+        const double u = e.cdelay_s > 0.0 ? e.utility : kInf;
+        b = std::isnan(u) ? kInf : std::max(b, u);
+      }
+      b *= 1.0 + kBoundSlack;
+    }
+    return ub;
   }
 
   /// Link j's utility at grid point i bursting `burst_bytes`: eval_burst
   /// on column values.
   [[nodiscard]] double grid_utility(int j, int i, double burst_bytes) const {
     return burst_eval(column_.tship[static_cast<std::size_t>(i)], column_.rate[cell(i, j)],
-                      burst_bytes, link(j).latency_s(),
+                      burst_bytes, terms_[static_cast<std::size_t>(j)].latency_s,
                       column_.discount[static_cast<std::size_t>(i)])
         .utility;
   }
 
   [[nodiscard]] double joint_utility(int j, double d) const {
-    const double trickle =
-        joint_trickle(n_, j, p_.mdata_bytes, [&](int k) { return trickle_bytes(link(k), d, p_); });
-    return eval_burst(link(j), d, p_.mdata_bytes - trickle, p_, failure_).utility;
+    const double burst =
+        joint_burst(j, tship_s(d, p_), [&](int k) { return trickle_bytes(link(k), d, p_); });
+    return eval_burst(link(j), d, burst, p_, failure_).utility;
   }
 
   const std::vector<const LinkBackend*>& links_;
   const MultiLinkParams& p_;
   const uav::FailureModel& failure_;
+  const core::OptimizeOptions& opt_;
   int n_;
   GridColumn column_;
+  std::vector<LinkTerms> terms_;  ///< [k]
   std::vector<core::OptimizeResult> single_;
   std::vector<SearchOut> joint_;
+  std::vector<char> searched_;  ///< [j]: joint_[j] holds link j's pass-2 search
 };
 
 }  // namespace
@@ -276,8 +435,10 @@ MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                    const MultiLinkParams& p, const uav::FailureModel& failure,
                                    core::OptimizeOptions opt) {
   if (links.empty()) return {};
-  const JointSolve solve(links, p, failure, opt);
-  return solve.result(solve.elected());
+  JointSolve solve(links, p, failure, opt);
+  MultiLinkResult r = solve.result(solve.elect());
+  r.links_pruned = solve.pruned();
+  return r;
 }
 
 std::vector<MultiLinkResult> optimize_multilink_per_link(
@@ -285,7 +446,8 @@ std::vector<MultiLinkResult> optimize_multilink_per_link(
     const uav::FailureModel& failure, core::OptimizeOptions opt) {
   std::vector<MultiLinkResult> out;
   if (links.empty()) return out;
-  const JointSolve solve(links, p, failure, opt);
+  JointSolve solve(links, p, failure, opt);
+  solve.search_all();
   out.reserve(links.size());
   for (int j = 0; j < static_cast<int>(links.size()); ++j) out.push_back(solve.result(j));
   return out;

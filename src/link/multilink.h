@@ -85,6 +85,9 @@ struct MultiLinkResult {
   /// Per-link single-link decisions (no background trickle), for
   /// dominance checks and the fig_multilink comparison.
   std::vector<core::OptimizeResult> single;
+  /// Links the free election ruled out by their utility bound alone,
+  /// without a joint search; 0 for pinned elections.
+  int links_pruned{0};
 };
 
 /// Background trickle of `bk` while ferrying from d0 to d at speed v:
@@ -96,7 +99,10 @@ struct MultiLinkResult {
 /// burst link. A link whose rate curve is dead on the whole
 /// [min_d, d0] interval scores utility 0 and loses the election to any
 /// live link; with an empty `links` list the result has burst_link == -1
-/// and zero utility.
+/// and zero utility. Links whose utility bound (from the shared grid
+/// column; valid because every rate curve is non-increasing in distance)
+/// falls strictly below the best joint utility found skip their joint
+/// search: the result is bit-identical to the exhaustive election.
 [[nodiscard]] MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                                  const MultiLinkParams& p,
                                                  const uav::FailureModel& failure,

@@ -213,6 +213,12 @@ const GuardCase kGuardCases[] = {
      "wifi fit coefficients must be finite"},
     {"inf_wifi_b", &LinkBackendConfig::wifi_80211n, [](LinkBackendConfig& c) { c.wifi_b = -kInf; },
      "wifi fit coefficients must be finite"},
+    {"rising_wifi_fit", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) {
+       c.wifi_a = 3.0;
+       c.wifi_b = 1.0;
+     },
+     "wifi_a must be <= 0 (the wifi rate may not rise with distance)"},
     {"zero_wifi_scale", &LinkBackendConfig::wifi_80211n,
      [](LinkBackendConfig& c) { c.wifi_scale = 0.0; }, "wifi_scale must be finite and > 0"},
     {"inf_wifi_scale", &LinkBackendConfig::cellular,
@@ -386,6 +392,8 @@ const BoundaryCase kBoundaryCases[] = {
      [](LinkBackendConfig& c) { c.spatial_correlation = 0.0; }},
     {"fully_correlated_antennas", &LinkBackendConfig::leo,
      [](LinkBackendConfig& c) { c.spatial_correlation = 1.0; }},
+    {"flat_wifi_fit", &LinkBackendConfig::wifi_80211n,
+     [](LinkBackendConfig& c) { c.wifi_a = 0.0; }},
     {"negative_wifi_fit", &LinkBackendConfig::wifi_80211n,
      [](LinkBackendConfig& c) {
        c.wifi_a = -12.0;

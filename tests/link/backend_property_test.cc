@@ -17,6 +17,8 @@
 namespace skyferry {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 std::vector<link::LinkBackendConfig> preset_configs() {
   return {link::LinkBackendConfig::wifi_80211n(), link::LinkBackendConfig::cellular(),
           link::LinkBackendConfig::mesh(), link::LinkBackendConfig::leo()};
@@ -36,6 +38,77 @@ TEST(BackendProperty, RateNonIncreasingInDistance) {
     // Past max range the link is dead; inside it the rate is finite.
     EXPECT_EQ(bk->rate_bps(bk->max_range_m() * 1.5), 0.0);
     EXPECT_TRUE(std::isfinite(bk->rate_bps(cfg.min_distance_m)));
+  }
+}
+
+/// A random valid config of `kind`: rate parameters drawn across orders
+/// of magnitude, and a min-distance clamp that may sit past a mesh hop
+/// boundary or the cellular half-rate distance.
+link::LinkBackendConfig random_config(link::BackendKind kind, proptest::Case& g) {
+  link::LinkBackendConfig c;
+  switch (kind) {
+    case link::BackendKind::kWifi80211n:
+      c = link::LinkBackendConfig::wifi_80211n();
+      c.wifi_a = g.chance(0.1) ? 0.0 : -g.uniform(0.1, 20.0);
+      c.wifi_b = g.uniform(-10.0, 120.0);
+      c.wifi_scale = std::exp(g.uniform(std::log(1e3), std::log(1e8)));
+      break;
+    case link::BackendKind::kCellular:
+      c = link::LinkBackendConfig::cellular();
+      c.cell_peak_bps = std::exp(g.uniform(std::log(1e5), std::log(1e9)));
+      c.cell_floor_bps = g.chance(0.2) ? 0.0 : c.cell_peak_bps * g.uniform(0.0, 1.0);
+      c.cell_half_m = g.uniform(10.0, 5000.0);
+      c.cell_max_range_m = g.uniform(50.0, 20000.0);
+      break;
+    case link::BackendKind::kMesh:
+      c = link::LinkBackendConfig::mesh();
+      c.mesh_hop_rate_bps = std::exp(g.uniform(std::log(1e5), std::log(1e9)));
+      c.mesh_hop_m = g.uniform(5.0, 2000.0);
+      c.mesh_max_hops = g.uniform_int(1, 12);
+      break;
+    case link::BackendKind::kLeo:
+      c = link::LinkBackendConfig::leo();
+      c.leo_rate_bps = std::exp(g.uniform(std::log(1e5), std::log(1e9)));
+      c.leo_max_range_m = g.uniform(50.0, 20000.0);
+      break;
+  }
+  c.min_distance_m = std::exp(g.uniform(std::log(0.1), std::log(500.0)));
+  return c;
+}
+
+/// The invariant link::optimize_multilink's pruning bound rests on: for
+/// random valid configs of every kind, s(d) never rises along a fine
+/// sweep that also steps across each kink of the curve one ulp at a time
+/// (the min-distance clamp, every mesh hop boundary, the cellular and
+/// LEO range edges, the wifi zero crossing).
+TEST(BackendProperty, RandomConfigRateNonIncreasingAcrossKinks) {
+  constexpr link::BackendKind kKinds[] = {link::BackendKind::kWifi80211n,
+                                          link::BackendKind::kCellular, link::BackendKind::kMesh,
+                                          link::BackendKind::kLeo};
+  FOR_ALL(400, 0x7A11ULL, g) {
+    const link::LinkBackendConfig cfg = random_config(kKinds[g.uniform_int(0, 3)], g);
+    const std::unique_ptr<link::LinkBackend> bk = link::make_backend(cfg);
+    const double end = std::min(std::max(bk->max_range_m(), cfg.min_distance_m) * 1.5, 1e5);
+    std::vector<double> kinks{cfg.min_distance_m, bk->max_range_m()};
+    if (cfg.kind == link::BackendKind::kMesh) {
+      for (int h = 1; h <= cfg.mesh_max_hops + 1; ++h) kinks.push_back(h * cfg.mesh_hop_m);
+    }
+    std::vector<double> xs;
+    constexpr int kSteps = 2000;
+    for (int i = 0; i <= kSteps; ++i) xs.push_back(end * i / kSteps);
+    for (const double k : kinks) {
+      double x = k;
+      for (int u = 0; u < 3; ++u) x = std::nextafter(x, 0.0);
+      for (int u = 0; u < 7; ++u, x = std::nextafter(x, kInf)) xs.push_back(x);
+    }
+    std::sort(xs.begin(), xs.end());
+    double prev = bk->rate_bps(xs.front());
+    for (const double x : xs) {
+      const double r = bk->rate_bps(x);
+      ASSERT_GE(r, 0.0) << "x=" << x;
+      ASSERT_LE(r, prev) << cfg.name << ": rate rose at x=" << x;
+      prev = r;
+    }
   }
 }
 

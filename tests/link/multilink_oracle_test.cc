@@ -6,6 +6,9 @@
 // compared with memcmp, every int and enum with ==, for the free
 // election and for each per-link pinned election, over seeded random
 // link subsets/orders, failure laws, degenerate intervals and grids.
+// The production free election prunes links by a utility bound; the
+// reference never does, so the comparison also proves the pruning exact,
+// and the test asserts that pruning actually fired.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -291,6 +294,15 @@ std::vector<link::LinkBackendConfig> pool_configs() {
   steep_wifi.wifi_a = -14.0;
   steep_wifi.wifi_b = 90.0;
   pool.push_back(steep_wifi);
+  // An exact copy of the 802.11n preset (a tie the lower index must win)
+  // and a copy a few ulps faster (a near-tie the bound must not prune).
+  link::LinkBackendConfig twin_wifi = link::LinkBackendConfig::wifi_80211n();
+  twin_wifi.name = "wifi-twin";
+  pool.push_back(twin_wifi);
+  link::LinkBackendConfig near_wifi = link::LinkBackendConfig::wifi_80211n();
+  near_wifi.name = "wifi-near-tie";
+  near_wifi.wifi_scale *= 1.0 + 1e-15;
+  pool.push_back(near_wifi);
   return pool;
 }
 
@@ -337,6 +349,9 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
   constexpr int kQueries = 4000;
   int comparisons = 0;
   int mismatches = 0;
+  int multi_link_free = 0;  // free elections over >= 2 links
+  int pruned_free = 0;      // ... that pruned at least one link
+  int tied_free = 0;        // ... whose winning utility another link ties
   std::string first_mismatch;
   FOR_ALL(kQueries, 0x0AC1EULL, g) {
     // A random subset in a random order (Fisher-Yates on the pool).
@@ -365,8 +380,15 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
       }
     };
 
-    check(link::optimize_multilink(links, p, failure, opt),
-          ref::optimize_multilink(links, p, failure, opt, -1), "free election");
+    const link::MultiLinkResult free = link::optimize_multilink(links, p, failure, opt);
+    check(free, ref::optimize_multilink(links, p, failure, opt, -1), "free election");
+    // Only links that lose can be pruned.
+    ASSERT_GE(free.links_pruned, 0);
+    ASSERT_LT(free.links_pruned, static_cast<int>(links.size()));
+    if (links.size() > 1) {
+      ++multi_link_free;
+      if (free.links_pruned > 0) ++pruned_free;
+    }
     const std::vector<link::MultiLinkResult> per_link =
         link::optimize_multilink_per_link(links, p, failure, opt);
     ASSERT_EQ(per_link.size(), links.size());
@@ -374,11 +396,60 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
       check(per_link[static_cast<std::size_t>(j)],
             ref::optimize_multilink(links, p, failure, opt, j),
             "per-link election " + std::to_string(j));
+      EXPECT_EQ(per_link[static_cast<std::size_t>(j)].links_pruned, 0);
+      if (j != free.burst_link &&
+          same_bits(per_link[static_cast<std::size_t>(j)].decision.utility,
+                    free.decision.utility))
+        ++tied_free;
     }
   }
   EXPECT_EQ(mismatches, 0) << first_mismatch;
   // Each query compares the free election and every pinned one.
   EXPECT_GE(comparisons, 2 * kQueries);
+  // The bit-identity above holds vacuously if nothing is pruned (about
+  // 80 % of these elections prune a link) or no election is tied.
+  EXPECT_GE(pruned_free * 2, multi_link_free)
+      << "pruning fired on " << pruned_free << " of " << multi_link_free
+      << " multi-link free elections";
+  EXPECT_GT(tied_free, 0);
+}
+
+// A tie at zero utility, where the bound's slack gives no margin: link 0
+// is dead everywhere (bound 0); link 1 is alive only where the linear
+// failure law has already discounted to 0, so it scores 0 too, but its
+// bound over the grid interval that straddles both edges is positive.
+// Link 1 is searched first; link 0's bound equals the incumbent and must
+// not be pruned, so the first index still wins.
+TEST(MultiLinkOracle, ZeroUtilityTieKeepsTheFirstIndex) {
+  link::LinkBackendConfig dead = link::LinkBackendConfig::mesh();
+  dead.name = "mesh-dead";
+  dead.mesh_hop_m = 10.0;  // min distance 20 m is already two hops
+  dead.mesh_max_hops = 1;
+  link::LinkBackendConfig near = link::LinkBackendConfig::mesh();
+  near.name = "mesh-near";
+  near.mesh_max_hops = 1;  // alive out to 400 m
+  const link::LinkSet set({dead, near});
+  const link::MultiLinkParams p{2000.0, 5.0, 1e7, 20.0};
+  // δ(d) > 0 only beyond 399.5 m; the 8-point grid steps from 302.9 m
+  // to 585.7 m, so no evaluated point sees both a live rate and δ > 0.
+  const uav::FailureModel failure(1.0 / 1600.5, uav::FailureLaw::kLinear);
+  core::OptimizeOptions opt;
+  opt.grid_points = 8;
+  const link::MultiLinkResult got = link::optimize_multilink(set.views(), p, failure, opt);
+  const link::MultiLinkResult want = ref::optimize_multilink(set.views(), p, failure, opt, -1);
+  EXPECT_EQ(first_difference(got, want), "");
+  EXPECT_EQ(got.burst_link, 0);
+  EXPECT_EQ(got.decision.utility, 0.0);
+}
+
+// The pruning bound needs every rate curve non-increasing in distance, so
+// a wifi fit that rises never reaches the solver.
+TEST(MultiLinkOracle, RisingWifiFitIsRejectedBeforeTheSolver) {
+  link::LinkBackendConfig rising = link::LinkBackendConfig::wifi_80211n();
+  rising.wifi_a = 3.0;
+  rising.wifi_b = 1.0;
+  EXPECT_THROW((void)link::make_backend(rising), link::ConfigError);
+  EXPECT_THROW(link::LinkSet({link::LinkBackendConfig::cellular(), rising}), link::ConfigError);
 }
 
 }  // namespace
