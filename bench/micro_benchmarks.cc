@@ -1,5 +1,6 @@
 // Google-benchmark micro-benchmarks for the hot paths: the utility
-// optimizer (runs on every rendezvous decision), the decision service
+// optimizer (runs on every rendezvous decision) and the table compile
+// built on it, the decision service
 // and its line protocol, the PER math (runs per
 // simulated A-MPDU), its PerTable fast path, binomial aggregate
 // sampling, the event queue, geodesy, full link-sim seconds at both
@@ -65,6 +66,60 @@ void BM_OptimizeBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizeBruteForce);
+
+// perfbench decide_stream's table: the airplane fit over the compiler's
+// default domain on a 15 x 7 x 13 x 9 grid (12285 knots).
+policy::CompilerConfig decide_stream_table_config() {
+  policy::CompilerConfig c;
+  c.d0.n = 15;
+  c.speed.n = 7;
+  c.mdata.n = 13;
+  c.rho.n = 9;
+  return c;
+}
+
+// One compile of that table on one thread: 12285 exact solves, the
+// whole of decide_stream's set-up. Most knots prune their grid stage.
+void BM_PolicyCompile(benchmark::State& state) {
+  policy::CompilerConfig c = decide_stream_table_config();
+  c.threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy::Compiler(c).compile());
+  }
+}
+BENCHMARK(BM_PolicyCompile)->Unit(benchmark::kMillisecond);
+
+// One exact fallback solve: decide_stream's queries that approach from
+// beyond the table's d0 range (601-900 m, the rest of the domain
+// log-uniform), seeded, cycled. grid_evaluated is the mean number of
+// the 256 grid points the pruned grid stage evaluated.
+void BM_OptimizeFallback(benchmark::State& state) {
+  const policy::CompilerConfig dom = decide_stream_table_config();
+  const auto model = core::PaperLogThroughput::airplane();
+  const auto log_uniform = [](sim::Rng& rng, double lo, double hi) {
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+  };
+  sim::Rng rng(19);
+  std::vector<core::DeliveryParams> params(256);
+  std::vector<uav::FailureModel> failures;
+  for (core::DeliveryParams& p : params) {
+    p = {rng.uniform(dom.d0.hi + 1.0, 1.5 * dom.d0.hi), rng.uniform(dom.speed.lo, dom.speed.hi),
+         log_uniform(rng, dom.mdata.lo, dom.mdata.hi), dom.min_distance_m};
+    failures.emplace_back(log_uniform(rng, dom.rho.lo, dom.rho.hi));
+  }
+  std::size_t q = 0;
+  double grid = 0.0;
+  for (auto _ : state) {
+    const std::size_t k = q++ & 255;
+    const core::CommDelayModel delay(model, params[k]);
+    const core::UtilityFunction u(delay, failures[k]);
+    const core::OptimizeResult r = core::optimize(u);
+    grid += r.grid_evaluated;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["grid_evaluated"] = benchmark::Counter(grid, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_OptimizeFallback);
 
 // One full mid-flight re-decision: trigger ladder + re-estimated model +
 // re-optimization at the reduced in-flight grid. This runs inside a

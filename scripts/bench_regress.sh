@@ -186,6 +186,12 @@ CEILING_NS = {
     # its verdict (~52 us). Both ceilings are ~4x the recorded median.
     "BM_ArqTransfer": 1_100_000.0,
     "BM_MonteCarloTrial": 210_000.0,
+    # perfbench decide_stream's 12285-knot table compiled on one thread
+    # (~45 ms), and one of its exact fallbacks past the table's d0
+    # (~4.5 us); core::optimize prunes both grid stages to ~37 of 256
+    # points. Both ceilings are ~4x the recorded median.
+    "BM_PolicyCompile": 180_000_000.0,
+    "BM_OptimizeFallback": 18_000.0,
 }
 # Counters whose medians are machine-speed-sensitive: recorded in the
 # baseline for reference, gated only by their CEILING_NS contract.

@@ -38,50 +38,43 @@ inline constexpr double kGoldenRatioInv = 0.6180339887498949;  // 1/phi
   return lo + (hi - lo) * i / (n - 1);
 }
 
-/// The exact search schedule behind optimize(): coarse grid scan over
-/// [lo, hi], golden-section refinement inside the best grid bracket,
-/// keep the better of {grid best, refined mid}. Header-level template so
-/// every maximizer that promises bit-identical decisions against
-/// optimize() — core::optimize itself, core::optimize_objective,
-/// link::optimize_multilink — instantiates this single definition and
-/// evaluates the identical FP expressions at the identical points.
-/// Degenerate hi <= lo intervals collapse to one evaluation at hi.
-///
-/// `grid(i)` is the grid-stage hook: it must return exactly
-/// f(grid_point(lo, hi, grid_size(opt), i)), so a caller that solves
-/// several objectives over one grid can read precomputed values instead
-/// of re-evaluating them. The refinement always calls `f`.
-template <class G, class F>
-ScalarSearchResult golden_grid_search(double lo, double hi, G&& grid, F&& f,
-                                      const OptimizeOptions& opt) {
-  ScalarSearchResult out;
-  if (hi <= lo) {
-    out.d = hi;
-    out.val = f(hi);
-    out.evals = 1;
-    return out;
-  }
+/// Outcome of the schedule's grid stage: the first grid index holding
+/// the highest value (NaNs never win; -1 when nothing beats it).
+struct GridBest {
+  int i{0};
+  double val{-1.0};
+};
 
-  // Stage 1: coarse grid scan.
-  const int n = grid_size(opt);
-  double best_u = -1.0;
-  int best_i = 0;
-  int evals = 0;
+/// The schedule's grid stage: scan all n grid values, keep the first
+/// index of the maximum.
+template <class G>
+GridBest grid_scan(int n, G&& grid) {
+  GridBest best;
   for (int i = 0; i < n; ++i) {
     const double val = grid(i);
-    ++evals;
-    if (val > best_u) {
-      best_u = val;
-      best_i = i;
+    if (val > best.val) {
+      best.val = val;
+      best.i = i;
     }
   }
-  const double best_d = grid_point(lo, hi, n, best_i);
+  return best;
+}
 
-  // Stage 2: golden-section refinement within the neighbors of the best
-  // grid point (the objective is unimodal there even if globally it is
-  // not).
-  double a = grid_point(lo, hi, n, std::max(best_i - 1, 0));
-  double b = grid_point(lo, hi, n, std::min(best_i + 1, n - 1));
+/// The schedule's refinement stage: golden-section search inside the
+/// grid bracket around `g`, then keep the better of {grid best, refined
+/// mid}. `evals` counts the whole schedule (grid_size + refinement),
+/// whichever way the grid stage found `g`.
+template <class F>
+ScalarSearchResult golden_refine(double lo, double hi, GridBest g, F&& f,
+                                 const OptimizeOptions& opt) {
+  const int n = grid_size(opt);
+  int evals = n;
+  const double best_d = grid_point(lo, hi, n, g.i);
+
+  // The objective is unimodal between the neighbors of the best grid
+  // point even if globally it is not.
+  double a = grid_point(lo, hi, n, std::max(g.i - 1, 0));
+  double b = grid_point(lo, hi, n, std::min(g.i + 1, n - 1));
   double x1 = b - detail::kGoldenRatioInv * (b - a);
   double x2 = a + detail::kGoldenRatioInv * (b - a);
   double f1 = f(x1);
@@ -107,11 +100,39 @@ ScalarSearchResult golden_grid_search(double lo, double hi, G&& grid, F&& f,
   // Keep whichever of {grid best, refined mid} is actually better.
   const double refined = f(mid);
   ++evals;
-  const bool take_mid = refined >= best_u;
+  const bool take_mid = refined >= g.val;
+  ScalarSearchResult out;
   out.d = take_mid ? mid : best_d;
-  out.val = take_mid ? refined : best_u;
+  out.val = take_mid ? refined : g.val;
   out.evals = evals;
   return out;
+}
+
+/// The exact search schedule behind optimize(): grid_scan over [lo, hi],
+/// then golden_refine. Header-level template so every maximizer that
+/// promises bit-identical decisions against optimize() — core::optimize
+/// itself, core::optimize_objective, link::optimize_multilink —
+/// instantiates this single definition and evaluates the identical FP
+/// expressions at the identical points. (optimize() may find the grid
+/// stage's answer without evaluating every point, see optimizer.cc, but
+/// it feeds the same golden_refine.) Degenerate hi <= lo intervals
+/// collapse to one evaluation at hi.
+///
+/// `grid(i)` is the grid-stage hook: it must return exactly
+/// f(grid_point(lo, hi, grid_size(opt), i)), so a caller that solves
+/// several objectives over one grid can read precomputed values instead
+/// of re-evaluating them. The refinement always calls `f`.
+template <class G, class F>
+ScalarSearchResult golden_grid_search(double lo, double hi, G&& grid, F&& f,
+                                      const OptimizeOptions& opt) {
+  if (hi <= lo) {
+    ScalarSearchResult out;
+    out.d = hi;
+    out.val = f(hi);
+    out.evals = 1;
+    return out;
+  }
+  return golden_refine(lo, hi, grid_scan(grid_size(opt), grid), f, opt);
 }
 
 /// The schedule with the grid stage evaluating `f` directly.
@@ -144,10 +165,22 @@ struct OptimizeResult {
   double cdelay_s{0.0};
   double discount{0.0};
   Boundary boundary{Boundary::kInterior};
+  /// Objective evaluations the schedule accounts for: grid_size + the
+  /// refinement's (1 when d0 <= d_min). Independent of pruning, so equal
+  /// inputs report equal counts on every path that runs the schedule.
   int evaluations{0};
+  /// Grid points actually evaluated: grid_size for an exhaustive scan,
+  /// fewer when optimize() pruned, 0 when d0 <= d_min (no grid) or when
+  /// the caller assembled the result itself (link::optimize_multilink).
+  int grid_evaluated{0};
 };
 
-/// Maximize a utility function over [d_min, d0].
+/// Maximize a utility function over [d_min, d0]. When the throughput
+/// model proves s(d) non-increasing (a PaperLogThroughput with a <= 0 and
+/// scale >= 0, v > 0, Mdata >= 0, a finite d0 > d_min, at most 256 grid
+/// points) the grid stage skips blocks of grid points whose utility
+/// bound is below the best value found; the result is bit-identical to
+/// the exhaustive scan.
 [[nodiscard]] OptimizeResult optimize(const UtilityFunction& u, OptimizeOptions opt = {});
 
 /// Maximize an arbitrary objective over the same [d_min, d0] interval as

@@ -10,46 +10,14 @@ std::string FixedMcs::name() const { return "fixed-mcs" + std::to_string(mcs_); 
 ArfRate::ArfRate(ArfConfig cfg, phy::ChannelWidth width, phy::GuardInterval gi) : cfg_(cfg) {
   // Ladder: every MCS ordered by PHY rate; single-stream first on ties so
   // step-down lands on the robust STBC rung.
-  ladder_.resize(phy::kNumMcs);
-  for (int i = 0; i < phy::kNumMcs; ++i) ladder_[static_cast<std::size_t>(i)] = i;
+  for (int i = 0; i < phy::kNumMcs; ++i)
+    ladder_[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(i);
   std::stable_sort(ladder_.begin(), ladder_.end(), [&](int a, int b) {
     const double ra = phy::mcs(a).phy_rate_bps(width, gi);
     const double rb = phy::mcs(b).phy_rate_bps(width, gi);
     if (ra != rb) return ra < rb;
     return phy::mcs(a).spatial_streams < phy::mcs(b).spatial_streams;
   });
-}
-
-int ArfRate::select_mcs(double) { return ladder_[static_cast<std::size_t>(rung_)]; }
-
-void ArfRate::report(double, const TxFeedback& fb) {
-  const bool success =
-      fb.attempted > 0 &&
-      static_cast<double>(fb.delivered) >= cfg_.success_fraction * fb.attempted;
-  ++since_up_;
-  if (success) {
-    ++success_streak_;
-    failure_streak_ = 0;
-  } else {
-    ++failure_streak_;
-    success_streak_ = 0;
-  }
-
-  if (failure_streak_ >= cfg_.down_after_failures) {
-    if (rung_ > 0) --rung_;
-    failure_streak_ = 0;
-    since_up_ = 0;
-    return;
-  }
-  // Step up on a success streak, or probe upward periodically (classic
-  // ARF timer) — the probe is what keeps re-testing a broken rung.
-  if ((success_streak_ >= cfg_.up_after_successes ||
-       (since_up_ >= cfg_.probe_timeout_exchanges && success)) &&
-      rung_ + 1 < static_cast<int>(ladder_.size())) {
-    ++rung_;
-    success_streak_ = 0;
-    since_up_ = 0;
-  }
 }
 
 MinstrelHt::MinstrelHt(MinstrelConfig cfg, std::uint64_t seed)

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "mac/ampdu.h"
 #include "phy/mcs.h"
@@ -90,8 +89,40 @@ class ArfRate final : public RateController {
   explicit ArfRate(ArfConfig cfg = {}, phy::ChannelWidth width = phy::ChannelWidth::kCw40MHz,
                    phy::GuardInterval gi = phy::GuardInterval::kShort400ns);
 
-  [[nodiscard]] int select_mcs(double now_s) override;
-  void report(double now_s, const TxFeedback& fb) override;
+  // Inline: the fleet's exchange sweep calls these once per exchange on
+  // the concrete type.
+  [[nodiscard]] int select_mcs(double) override {
+    return ladder_[static_cast<std::size_t>(rung_)];
+  }
+  void report(double, const TxFeedback& fb) override {
+    const bool success =
+        fb.attempted > 0 &&
+        static_cast<double>(fb.delivered) >= cfg_.success_fraction * fb.attempted;
+    ++since_up_;
+    if (success) {
+      ++success_streak_;
+      failure_streak_ = 0;
+    } else {
+      ++failure_streak_;
+      success_streak_ = 0;
+    }
+
+    if (failure_streak_ >= cfg_.down_after_failures) {
+      if (rung_ > 0) --rung_;
+      failure_streak_ = 0;
+      since_up_ = 0;
+      return;
+    }
+    // Step up on a success streak, or probe upward periodically (classic
+    // ARF timer) — the probe is what keeps re-testing a broken rung.
+    if ((success_streak_ >= cfg_.up_after_successes ||
+         (since_up_ >= cfg_.probe_timeout_exchanges && success)) &&
+        rung_ + 1 < ladder_size()) {
+      ++rung_;
+      success_streak_ = 0;
+      since_up_ = 0;
+    }
+  }
   [[nodiscard]] std::string name() const override { return "arf-vendor"; }
 
   /// Current rung on the rate ladder (for tests).
@@ -102,7 +133,7 @@ class ArfRate final : public RateController {
 
  private:
   ArfConfig cfg_;
-  std::vector<int> ladder_;  ///< MCS indices ordered by PHY rate
+  std::array<std::int8_t, phy::kNumMcs> ladder_{};  ///< MCS indices ordered by PHY rate
   int rung_{0};
   int success_streak_{0};
   int failure_streak_{0};

@@ -1,7 +1,8 @@
 // The slow tier of the exactness oracles: the same checks as
-// io/json_number_oracle_test.cc, policy/compiler_oracle_test.cc and
-// sim/binomial_oracle_test.cc at full size — two million doubles, the
-// compiler's default grid, and ten million binomial inversions.
+// io/json_number_oracle_test.cc, policy/compiler_oracle_test.cc,
+// sim/binomial_oracle_test.cc and core/optimizer_oracle_test.cc at full
+// size — two million doubles, the compiler's default grid, ten million
+// binomial inversions and 200k single-link decisions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -35,6 +36,12 @@ TEST(CompilerOracleSlow, DefaultGridMatchesTheSweepCompile) {
 
 TEST(BinomialOracleSlow, TenMillionRandomProbesMatchTheExpWalk) {
   EXPECT_EQ(legacy::binomial_random_mismatches(10'000'000, /*seed=*/32), 0u);
+}
+
+TEST(OptimizerOracleSlow, TwoHundredThousandProbesMatchTheExhaustiveScan) {
+  const legacy::OptimizeOracleTally t = legacy::optimize_mismatches(200'000, /*seed=*/42);
+  EXPECT_EQ(t.mismatches, 0u);
+  EXPECT_GE(2 * t.pruned, t.prunable) << t.pruned << " of " << t.prunable << " pruned";
 }
 
 }  // namespace

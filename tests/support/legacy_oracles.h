@@ -277,6 +277,171 @@ class ArqSender {
   std::uint64_t retransmissions_{0};
 };
 
+/// core::optimize as it was: the exhaustive grid scan, then the
+/// golden-section refinement, evaluating U at every grid point.
+inline core::OptimizeResult optimize(const core::UtilityFunction& u,
+                                     core::OptimizeOptions opt = {}) {
+  const double lo = u.delay().params().min_distance_m;
+  const double hi = u.delay().params().d0_m;
+  double out_d = 0.0;
+  int out_evals = 0;
+  if (hi <= lo) {
+    out_d = hi;
+    out_evals = 1;
+  } else {
+    // Stage 1: coarse grid scan.
+    const int n = std::max(opt.grid_points, 8);
+    double best_u = -1.0;
+    int best_i = 0;
+    int evals = 0;
+    for (int i = 0; i < n; ++i) {
+      const double val = u(lo + (hi - lo) * i / (n - 1));
+      ++evals;
+      if (val > best_u) {
+        best_u = val;
+        best_i = i;
+      }
+    }
+    const double best_d = lo + (hi - lo) * best_i / (n - 1);
+    // Stage 2: golden-section refinement within the neighbors of the best
+    // grid point.
+    constexpr double kGoldenRatioInv = 0.6180339887498949;
+    double a = lo + (hi - lo) * std::max(best_i - 1, 0) / (n - 1);
+    double b = lo + (hi - lo) * std::min(best_i + 1, n - 1) / (n - 1);
+    double x1 = b - kGoldenRatioInv * (b - a);
+    double x2 = a + kGoldenRatioInv * (b - a);
+    double f1 = u(x1);
+    double f2 = u(x2);
+    evals += 2;
+    for (int i = 0; i < opt.max_refine_iters && (b - a) > opt.tolerance_m; ++i) {
+      if (f1 < f2) {
+        a = x1;
+        x1 = x2;
+        f1 = f2;
+        x2 = a + kGoldenRatioInv * (b - a);
+        f2 = u(x2);
+      } else {
+        b = x2;
+        x2 = x1;
+        f2 = f1;
+        x1 = b - kGoldenRatioInv * (b - a);
+        f1 = u(x1);
+      }
+      ++evals;
+    }
+    const double mid = 0.5 * (a + b);
+    // Keep whichever of {grid best, refined mid} is actually better.
+    const double refined = u(mid);
+    ++evals;
+    out_d = refined >= best_u ? mid : best_d;
+    out_evals = evals;
+  }
+  core::OptimizeResult r;
+  const core::UtilityPoint p = u.evaluate(out_d);
+  r.d_opt_m = out_d;
+  r.utility = p.utility;
+  r.cdelay_s = p.cdelay_s;
+  r.discount = p.discount;
+  const double eps = 1e-6 * std::max(hi - lo, 1.0);
+  if (out_d >= hi - eps) {
+    r.boundary = core::Boundary::kTransmitNow;
+  } else if (out_d <= lo + eps) {
+    r.boundary = core::Boundary::kAtFloor;
+  } else {
+    r.boundary = core::Boundary::kInterior;
+  }
+  r.evaluations = out_evals;
+  return r;
+}
+
+/// One seeded single-link decision for the optimizer oracle: a throughput
+/// fit, a failure law and a delivery, plus the grid it is solved on.
+struct OptimizeProbe {
+  core::PaperLogThroughput model{core::PaperLogThroughput::airplane()};
+  uav::FailureModel failure{1e-4};
+  core::DeliveryParams params{};
+  core::OptimizeOptions opt{};
+
+  /// Whether optimize() may prune this probe: a fit that does not rise
+  /// with distance on a grid of at most 256 points over a real interval.
+  [[nodiscard]] bool prunable() const {
+    return model.a() <= 0.0 && model.scale() >= 0.0 && params.speed_mps > 0.0 &&
+           params.mdata_bytes >= 0.0 && params.d0_m > params.min_distance_m &&
+           core::grid_size(opt) <= 256;
+  }
+};
+
+/// Random probes over both paper fits (and a flat and a rising one), all
+/// three failure laws, d0 21-3000 m, v 0.5-20 m/s, Mdata 1e4-1e9 B,
+/// rho 1e-6-1e-1 /m (or 0) and grids of 8-300 points (half the default
+/// 256). One probe in 64 is a denormal regime — Mdata ~1e307 with a
+/// steep failure rate — where U has so few significant bits that
+/// neighbouring grid points tie and the bound's slack rounds away.
+inline OptimizeProbe optimize_probe(sim::Rng& rng) {
+  const auto log_uniform = [&](double lo, double hi) {
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+  };
+  OptimizeProbe q;
+  switch (rng.uniform_int(8)) {
+    case 0: q.model = {0.0, 30.0, "flat"}; break;
+    case 1: q.model = {1.5, 20.0, "rising"}; break;
+    case 2: case 3: case 4: q.model = core::PaperLogThroughput::quadrocopter(); break;
+    default: break;  // airplane
+  }
+  const auto law = static_cast<uav::FailureLaw>(rng.uniform_int(3));
+  const double rho = rng.uniform_int(16) == 0 ? 0.0 : log_uniform(1e-6, 1e-1);
+  q.failure = uav::FailureModel(rho, law, rng.uniform(0.5, 4.0));
+  q.params = {rng.uniform(21.0, 3000.0), rng.uniform(0.5, 20.0), log_uniform(1e4, 1e9), 20.0};
+  if (rng.uniform_int(64) == 0) {
+    q.failure = uav::FailureModel(rng.uniform(0.05, 0.2));
+    q.params.d0_m = rng.uniform(300.0, 900.0);
+    q.params.mdata_bytes = rng.uniform(1e306, 2e307);
+  }
+  q.opt.grid_points = rng.uniform_int(2) == 0 ? 256 : 8 + static_cast<int>(rng.uniform_int(293));
+  return q;
+}
+
+/// Tally of optimize_mismatches.
+struct OptimizeOracleTally {
+  std::size_t mismatches{0};
+  std::size_t prunable{0};  ///< probes optimize() may prune
+  std::size_t pruned{0};    ///< ... of which it evaluated fewer grid points
+};
+
+/// Solves `count` random probes with core::optimize and legacy::optimize
+/// and compares every result field bit for bit (the first few
+/// differences are reported).
+inline OptimizeOracleTally optimize_mismatches(std::size_t count, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  OptimizeOracleTally t;
+  for (std::size_t k = 0; k < count; ++k) {
+    const OptimizeProbe q = optimize_probe(rng);
+    const core::CommDelayModel delay(q.model, q.params);
+    const core::UtilityFunction u(delay, q.failure);
+    const core::OptimizeResult want = legacy::optimize(u, q.opt);
+    const core::OptimizeResult got = core::optimize(u, q.opt);
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const bool same = bits(got.d_opt_m) == bits(want.d_opt_m) &&
+                      bits(got.utility) == bits(want.utility) &&
+                      bits(got.cdelay_s) == bits(want.cdelay_s) &&
+                      bits(got.discount) == bits(want.discount) &&
+                      got.boundary == want.boundary && got.evaluations == want.evaluations;
+    if (!same && ++t.mismatches <= 10) {
+      ADD_FAILURE() << "probe " << k << " (" << q.model.name() << ", law "
+                    << static_cast<int>(q.failure.law()) << ", rho " << q.failure.rho()
+                    << ", d0 " << q.params.d0_m << ", v " << q.params.speed_mps << ", M "
+                    << q.params.mdata_bytes << ", n " << q.opt.grid_points << std::hexfloat
+                    << "): want d " << want.d_opt_m << " U " << want.utility << ", got d "
+                    << got.d_opt_m << " U " << got.utility << std::defaultfloat;
+    }
+    if (q.prunable()) {
+      ++t.prunable;
+      if (got.grid_evaluated < core::grid_size(q.opt)) ++t.pruned;
+    }
+  }
+  return t;
+}
+
 /// sim::Rng::binomial's n <= 64 branch as it was, as a function of its
 /// one uniform u: pmf(0) = exp(n*log1p(-q)), then the pmf-recurrence
 /// walk on the smaller tail. Precondition: 0 < n <= 64, p in (0, 1) or
