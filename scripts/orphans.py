@@ -4,9 +4,9 @@
 Walks quoted #include edges from the non-test entry points (bench/,
 examples/, perfbench/src/ and the two tool mains under src/policy/).
 A src/ .cc is live when the header named by its *first* quoted include
-is live; that is how e.g. src/policy/planner.cc, which implements
-core/planner.h, joins the walk. Tests are not entry points, so a module
-that only its own test includes is reported.
+is live (its interface, even when that header sits in another
+directory); that is how every .cc joins the walk. Tests are not entry
+points, so a module that only its own test includes is reported.
 
 Usage: scripts/orphans.py [REPO_ROOT]    (exit 0 = no orphans)
 """

@@ -2,39 +2,21 @@
 
 #include <algorithm>
 
-#include "policy/service.h"
+#include "core/delay.h"
+#include "core/utility.h"
 
 namespace skyferry::core {
 
 Decision DelayedGratificationPlanner::decide(const DeliveryParams& params) const {
   Decision dec;
-
-  policy::Query q;
-  q.d0_m = params.d0_m;
-  q.speed_mps = params.speed_mps;
-  q.mdata_bytes = params.mdata_bytes;
-  q.min_distance_m = params.min_distance_m;
-  q.rho_per_m = failure_.rho();
-  q.law = failure_.law();
-  q.weibull_shape = failure_.weibull_shape();
-  q.optimize = opt_;
-
-  // FailureModel's constructor clamps its inputs, so the service's
-  // reconstruction from (rho, law, shape) is the identical model and the
-  // exact backend reproduces optimize()'s result bit for bit.
-  if (service_ != nullptr) {
-    dec.opt = policy::to_optimize_result(service_->decide_one(q));
-  } else {
-    const policy::DecisionService local(model_);
-    dec.opt = policy::to_optimize_result(local.decide_one(q));
-  }
+  const CommDelayModel delay(model_, params);
+  dec.opt = optimize(UtilityFunction(delay, failure_), opt_);
 
   dec.strategy.kind = dec.opt.boundary == Boundary::kTransmitNow
                           ? StrategyKind::kTransmitNow
                           : StrategyKind::kShipThenTransmit;
   dec.strategy.target_distance_m = dec.opt.d_opt_m;
 
-  const CommDelayModel delay(model_, params);
   dec.delivery_probability = dec.opt.discount;
   dec.expected_delay_s = dec.opt.cdelay_s;
   dec.transmit_now_delay_s = delay.cdelay_s(params.d0_m);

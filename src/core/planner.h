@@ -8,10 +8,6 @@
 #include "core/scenario.h"
 #include "core/strategy.h"
 
-namespace skyferry::policy {
-class DecisionService;
-}
-
 namespace skyferry::core {
 
 struct Decision {
@@ -34,19 +30,6 @@ class DelayedGratificationPlanner {
                               OptimizeOptions opt = {}) noexcept
       : model_(model), failure_(failure), opt_(opt) {}
 
-  /// Route decisions through an externally owned DecisionService — e.g.
-  /// one with a compiled policy table installed, shared by a fleet of
-  /// planners. The service (which answers with its *own* default model,
-  /// normally the same physics as this planner's) must outlive the
-  /// planner; nullptr restores the internal exact path. Without a route
-  /// the planner still flows through the decision API — it stands up a
-  /// stack-local exact service per decide(), bit-identical to calling
-  /// optimize() directly.
-  DelayedGratificationPlanner& route_through(const policy::DecisionService* service) noexcept {
-    service_ = service;
-    return *this;
-  }
-
   /// Decide for a delivery: where to transmit and how.
   [[nodiscard]] Decision decide(const DeliveryParams& params) const;
 
@@ -57,7 +40,6 @@ class DelayedGratificationPlanner {
   const ThroughputModel& model_;
   uav::FailureModel failure_;
   OptimizeOptions opt_;
-  const policy::DecisionService* service_{nullptr};
 };
 
 }  // namespace skyferry::core

@@ -11,9 +11,8 @@
 //    re-decision and must re-accumulate evidence), a progress cooldown
 //    between re-decisions, a commit-point guard near the transmit
 //    position, and a minimum-improvement gate on the predicted utility.
-//  * Cheap: one re-decision is one optimize() call on a reduced grid —
-//    the BM_ReDecision micro-benchmark pins it at ≤ 10 µs, so the policy
-//    can sit on the decision-service hot path (ROADMAP #1).
+//  * Cheap: one re-decision is one optimize_objective() call on a
+//    reduced grid — the BM_ReDecision micro-benchmark pins it at ≤ 10 µs.
 #pragma once
 
 #include <optional>
@@ -23,19 +22,12 @@
 #include "core/throughput_model.h"
 #include "ctrl/resilience.h"
 
-namespace skyferry::policy {
-class DecisionService;
-}
-
 namespace skyferry::core {
 
+/// The guard ladder. The trigger itself (divergence and ρ thresholds,
+/// minimum estimator confidence) is the degradation ladder's
+/// ctrl::DegradationConfig, so the two can never disagree.
 struct ReDecisionConfig {
-  /// Channel divergence score (estimator CUSUM) that arms a re-decision.
-  double divergence_threshold{8.0};
-  /// ρ relative error |ρ̂/ρ − 1| that arms a re-decision.
-  double rho_rel_threshold{0.25};
-  /// Estimator confidence required to trust a re-estimate at all.
-  double min_confidence{0.25};
   /// Commit-point guard: within this distance of the current target the
   /// plan is committed and never re-decided (the approach is sunk).
   double commit_margin_m{10.0};
@@ -53,17 +45,6 @@ struct ReDecisionConfig {
   /// the estimator re-arm, and the re-decision cap, not by this margin.
   double min_improvement_rel{0.002};
   int max_redecisions{8};
-  /// Re-decide on the expected *realized* mission utility — delivered
-  /// fraction over total elapsed time, with partial credit for bytes
-  /// across when a crash ends the transfer — instead of the paper's
-  /// approach-only U(d). The static form prices the flight *to* d but
-  /// neither the failure distance the loiter keeps burning while it
-  /// transmits nor the mid-transfer partial credit; mid-flight, under a
-  /// re-estimated (often deadlier) ρ, that bias steers diversions to
-  /// far/slow transmit positions that score worse on the mission metric
-  /// they are judged by. Off ⇒ the re-decision optimizes the planner's
-  /// exact static objective (used by the bit-identity tests).
-  bool mission_objective{true};
   /// Reduced-grid optimizer options for the re-decision hot path. The
   /// mission-objective surface is flat near its optimum, so a 96-point
   /// scan refined to 0.1 m loses nothing measurable and keeps one full
@@ -80,7 +61,7 @@ struct ReDecisionInput {
   double mdata_bytes{0.0};     ///< remaining batch
   /// Mission time already flown [s]. Sunk, but the realized utility is
   /// delivered fraction over *total* elapsed time, so it sits in the
-  /// mission-objective denominator and shapes the optimum.
+  /// re-decision objective's denominator and shapes the optimum.
   double elapsed_s{0.0};
   double divergence{0.0};      ///< ctrl::OnlineChannelEstimator::divergence()
   double rho_rel_error{0.0};   ///< ctrl::HazardRateEstimator::relative_error_vs
@@ -111,8 +92,11 @@ struct ReDecision {
 class ReDecisionPolicy {
  public:
   /// `nominal` must outlive the policy (it seeds the re-estimated model).
-  ReDecisionPolicy(ReDecisionConfig cfg, const PaperLogThroughput& nominal) noexcept
-      : cfg_(cfg), nominal_(nominal) {}
+  /// `trigger` arms a re-decision exactly where it moves the degradation
+  /// ladder off kNominal.
+  ReDecisionPolicy(ReDecisionConfig cfg, const PaperLogThroughput& nominal,
+                   ctrl::DegradationConfig trigger = {}) noexcept
+      : cfg_(cfg), trigger_(trigger), nominal_(nominal) {}
 
   /// Trigger gate + re-optimization. Mutates the policy's hysteresis
   /// state only when a re-decision is actually taken; the caller must
@@ -120,29 +104,13 @@ class ReDecisionPolicy {
   /// explained by the old model).
   [[nodiscard]] ReDecision consider(const ReDecisionInput& in);
 
-  /// The unconditional re-optimization (no trigger gate, no mutation) —
-  /// the hot path BM_ReDecision measures, flowing through the decision
-  /// service's exact backend (the re-estimated model forces it: the
-  /// policy table only knows nominal physics). Returns the optimizer
-  /// result on the re-estimated models over [min_distance, current_d].
-  [[nodiscard]] OptimizeResult redecide_now(const ReDecisionInput& in) const;
-
-  /// Route re-decisions through an externally owned DecisionService
-  /// (shared counters/telemetry); nullptr restores the stack-local
-  /// service. Either way the answers are bit-identical to the direct
-  /// optimizer calls this class used to make.
-  ReDecisionPolicy& route_through(const policy::DecisionService* service) noexcept {
-    service_ = service;
-    return *this;
-  }
-
   [[nodiscard]] int redecisions() const noexcept { return redecisions_; }
   [[nodiscard]] const ReDecisionConfig& config() const noexcept { return cfg_; }
 
  private:
   ReDecisionConfig cfg_;
+  ctrl::DegradationConfig trigger_;
   const PaperLogThroughput& nominal_;
-  const policy::DecisionService* service_{nullptr};
   int redecisions_{0};
   double last_redecide_d_m_{-1.0};  ///< < 0: never re-decided
 };

@@ -43,10 +43,9 @@ struct ChannelEstimatorConfig {
   std::size_t min_samples{8};
   /// EWMA gain of the smoothed residual z-score.
   double ewma_alpha{0.2};
-  /// CUSUM slack per sample, in units of the assumed noise sigma.
+  /// CUSUM slack per sample, in units of the assumed noise sigma. The
+  /// decision threshold is DegradationConfig::divergence_threshold.
   double cusum_k{0.5};
-  /// CUSUM decision threshold: divergence() >= cusum_h flags mismatch.
-  double cusum_h{8.0};
   /// Assumed relative (log-domain) noise sigma of one throughput probe;
   /// the residual z-score is log(obs/nominal) / noise_rel.
   double noise_rel{0.12};
@@ -92,8 +91,6 @@ class OnlineChannelEstimator {
   [[nodiscard]] double divergence() const noexcept { return std::max(cusum_pos_, cusum_neg_); }
   /// Smoothed residual z-score (signed: negative = worse than nominal).
   [[nodiscard]] double ewma() const noexcept { return ewma_; }
-  /// Divergence crossed the configured CUSUM threshold.
-  [[nodiscard]] bool mismatch() const noexcept { return divergence() >= cfg_.cusum_h; }
 
   /// Re-arm the detector after a re-decision absorbed the drift: clears
   /// the CUSUM/EWMA state *and* the sample window (the old window was
@@ -169,8 +166,9 @@ enum class ResilienceMode : std::uint8_t {
 [[nodiscard]] const char* to_string(ResilienceMode m) noexcept;
 
 struct DegradationConfig {
-  /// Channel divergence at which the ladder leaves kNominal (should
-  /// match the re-decision trigger).
+  /// Channel divergence (OnlineChannelEstimator::divergence()) at which
+  /// the ladder leaves kNominal. These three fields are also
+  /// core::ReDecisionPolicy's trigger.
   double divergence_threshold{8.0};
   /// ρ relative error at which the ladder leaves kNominal.
   double rho_rel_threshold{0.25};

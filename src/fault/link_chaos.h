@@ -18,11 +18,10 @@
 //     that knock out a seeded subset of spatial cells for every link at
 //     once — correlated chaos no per-UAV stream can model.
 //
-// Everything is header-only on purpose: src/link consumes these types
-// (link::GenericSession overlays a chaos stream on its outage walk) and
-// skyferry_link cannot link skyferry_fault without a dependency cycle
-// (fault → policy → link). The precedent is link/outage.h, which
-// already includes fault/fault_plan.h header-only.
+// Consumers: link::GenericSession overlays a chaos stream on its outage
+// walk, fault::MissionSim on its data link, and fleet::FleetEngine on
+// every (mission, link) pair. The per-exchange accessors stay inline:
+// the fleet sweep calls them once per burst round.
 //
 // Determinism contract (the whole point of *seeded* chaos): every
 // stream is an alternating renewal process advanced by monotone queries

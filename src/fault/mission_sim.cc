@@ -25,10 +25,8 @@ void ResilienceSpec::validate() const {
     throw ConfigError("ResilienceSpec: ship_closer_fraction must be in (0, 1]");
   if (max_ship_closer_moves < 0)
     throw ConfigError("ResilienceSpec: max_ship_closer_moves must be >= 0");
-  if (!finite(estimator.cusum_h) || estimator.cusum_h <= 0.0)
-    throw ConfigError("ResilienceSpec: estimator.cusum_h must be finite and > 0");
-  if (!finite(redecision.divergence_threshold) || redecision.divergence_threshold <= 0.0)
-    throw ConfigError("ResilienceSpec: redecision.divergence_threshold must be finite and > 0");
+  if (!finite(degradation.divergence_threshold) || degradation.divergence_threshold <= 0.0)
+    throw ConfigError("ResilienceSpec: degradation.divergence_threshold must be finite and > 0");
   if (retry_budget.max_attempts <= 0)
     throw ConfigError("ResilienceSpec: retry_budget.max_attempts must be > 0");
 }
@@ -122,7 +120,7 @@ class MissionTrial {
       chan_est_.emplace(spec_.resilience.estimator, model_.a(), model_.b());
       hazard_est_.emplace(spec_.resilience.hazard);
       mode_ctl_.emplace(spec_.resilience.degradation);
-      redecide_.emplace(spec_.resilience.redecision, model_);
+      redecide_.emplace(spec_.resilience.redecision, model_, spec_.resilience.degradation);
       net::RetryBudgetConfig rb = spec_.resilience.retry_budget;
       if (!std::isfinite(rb.deadline_s)) rb.deadline_s = spec_.max_time_s;
       retry_budget_ = net::RetryBudget(rb);

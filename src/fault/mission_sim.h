@@ -56,6 +56,7 @@ struct ResilienceSpec {
   double rho_noise_rel{0.10};
   ctrl::ChannelEstimatorConfig estimator{};
   ctrl::HazardEstimatorConfig hazard{};
+  /// Also the re-decision trigger (core::ReDecisionPolicy).
   ctrl::DegradationConfig degradation{};
   core::ReDecisionConfig redecision{};
   /// Transfer retry governor. A non-finite deadline_s is replaced by the

@@ -84,8 +84,8 @@ struct ReElectionConfig {
   /// is "sustained" and trips the trigger.
   double blackout_trigger_s{15.0};
   /// CUSUM over per-round degradation evidence (1 - rate_scale):
-  /// statistic += evidence - k, clamped at 0; trips at h. The k/h
-  /// grammar is ctrl::CusumDetector's (ctrl/resilience.h).
+  /// statistic += evidence - k, clamped at 0; trips at h (the one-sided
+  /// form of ctrl::OnlineChannelEstimator's CUSUM, ctrl/resilience.h).
   double degrade_cusum_k{0.15};
   double degrade_cusum_h{3.0};
   /// Switch links only when the best alternative beats re-optimizing

@@ -8,8 +8,6 @@ const char* to_string(Objective o) noexcept {
   switch (o) {
     case Objective::kPaperUtility:
       return "paper-utility";
-    case Objective::kMissionRealized:
-      return "mission-realized";
     case Objective::kJointSpeed:
       return "joint-speed";
   }
@@ -24,17 +22,6 @@ const char* to_string(Backend b) noexcept {
       return "table";
   }
   return "?";
-}
-
-core::OptimizeResult to_optimize_result(const Decision& d) noexcept {
-  core::OptimizeResult r;
-  r.d_opt_m = d.d_opt_m;
-  r.utility = d.utility;
-  r.cdelay_s = d.cdelay_s;
-  r.discount = d.discount;
-  r.boundary = d.boundary;
-  r.evaluations = d.evaluations;
-  return r;
 }
 
 core::Boundary classify_boundary(double d_m, double lo_m, double hi_m) noexcept {

@@ -5,14 +5,10 @@
 // distance d*, the achieved utility and its decomposition, and which
 // backend produced it (O(1) policy-table lookup or the exact optimizer).
 //
-// This replaces the four divergent entry points callers used to reach
-// directly (`core::optimize`, `core::optimize_objective`,
-// `core::optimize_joint`, `core::ReDecisionPolicy::redecide_now`): every
-// consumer — the planner, the mid-flight re-decision, the fault-injected
-// mission simulator, the fig benches and the skyferry_decide server —
-// now builds a Query and calls DecisionService::decide. Both structs are
-// PODs so a batch is one flat span, the service writes answers in place,
-// and the hot path allocates nothing.
+// The fleet engine, the fig benches and the skyferry_decide server build
+// Queries and call DecisionService::decide. Both structs are PODs so a
+// batch is one flat span, the service writes answers in place, and the
+// hot path allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +19,6 @@
 namespace skyferry::uav {
 struct PlatformSpec;
 }
-namespace skyferry::core {
-class ThroughputModel;
-}
 
 namespace skyferry::policy {
 
@@ -33,10 +26,6 @@ namespace skyferry::policy {
 enum class Objective : std::uint8_t {
   /// The paper's Eq. (2): argmax U(d) = δ(d)/Cdelay(d) over [d_min, d0].
   kPaperUtility,
-  /// Expected *realized* mission utility (delivered fraction over total
-  /// elapsed time, with loiter-burn transfer exposure and partial
-  /// mid-transfer credit) — the mid-flight re-decision objective.
-  kMissionRealized,
   /// Joint (distance, speed) optimization over the platform's speed
   /// envelope with the battery-derived rho(v) (paper Sec. 7).
   kJointSpeed,
@@ -52,9 +41,8 @@ enum class Backend : std::uint8_t {
 [[nodiscard]] const char* to_string(Backend b) noexcept;
 
 /// One decision request. Defaults describe the common case (paper
-/// utility, exponential failure law, the service's own throughput
-/// model); the optional fields widen the same struct to the other three
-/// legacy entry points instead of forking the API per caller.
+/// utility, exponential failure law); the optional fields widen the same
+/// struct to the joint speed objective instead of forking the API.
 struct Query {
   double d0_m{0.0};             ///< distance at which the link came in range
   double speed_mps{1.0};        ///< approach speed v > 0
@@ -66,24 +54,13 @@ struct Query {
   uav::FailureLaw law{uav::FailureLaw::kExponential};
   double weibull_shape{2.0};  ///< used only with FailureLaw::kWeibull
 
-  /// kMissionRealized only: mission time already flown [s] (sunk, but in
-  /// the realized metric's denominator).
-  double elapsed_s{0.0};
-
-  /// Throughput-model override (the re-decision path's re-estimated
-  /// s(d), or any caller-owned model). nullptr ⇒ the service's own model.
-  /// Must outlive the decide() call. An override always takes the exact
-  /// backend: the table was compiled for the service's nominal model.
-  const core::ThroughputModel* model{nullptr};
-
   /// kJointSpeed only: the platform whose speed envelope and battery
   /// drain define rho(v). Must outlive the decide() call.
   const uav::PlatformSpec* platform{nullptr};
   int joint_speed_grid{64};
   double joint_min_speed_mps{0.5};
 
-  /// Optimizer schedule for the exact backend (the re-decision hot path
-  /// passes its reduced grid; everyone else the defaults).
+  /// Optimizer schedule for the exact backend.
   core::OptimizeOptions optimize{};
 };
 
@@ -135,10 +112,6 @@ struct MultiLinkDecision {
   double trickle_bytes{0.0};    ///< Σ background-link bytes during the ferry leg
   double burst_bytes{0.0};      ///< Mdata − trickle_bytes, shipped at d*
 };
-
-/// View a Decision as the legacy OptimizeResult (for callers that keep
-/// the old result struct in their own API, e.g. ReDecisionPolicy).
-[[nodiscard]] core::OptimizeResult to_optimize_result(const Decision& d) noexcept;
 
 /// The optimizer's boundary classification (optimizer.cc's finish())
 /// applied to an externally produced d over [lo, hi] — the rule the

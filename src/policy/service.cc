@@ -8,7 +8,6 @@
 #include "core/joint_optimizer.h"
 #include "core/utility.h"
 #include "io/format.h"
-#include "policy/mission_objective.h"
 #include "uav/failure.h"
 
 namespace skyferry::policy {
@@ -31,7 +30,6 @@ bool DecisionService::table_eligible(const Query& q) const noexcept {
   if (!table_) return false;
   if (q.objective != Objective::kPaperUtility) return false;
   if (q.law != uav::FailureLaw::kExponential) return false;
-  if (q.model != nullptr) return false;
   if (q.min_distance_m != table_->min_distance_m()) return false;
   return table_->covers(q.d0_m, q.speed_mps, q.mdata_bytes, q.rho_per_m);
 }
@@ -80,7 +78,6 @@ Decision DecisionService::decide_table(const Query& q) const noexcept {
 }
 
 Decision DecisionService::decide_exact(const Query& q) const {
-  const core::ThroughputModel& model = q.model != nullptr ? *q.model : model_;
   Decision out;
   out.backend = Backend::kExact;
   out.v_opt_mps = q.speed_mps;
@@ -93,7 +90,7 @@ Decision DecisionService::decide_exact(const Query& q) const {
     jopt.distance_opts = q.optimize;
     jopt.min_speed_mps = q.joint_min_speed_mps;
     const core::DeliveryParams params{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-    const core::JointOptimizeResult r = core::optimize_joint(model, *q.platform, params, jopt);
+    const core::JointOptimizeResult r = core::optimize_joint(model_, *q.platform, params, jopt);
     out.d_opt_m = r.d_opt_m;
     out.v_opt_mps = r.v_opt_mps;
     out.utility = r.utility;
@@ -107,20 +104,8 @@ Decision DecisionService::decide_exact(const Query& q) const {
 
   const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
   const core::DeliveryParams params{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-  const core::CommDelayModel delay(model, params);
-  const core::UtilityFunction u(delay, failure);
-
-  core::OptimizeResult r;
-  if (q.objective == Objective::kMissionRealized) {
-    r = core::optimize_objective(
-        u,
-        [&](double d) {
-          return expected_mission_utility(delay, q.rho_per_m, q.speed_mps, q.elapsed_s, d);
-        },
-        q.optimize);
-  } else {
-    r = core::optimize(u, q.optimize);
-  }
+  const core::CommDelayModel delay(model_, params);
+  const core::OptimizeResult r = core::optimize(core::UtilityFunction(delay, failure), q.optimize);
   out.d_opt_m = r.d_opt_m;
   out.utility = r.utility;
   out.cdelay_s = r.cdelay_s;

@@ -4,9 +4,8 @@
 // hot path) when one is installed and covers it, and to the exact
 // optimizer otherwise. With no table installed the service *is* the
 // exact solver behind a uniform API — bit-identical to calling
-// core::optimize / optimize_objective / optimize_joint directly, which
-// is what lets the planner, the mid-flight re-decision, and the fig
-// benches route through it without regenerating a single golden.
+// core::optimize / optimize_joint directly, so the fig benches serve
+// their decisions through it without regenerating a single golden.
 //
 // Thread safety: decide() is const and safe to call concurrently from
 // any number of threads on one shared service (the TSan tree proves it);
@@ -32,14 +31,13 @@ namespace skyferry::policy {
 
 class DecisionService {
  public:
-  /// `model` answers queries without a per-query override and must
-  /// outlive the service.
+  /// `model` answers every query and must outlive the service.
   explicit DecisionService(const core::ThroughputModel& model) noexcept : model_(model) {}
 
   /// Install the compiled policy (setup time, not concurrent with
   /// decide()). Queries outside the table's domain, or with any exact-
-  /// only feature (other objective, non-exponential law, model override,
-  /// different floor), still fall back to the exact solver.
+  /// only feature (other objective, non-exponential law, different
+  /// floor), still fall back to the exact solver.
   /// Throws TableError unless the service's model is a
   /// core::PaperLogThroughput with exactly the table's (a, b, scale,
   /// min_distance_m): a table compiled for another throughput fit would

@@ -182,26 +182,6 @@ TEST(ReDecision, RhoDivergenceRedecidesWithNominalChannel) {
   EXPECT_LT(rd.target_d_m, in.target_d_m);
 }
 
-TEST(ReDecision, ZeroMismatchRedecideNowIsBitIdenticalToStaticPlanner) {
-  // redecide_now on nominal inputs at full grid resolution reproduces
-  // the static decision exactly — same optimizer, same models.
-  const auto scen = core::Scenario::quadrocopter();
-  ReDecisionConfig cfg;
-  cfg.optimize = OptimizeOptions{};  // the planner's default grid
-  // The expected-realized-utility objective is the one deliberate
-  // departure from the paper's static objective; switch it off to
-  // compare like with like.
-  cfg.mission_objective = false;
-  ReDecisionPolicy policy(cfg, kNominal);
-  auto in = base_input(scen);
-  in.current_d_m = scen.d0_m;
-  const auto rd = policy.redecide_now(in);
-  const DelayedGratificationPlanner planner(kNominal, scen.failure_model());
-  const auto decision = planner.decide(scen.delivery_params());
-  EXPECT_EQ(rd.d_opt_m, decision.strategy.target_distance_m);
-  EXPECT_EQ(rd.utility, decision.opt.utility);
-}
-
 TEST(ReDecision, ReestimatedModelSanityLadder) {
   // Trustworthy, physically sane fit: used directly.
   auto est = nominal_estimate();

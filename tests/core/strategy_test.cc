@@ -126,7 +126,9 @@ TEST(Strategy, ShipPhaseDeliversNothing) {
   const auto out = simulate_strategy(spec, f.model, f.deg, f.params);
   const double tship = 40.0 / 4.5;
   for (const auto& pt : out.curve) {
-    if (pt.t_s < tship - 0.1) EXPECT_DOUBLE_EQ(pt.delivered_mb, 0.0);
+    if (pt.t_s < tship - 0.1) {
+      EXPECT_DOUBLE_EQ(pt.delivered_mb, 0.0);
+    }
   }
 }
 

@@ -23,6 +23,12 @@ OnlineChannelEstimator make_estimator(ChannelEstimatorConfig cfg = {}) {
   return OnlineChannelEstimator(cfg, kA, kB);
 }
 
+// The mission's one channel trip: the degradation ladder's threshold,
+// which also arms core::ReDecisionPolicy.
+bool tripped(const OnlineChannelEstimator& est) {
+  return est.divergence() >= DegradationConfig{}.divergence_threshold;
+}
+
 TEST(ResilienceChannelEstimator, RejectsNonFiniteSamplesAndCountsThem) {
   auto est = make_estimator();
   EXPECT_FALSE(est.add_sample(kNaN, 1e6));
@@ -64,7 +70,7 @@ TEST(ResilienceChannelEstimator, RecoversCleanFitAndStaysQuietOnNominal) {
   EXPECT_NEAR(e->gain, 1.0, 1e-6);
   EXPECT_GT(e->r_squared, 0.999);
   EXPECT_GT(e->confidence, 0.7);
-  EXPECT_FALSE(est.mismatch());  // noiseless nominal: zero divergence
+  EXPECT_FALSE(tripped(est));  // noiseless nominal: zero divergence
   EXPECT_EQ(est.divergence(), 0.0);
 }
 
@@ -82,7 +88,7 @@ TEST(ResilienceChannelEstimator, NoMismatchNeverTripsAcrossThousandSeeds) {
       const double d = 130.0 - 1.5 * i;
       const double obs = nominal_bps(d) * std::exp(rng.gaussian(-0.005, 0.10));
       est.add_sample(d, obs);
-      if (est.mismatch()) ++trips;
+      if (tripped(est)) ++trips;
     }
   }
   EXPECT_EQ(trips, 0);
@@ -99,7 +105,7 @@ TEST(ResilienceChannelEstimator, DetectsThroughputDropWithinBoundedSamples) {
       const double d = 110.0 - 2.0 * i;
       const double obs = 0.6 * nominal_bps(d) * std::exp(rng.gaussian(-0.005, 0.10));
       est.add_sample(d, obs);
-      if (est.mismatch()) {
+      if (tripped(est)) {
         detected_at = i;
         break;
       }
@@ -117,7 +123,7 @@ TEST(ResilienceChannelEstimator, GainTracksMultiplicativeError) {
   const auto e = est.estimate();
   ASSERT_TRUE(e.has_value());
   EXPECT_NEAR(e->gain, 0.7, 0.01);
-  EXPECT_TRUE(est.mismatch());
+  EXPECT_TRUE(tripped(est));
 }
 
 TEST(ResilienceChannelEstimator, RearmClearsWindowAndDivergence) {
@@ -125,7 +131,7 @@ TEST(ResilienceChannelEstimator, RearmClearsWindowAndDivergence) {
   for (double d = 110.0; d >= 60.0; d -= 2.0) {
     est.add_sample(d, 0.5 * nominal_bps(d));
   }
-  ASSERT_TRUE(est.mismatch());
+  ASSERT_TRUE(tripped(est));
   est.rearm();
   EXPECT_EQ(est.divergence(), 0.0);
   EXPECT_EQ(est.ewma(), 0.0);

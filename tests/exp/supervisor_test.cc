@@ -247,10 +247,12 @@ TEST(SupervisedRunner, WatchdogCancelsCooperativeHangs) {
   EXPECT_EQ(f.attempts, 1);  // hangs are not retried
   EXPECT_TRUE(f.quarantined);
   // All other trials kept their results.
-  for (int t = 0; t < 32; ++t)
-    if (t != 13)
+  for (int t = 0; t < 32; ++t) {
+    if (t != 13) {
       EXPECT_EQ(out.results[0][static_cast<std::size_t>(t)],
                 static_cast<double>(sim::fork(909, 0, static_cast<std::uint64_t>(t)) % 100));
+    }
+  }
 }
 
 TEST(SupervisedRunner, SlowButFinishingTrialIsFlaggedNotQuarantined) {

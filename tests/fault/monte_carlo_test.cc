@@ -178,7 +178,7 @@ TEST(MonteCarlo, ValidateRejectsBadConfigsTyped) {
   }
   // The error is typed, not a bare invalid_argument from strtod et al.
   try {
-    run_monte_carlo(crash_only_config(scen, 0));
+    (void)run_monte_carlo(crash_only_config(scen, 0));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("trials"), std::string::npos);

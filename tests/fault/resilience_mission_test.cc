@@ -195,6 +195,12 @@ TEST(ResilienceMission, ValidateRejectsBadMismatchAndResilienceSpecs) {
     spec.resilience.retry_budget.max_attempts = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
   }
+  // The one channel trip (degradation ladder and re-decision alike).
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    TrialSpec spec = resilient_spec(scen);
+    spec.resilience.degradation.divergence_threshold = bad;
+    EXPECT_THROW(spec.validate(), ConfigError) << bad;
+  }
   {
     // A disabled stack skips the resilience checks (zero-cost default)
     // but the mismatch plan is validated regardless — it drives the

@@ -39,9 +39,9 @@ TEST(GpsReceiver, ErrorIsTemporallyCorrelated) {
   cfg.correlation_time_s = 30.0;
   GpsReceiver rx(cfg, 7);
   const Vec3 truth{};
-  rx.measure(truth, 1.0);
+  (void)rx.measure(truth, 1.0);
   const Vec3 e0 = rx.error();
-  rx.measure(truth, 0.1);  // tiny step: error should barely move
+  (void)rx.measure(truth, 0.1);  // tiny step: error should barely move
   const Vec3 e1 = rx.error();
   EXPECT_LT((e1 - e0).norm(), 1.0);
 }

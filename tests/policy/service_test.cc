@@ -12,12 +12,10 @@
 #include "check/expect.h"
 #include "core/delay.h"
 #include "core/joint_optimizer.h"
-#include "core/planner.h"
 #include "core/scenario.h"
 #include "core/throughput_model.h"
 #include "core/utility.h"
 #include "policy/compiler.h"
-#include "policy/mission_objective.h"
 #include "sim/rng.h"
 #include "uav/failure.h"
 
@@ -90,32 +88,6 @@ TEST(DecisionService, JointQueryBitIdenticalToOptimizeJoint) {
   EXPECT_EQ(d.rho_per_m, r.rho_at_v);
   EXPECT_EQ(d.boundary, r.boundary);
   EXPECT_EQ(d.evaluations, r.evaluations);
-}
-
-TEST(DecisionService, MissionRealizedMatchesOptimizeObjective) {
-  const auto scen = core::Scenario::quadrocopter();
-  const auto model = scen.paper_throughput();
-  const DecisionService service(model);
-  Query q;
-  q.d0_m = 90.0;
-  q.speed_mps = scen.delivery_params().speed_mps;
-  q.mdata_bytes = scen.mdata_bytes;
-  q.min_distance_m = scen.delivery_params().min_distance_m;
-  q.rho_per_m = scen.rho_per_m;
-  q.objective = Objective::kMissionRealized;
-  q.elapsed_s = 42.0;
-  const Decision d = service.decide_one(q);
-
-  const uav::FailureModel failure(q.rho_per_m);
-  const core::DeliveryParams params{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-  const core::CommDelayModel delay(model, params);
-  const core::UtilityFunction u(delay, failure);
-  const core::OptimizeResult r = core::optimize_objective(u, [&](double dist) {
-    return expected_mission_utility(delay, q.rho_per_m, q.speed_mps, q.elapsed_s, dist);
-  });
-  EXPECT_EQ(d.d_opt_m, r.d_opt_m);
-  EXPECT_EQ(d.utility, r.utility);
-  EXPECT_EQ(d.boundary, r.boundary);
 }
 
 TEST(DecisionService, TableBackendServesCoveredQueriesAccurately) {
@@ -209,12 +181,6 @@ TEST(DecisionService, UncoveredAndOverriddenQueriesFallBackToExact) {
   EXPECT_FALSE(service.table_eligible(outside));
   EXPECT_EQ(service.decide_one(outside).backend, Backend::kExact);
 
-  Query overridden = airplane_query(2e-3);
-  const auto other = core::PaperLogThroughput::quadrocopter();
-  overridden.model = &other;
-  EXPECT_FALSE(service.table_eligible(overridden));
-  EXPECT_EQ(service.decide_one(overridden).backend, Backend::kExact);
-
   Query weibull = airplane_query(2e-3);
   weibull.law = uav::FailureLaw::kWeibull;
   EXPECT_FALSE(service.table_eligible(weibull));
@@ -285,38 +251,6 @@ TEST(DecisionService, ConcurrentDecideOnSharedTableIsRaceFree) {
   }
   const DecisionService::Counters c = service.counters();
   EXPECT_EQ(c.table, static_cast<std::uint64_t>((kThreads + 1) * queries.size()));
-}
-
-TEST(DecisionService, PlannerRoutedThroughServiceIsBitIdentical) {
-  const auto scen = core::Scenario::airplane();
-  const auto model = scen.paper_throughput();
-  const uav::FailureModel failure(scen.rho_per_m);
-  const core::DelayedGratificationPlanner solo(model, failure);
-  const core::Decision unrouted = solo.decide(scen);
-
-  // Routed through a table-free service: same exact backend, so the
-  // decision must be bit-identical to the unrouted planner's.
-  DecisionService service(model);
-  core::DelayedGratificationPlanner routed(model, failure);
-  routed.route_through(&service);
-  const core::Decision via = routed.decide(scen);
-  EXPECT_EQ(via.opt.d_opt_m, unrouted.opt.d_opt_m);
-  EXPECT_EQ(via.opt.utility, unrouted.opt.utility);
-  EXPECT_EQ(via.opt.boundary, unrouted.opt.boundary);
-  EXPECT_EQ(via.delivery_probability, unrouted.delivery_probability);
-  EXPECT_EQ(via.expected_delay_s, unrouted.expected_delay_s);
-  EXPECT_EQ(service.counters().exact, 1u);
-
-  // Routed through a table-backed service (the airplane baseline is
-  // inside the compiled domain): the O(1) answer replaces the exact one
-  // but stays within the table's accuracy contract.
-  DecisionService tabled(model);
-  tabled.install_table(Compiler(small_config()).compile());
-  core::DelayedGratificationPlanner fleet(model, failure);
-  fleet.route_through(&tabled);
-  const core::Decision fast = fleet.decide(scen);
-  EXPECT_EQ(tabled.counters().table, 1u);
-  EXPECT_NEAR(fast.opt.d_opt_m, unrouted.opt.d_opt_m, 5.0);
 }
 
 }  // namespace

@@ -125,13 +125,13 @@ def case_include_cycle_terminates():
 
 
 def case_cc_joins_through_its_first_include():
-    # The planner.cc rule: a .cc in another directory that implements a
-    # live header is live, and so is what it includes.
+    # A .cc that implements a live header is live, even from another
+    # directory, and so is what it includes.
     expect({
         "bench/b.cc": '#include "core/planner.h"\n',
         "src/core/planner.h": "#pragma once\n",
-        "src/policy/planner.cc": '#include "core/planner.h"\n#include "policy/impl.h"\n',
-        "src/policy/impl.h": "#pragma once\n",
+        "src/impl/planner.cc": '#include "core/planner.h"\n#include "impl/detail.h"\n',
+        "src/impl/detail.h": "#pragma once\n",
     }, [])
 
 
