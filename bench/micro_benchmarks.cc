@@ -5,7 +5,8 @@
 // simulated A-MPDU), its PerTable fast path, binomial aggregate
 // sampling, the event queue, geodesy, full link-sim seconds at both
 // fidelities, one selective-repeat ARQ batch transfer, one
-// Monte-Carlo mission trial, and fleet sweeps (idle and mixed-phase).
+// Monte-Carlo mission trial, and fleet sweeps (idle, and mixed-phase
+// wifi and multi-link chaos fleets).
 //
 // The benchmarks named in BENCH_link_sim.json are the regression gate:
 // scripts/bench_regress.sh runs this binary with --benchmark_format=json
@@ -521,6 +522,64 @@ void BM_FleetStep1k(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetStep1k);
 
+// Active UAV-steps (spawned, not yet done or failed) over one untimed
+// pass of `eng` to `horizon_s`: the denominator of the
+// ns_per_active_uav_step counter, perfbench's fleet.ns_per_active_uav_step.
+double count_active_uav_steps(fleet::FleetEngine& eng,
+                              const std::vector<fleet::MissionSpec>& missions, double horizon_s) {
+  double steps = 0.0;
+  std::size_t spawned = 0;
+  while (eng.now() + eng.config().dt_s <= horizon_s + 1e-12) {
+    while (spawned < missions.size() && missions[spawned].spawn_t_s <= eng.now()) ++spawned;
+    const fleet::FleetTotals before = eng.totals();
+    steps += static_cast<double>(spawned - std::min(spawned, before.completed + before.failed));
+    eng.step();
+  }
+  return steps;
+}
+
+// One iteration builds a fresh engine (untimed) and times its
+// run_until(horizon_s).
+template <class Make>
+void time_fleet_mix(benchmark::State& state, double horizon_s, double active_uav_steps,
+                    const Make& make) {
+  double timed_s = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::unique_ptr<fleet::FleetEngine> eng = make();
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    eng->run_until(horizon_s);
+    timed_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    benchmark::DoNotOptimize(eng->now());
+  }
+  state.counters["ns_per_active_uav_step"] =
+      timed_s * 1e9 / (static_cast<double>(state.iterations()) * active_uav_steps);
+}
+
+// Poisson arrivals in simulated time into six-UAV receiver groups on a
+// 500 m grid (`width` receivers a row), each starting 150-275 m out:
+// perfbench's fleet mission layout.
+std::vector<fleet::MissionSpec> fleet_mix_missions(const char* stream, int n, int width,
+                                                   double mdata_bytes, double deadline_s) {
+  std::vector<fleet::MissionSpec> missions;
+  sim::Rng rng(sim::derive_seed(1, stream));
+  double t = 0.0;
+  for (int i = 0; i < n; ++i) {
+    t += rng.exponential(10.0);
+    const int g = i / 6;
+    fleet::MissionSpec s;
+    s.receiver_pos = {500.0 * (g % width), 500.0 * (g / width), 10.0};
+    s.start_pos = s.receiver_pos + geo::Vec3{rng.uniform(150.0, 275.0), 0.0, 0.0};
+    s.mdata_bytes = mdata_bytes;
+    s.rho_per_m = 1.0e-4;
+    s.spawn_t_s = t;
+    s.deadline_s = t + deadline_s;
+    missions.push_back(s);
+  }
+  return missions;
+}
+
 // BM_FleetWifiMix: perfbench's fleet_wifi shape at microbenchmark size.
 // 160 missions arrive as a Poisson stream (10/s) into six-UAV receiver
 // groups on a 500 m grid, decide through a compiled policy table, ferry,
@@ -528,9 +587,7 @@ BENCHMARK(BM_FleetStep1k);
 // fresh fleet from the first spawn to a 40 s horizon, so the timed steps
 // mix decides, kinematics, transmit-set rebuilds (arrivals alone land
 // every other sweep), admission and A-MPDU exchanges.
-// Building the engine and registering the missions is untimed. The
-// ns_per_active_uav_step counter is perfbench's fleet.ns_per_active_uav_step
-// at this size.
+// Building the engine and registering the missions is untimed.
 struct WifiMix {
   std::vector<fleet::MissionSpec> missions;
   policy::PolicyTable table;
@@ -549,20 +606,7 @@ std::unique_ptr<fleet::FleetEngine> wifi_mix_engine(const WifiMix& mix) {
 const WifiMix& wifi_mix() {
   static const WifiMix mix = [] {
     WifiMix m;
-    sim::Rng rng(sim::derive_seed(1, "bench/fleet_wifi_mix"));
-    double t = 0.0;
-    for (int i = 0; i < 160; ++i) {
-      t += rng.exponential(10.0);
-      const int g = i / 6;
-      fleet::MissionSpec s;
-      s.receiver_pos = {500.0 * (g % 6), 500.0 * (g / 6), 10.0};
-      s.start_pos = s.receiver_pos + geo::Vec3{rng.uniform(150.0, 275.0), 0.0, 0.0};
-      s.mdata_bytes = 8.0e6;
-      s.rho_per_m = 1.0e-4;
-      s.spawn_t_s = t;
-      s.deadline_s = t + 90.0;
-      m.missions.push_back(s);
-    }
+    m.missions = fleet_mix_missions("bench/fleet_wifi_mix", 160, 6, 8.0e6, 90.0);
     // perfbench's quadrocopter table: every spawn query is a lookup.
     policy::CompilerConfig c;
     c.model = {-10.5, 73.0, 1e6, 20.0, "paper-quadrocopter"};
@@ -572,18 +616,9 @@ const WifiMix& wifi_mix() {
     c.mdata = {1e6, 1e8, 9, true};
     c.rho = {1e-5, 1e-3, 5, true};
     m.table = policy::Compiler(c).compile();
-    // Active UAV-steps (spawned, not yet done or failed) and the decide
-    // backend, checked once on an untimed pass of the same inputs.
+    // The decide backend is checked once on the untimed counting pass.
     const std::unique_ptr<fleet::FleetEngine> eng = wifi_mix_engine(m);
-    std::size_t spawned = 0;
-    while (eng->now() + eng->config().dt_s <= m.horizon_s + 1e-12) {
-      while (spawned < m.missions.size() && m.missions[spawned].spawn_t_s <= eng->now())
-        ++spawned;
-      const fleet::FleetTotals before = eng->totals();
-      m.active_uav_steps +=
-          static_cast<double>(spawned - std::min(spawned, before.completed + before.failed));
-      eng->step();
-    }
+    m.active_uav_steps = count_active_uav_steps(*eng, m.missions, m.horizon_s);
     m.table_only = eng->service().counters().exact == 0;
     return m;
   }();
@@ -593,20 +628,67 @@ const WifiMix& wifi_mix() {
 void BM_FleetWifiMix(benchmark::State& state) {
   const WifiMix& mix = wifi_mix();
   if (!mix.table_only) state.SkipWithError("decide escaped the table");
-  double timed_s = 0.0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    const std::unique_ptr<fleet::FleetEngine> eng = wifi_mix_engine(mix);
-    state.ResumeTiming();
-    const auto t0 = std::chrono::steady_clock::now();
-    eng->run_until(mix.horizon_s);
-    timed_s += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    benchmark::DoNotOptimize(eng->now());
-  }
-  state.counters["ns_per_active_uav_step"] =
-      timed_s * 1e9 / (static_cast<double>(state.iterations()) * mix.active_uav_steps);
+  time_fleet_mix(state, mix.horizon_s, mix.active_uav_steps, [&] { return wifi_mix_engine(mix); });
 }
 BENCHMARK(BM_FleetWifiMix)->Unit(benchmark::kMillisecond);
+
+// BM_FleetChaosMix: perfbench's fleet_multilink_chaos shape at
+// microbenchmark size. 160 missions arrive as a Poisson stream (10/s)
+// on the same layout, elect a (link, d) pair over four backends with
+// the exact multi-link solve, and ship 50 MB each under the combined
+// chaos plan (802.11n blackouts, degradation epochs and flaky setup,
+// plus regional storms) with re-election on. One iteration runs a
+// fresh fleet from the first spawn to a 60 s horizon, so the timed
+// steps cover spawn decides, the ferry sweep over the flying rows, the
+// transmit-set rebuilds, exchanges behind the chaos gates and the
+// re-election ladder. Building the engine is untimed.
+struct ChaosMix {
+  fleet::FleetConfig cfg;
+  std::vector<fleet::MissionSpec> missions;
+  double horizon_s{60.0};
+  double active_uav_steps{0.0};
+  std::uint64_t reelections{0};  ///< per pass, checked on the untimed pass
+};
+
+std::unique_ptr<fleet::FleetEngine> chaos_mix_engine(const ChaosMix& mix) {
+  auto eng = std::make_unique<fleet::FleetEngine>(mix.cfg, 1);
+  for (const fleet::MissionSpec& m : mix.missions) eng->add_mission(m);
+  return eng;
+}
+
+const ChaosMix& chaos_mix() {
+  static const ChaosMix mix = [] {
+    ChaosMix m;
+    m.cfg.links = std::make_shared<const link::LinkSet>(std::vector<link::LinkBackendConfig>{
+        link::LinkBackendConfig::wifi_80211n(), link::LinkBackendConfig::cellular(),
+        link::LinkBackendConfig::mesh(), link::LinkBackendConfig::leo()});
+    fault::LinkFaultPlan& p = m.cfg.link_chaos;
+    p.links.resize(1);
+    p.links[0].blackout_rate_per_hour = 40.0;
+    p.links[0].blackout_mean_s = 25.0;
+    p.links[0].degrade_rate_per_hour = 30.0;
+    p.links[0].degrade_mean_s = 45.0;
+    p.links[0].degrade_rate_scale = 0.2;
+    p.links[0].setup_fail_p = 0.3;
+    p.storm = {10.0, 30.0, 0.4};
+    p.seed = sim::derive_seed(1, "bench/fleet_chaos_mix/chaos");
+    m.cfg.reelection.enabled = true;
+    m.missions = fleet_mix_missions("bench/fleet_chaos_mix", 160, 6, 5.0e7, 120.0);
+    const std::unique_ptr<fleet::FleetEngine> eng = chaos_mix_engine(m);
+    m.active_uav_steps = count_active_uav_steps(*eng, m.missions, m.horizon_s);
+    m.reelections = eng->totals().reelections;
+    return m;
+  }();
+  return mix;
+}
+
+void BM_FleetChaosMix(benchmark::State& state) {
+  const ChaosMix& mix = chaos_mix();
+  if (mix.reelections == 0) state.SkipWithError("the chaos plan tripped no re-election");
+  time_fleet_mix(state, mix.horizon_s, mix.active_uav_steps,
+                 [&] { return chaos_mix_engine(mix); });
+}
+BENCHMARK(BM_FleetChaosMix)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

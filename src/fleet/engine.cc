@@ -14,9 +14,9 @@ namespace skyferry::fleet {
 
 namespace {
 /// Fixed work-chunk size for every parallel sweep. Chunk boundaries
-/// depend only on the mission count — never on the thread count — and
-/// every chunk writes disjoint UAV rows, so results are bit-identical
-/// for any FleetConfig::threads.
+/// depend only on the swept list's length — never on the thread count —
+/// and every chunk writes disjoint UAV rows, so results are
+/// bit-identical for any FleetConfig::threads.
 constexpr std::size_t kChunk = 256;
 
 using Clock = std::chrono::steady_clock;
@@ -58,10 +58,7 @@ struct FleetEngine::Soa {
   std::vector<double> arrived_t, completed_t;
   std::vector<double> battery;           ///< remaining endurance [s]
   std::vector<std::uint8_t> phase;       ///< fleet::Phase
-  std::vector<std::uint8_t> active;      ///< 0 until the spawn event fires
   std::vector<std::uint8_t> in_cells;    ///< row sits in cell_keys_
-  // Kinematics scratch (batched mode pass 1 -> pass 2 handoff).
-  std::vector<std::uint8_t> arriving;
   // Per-UAV stochastic state (independent streams; order-insensitive).
   std::vector<sim::Rng> rng;
   std::vector<phy::LinkChannel> channel;
@@ -180,9 +177,7 @@ int FleetEngine::add_mission(const MissionSpec& spec) {
   s.completed_t.push_back(0.0);
   s.battery.push_back(cfg_.battery_autonomy_s);
   s.phase.push_back(static_cast<std::uint8_t>(Phase::kFerry));
-  s.active.push_back(0);
   s.in_cells.push_back(0);
-  s.arriving.push_back(0);
   s.chaos.emplace_back(nullptr);
   s.down_since.push_back(-1.0);
   s.degrade_cusum.push_back(0.0);
@@ -200,11 +195,7 @@ int FleetEngine::add_mission(const MissionSpec& spec) {
   return static_cast<int>(i);
 }
 
-void FleetEngine::spawn(std::uint32_t i) {
-  soa_->active[i] = 1;
-  ferrying_.fetch_add(1, std::memory_order_relaxed);
-  pending_decisions_.push_back(i);
-}
+void FleetEngine::spawn(std::uint32_t i) { pending_decisions_.push_back(i); }
 
 void FleetEngine::decide_pending() {
   if (pending_decisions_.empty()) return;
@@ -296,10 +287,9 @@ void FleetEngine::decide_pending() {
       if (fail_m < ferry_m) {
         sim_.schedule_at(s.spawn_t[i] + fail_m / s.speed[i], [this, i] {
           Soa& soa = *soa_;
-          if (soa.active[i] && soa.phase[i] == static_cast<std::uint8_t>(Phase::kFerry)) {
+          if (soa.phase[i] == static_cast<std::uint8_t>(Phase::kFerry)) {
             soa.phase[i] = static_cast<std::uint8_t>(Phase::kFailed);
             soa.vx[i] = soa.vy[i] = soa.vz[i] = 0.0;
-            ferrying_.fetch_sub(1, std::memory_order_relaxed);
           }
         });
       }
@@ -319,16 +309,18 @@ void FleetEngine::decide_pending() {
         s.rebudget[i] = net::RetryBudget(rb);
       }
     }
+    ferry_rows_.push_back(i);
   }
   pending_decisions_.clear();
 }
 
 // Multi-link missions ship the background-trickle bytes during the
 // ferry leg; the credit lands atomically (from the fleet's point of
-// view) at arrival. Touches only row i, so both kinematics arrival
-// sites may call it from inside parallel chunks. A mission whose
-// trickle covers the whole batch completes on the spot — the arrival
-// site already decremented ferrying_ and raised tx_set_dirty_.
+// view) at arrival. Touches only row i, so the kinematics arrival site
+// may call it from inside parallel chunks. A mission whose trickle
+// covers the whole batch completes on the spot — the arrival site
+// already raised tx_set_dirty_, and the ferry compaction hands only
+// rows still in kTransmit to the transmit set.
 void FleetEngine::credit_trickle(std::uint32_t i) {
   Soa& s = *soa_;
   const std::uint64_t credit =
@@ -360,62 +352,28 @@ void FleetEngine::step_kinematics(double t0) {
   Soa& s = *soa_;
   const double dt = cfg_.dt_s;
   const auto kFerryU8 = static_cast<std::uint8_t>(Phase::kFerry);
+  const auto kTransmitU8 = static_cast<std::uint8_t>(Phase::kTransmit);
 
-  // Both modes compute the identical per-UAV FP expressions; only the
-  // loop structure differs (per-column passes vs one fused loop), so
-  // trajectories are bit-identical between them and across threads.
-  // Once every live mission has landed on its transmit point there is no
-  // motion to integrate and the whole sweep is skipped.
-  const bool anyone_ferrying = ferrying_.load(std::memory_order_relaxed) > 0;
-  if (!anyone_ferrying) {
-    // fall through to the battery pass below
-  } else if (cfg_.kinematics == KinematicsMode::kBatched) {
-    parallel_for(count_, [&](std::size_t b, std::size_t e) {
-      // Pass 1: headings and arrival flags.
-      for (std::size_t i = b; i < e; ++i) {
-        if (!s.active[i] || s.phase[i] != kFerryU8) { s.arriving[i] = 2; continue; }
-        const double dx = s.tx[i] - s.px[i];
-        const double dy = s.ty[i] - s.py[i];
-        const double dz = s.tz[i] - s.pz[i];
-        const double dist = std::sqrt(dx * dx + dy * dy + dz * dz);
-        if (dist <= s.speed[i] * dt) {
-          s.arriving[i] = 1;
-          s.arrived_t[i] = t0 + (s.speed[i] > 0.0 ? dist / s.speed[i] : 0.0);
-        } else {
-          s.arriving[i] = 0;
-          const double k = s.speed[i] / dist;
-          s.vx[i] = dx * k;
-          s.vy[i] = dy * k;
-          s.vz[i] = dz * k;
-        }
-      }
-      // Pass 2: integrate movers.
-      for (std::size_t i = b; i < e; ++i) {
-        if (s.arriving[i] != 0) continue;
-        s.px[i] += s.vx[i] * dt;
-        s.py[i] += s.vy[i] * dt;
-        s.pz[i] += s.vz[i] * dt;
-      }
-      // Pass 3: land arrivals on the transmit point.
-      for (std::size_t i = b; i < e; ++i) {
-        if (s.arriving[i] != 1) continue;
-        s.px[i] = s.tx[i];
-        s.py[i] = s.ty[i];
-        s.pz[i] = s.tz[i];
-        s.vx[i] = s.vy[i] = s.vz[i] = 0.0;
-        s.phase[i] = static_cast<std::uint8_t>(Phase::kTransmit);
-        // +0.0 on the wifi/legacy paths — bit-identical; a non-wifi
-        // burst pays its session setup before the first ARQ round.
-        s.tx_clock[i] = s.arrived_t[i] + s.session_setup[i];
-        ferrying_.fetch_sub(1, std::memory_order_relaxed);
-        tx_set_dirty_.store(true, std::memory_order_relaxed);
-        if (s.trickle[i] > 0) credit_trickle(static_cast<std::uint32_t>(i));
-      }
-    });
-  } else {
-    parallel_for(count_, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        if (!s.active[i] || s.phase[i] != kFerryU8) continue;
+  // Endurance drain (skipped entirely for the default infinite battery).
+  const bool drain = std::isfinite(cfg_.battery_autonomy_s);
+  const auto drain_battery = [&](std::uint32_t i) {
+    if (s.phase[i] != kFerryU8 && s.phase[i] != kTransmitU8) return;
+    s.battery[i] -= dt;
+    if (s.battery[i] < 0.0) {
+      s.phase[i] = static_cast<std::uint8_t>(Phase::kFailed);
+      s.vx[i] = s.vy[i] = s.vz[i] = 0.0;
+      tx_set_dirty_.store(true, std::memory_order_relaxed);
+    }
+  };
+
+  // Fly every listed row still in kFerry (a crash event may have failed
+  // one since the last step), then drain its battery: the same per-row
+  // sequence as a kinematics pass followed by a battery pass, and every
+  // write is row-local, so the list order and the chunking never show.
+  parallel_for(ferry_rows_.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t r = b; r < e; ++r) {
+      const std::uint32_t i = ferry_rows_[r];
+      if (s.phase[i] == kFerryU8) {
         const double dx = s.tx[i] - s.px[i];
         const double dy = s.ty[i] - s.py[i];
         const double dz = s.tz[i] - s.pz[i];
@@ -426,11 +384,12 @@ void FleetEngine::step_kinematics(double t0) {
           s.py[i] = s.ty[i];
           s.pz[i] = s.tz[i];
           s.vx[i] = s.vy[i] = s.vz[i] = 0.0;
-          s.phase[i] = static_cast<std::uint8_t>(Phase::kTransmit);
+          s.phase[i] = kTransmitU8;
+          // +0.0 on the wifi/legacy paths — bit-identical; a non-wifi
+          // burst pays its session setup before the first ARQ round.
           s.tx_clock[i] = s.arrived_t[i] + s.session_setup[i];
-          ferrying_.fetch_sub(1, std::memory_order_relaxed);
           tx_set_dirty_.store(true, std::memory_order_relaxed);
-          if (s.trickle[i] > 0) credit_trickle(static_cast<std::uint32_t>(i));
+          if (s.trickle[i] > 0) credit_trickle(i);
         } else {
           const double k = s.speed[i] / dist;
           s.vx[i] = dx * k;
@@ -441,29 +400,32 @@ void FleetEngine::step_kinematics(double t0) {
           s.pz[i] += s.vz[i] * dt;
         }
       }
+      if (drain) drain_battery(i);
+    }
+  });
+  // The transmitters that did not land this step. Disjoint from
+  // ferry_rows_, so each live row drains once.
+  if (drain) {
+    parallel_for(tx_rows_.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t r = b; r < e; ++r) drain_battery(tx_rows_[r]);
     });
   }
 
-  // Endurance drain (skipped entirely for the default infinite battery).
-  if (std::isfinite(cfg_.battery_autonomy_s)) {
-    parallel_for(count_, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        if (!s.active[i]) continue;
-        const auto ph = static_cast<Phase>(s.phase[i]);
-        if (ph != Phase::kFerry && ph != Phase::kTransmit) continue;
-        s.battery[i] -= dt;
-        if (s.battery[i] < 0.0) {
-          s.phase[i] = static_cast<std::uint8_t>(Phase::kFailed);
-          s.vx[i] = s.vy[i] = s.vz[i] = 0.0;
-          if (ph == Phase::kFerry) ferrying_.fetch_sub(1, std::memory_order_relaxed);
-          tx_set_dirty_.store(true, std::memory_order_relaxed);
-        }
-      }
-    });
+  // Keep the rows still flying; hand this step's arrivals that are still
+  // transmitting (not completed on their trickle credit, not failed) to
+  // the transmit-set rebuild.
+  std::size_t kept = 0;
+  for (const std::uint32_t i : ferry_rows_) {
+    if (s.phase[i] == kFerryU8) {
+      ferry_rows_[kept++] = i;
+    } else if (s.phase[i] == kTransmitU8) {
+      tx_joiners_.push_back(i);
+    }
   }
+  ferry_rows_.resize(kept);
 }
 
-void FleetEngine::step_transfers(double t0) {
+bool FleetEngine::step_transfers(double t0) {
   Soa& s = *soa_;
   const auto kTransmitU8 = static_cast<std::uint8_t>(Phase::kTransmit);
 
@@ -481,12 +443,29 @@ void FleetEngine::step_transfers(double t0) {
     // one lies beyond this sweep's window (contention-stretched
     // exchanges can span hundreds of sweeps) there is nothing to
     // simulate.
-    if (!winners_.empty() && t0 + cfg_.dt_s > next_fire_s_) run_winners(t0);
-    return;
+    if (winners_.empty() || t0 + cfg_.dt_s <= next_fire_s_) return false;
+    run_winners(t0);
+    return true;
   }
   tx_set_dirty_.store(false, std::memory_order_relaxed);
 
-  // 1. Bring the set of wifi transmitters up to date. cell_keys_ stays
+  // 1. Bring the transmitting rows up to date: drop the rows that left
+  //    kTransmit and merge this step's sorted arrivals, so tx_rows_ is
+  //    again every transmitting row in ascending order — the rows, and
+  //    the order, of a scan over all rows.
+  std::size_t live = 0;
+  for (const std::uint32_t i : tx_rows_) {
+    if (s.phase[i] == kTransmitU8) tx_rows_[live++] = i;
+  }
+  tx_rows_.resize(live);
+  if (!tx_joiners_.empty()) {
+    std::sort(tx_joiners_.begin(), tx_joiners_.end());
+    tx_rows_.insert(tx_rows_.end(), tx_joiners_.begin(), tx_joiners_.end());
+    std::inplace_merge(tx_rows_.begin(), tx_rows_.end() - tx_joiners_.size(), tx_rows_.end());
+    tx_joiners_.clear();
+  }
+
+  //    Then the set of wifi transmitters. cell_keys_ stays
   //    sorted by (cell key, row) between rebuilds, and a row's key is
   //    fixed while it stays in kTransmit: only kFerry rows move, an
   //    in-place retarget keeps the position, and a closer one sends the
@@ -516,8 +495,7 @@ void FleetEngine::step_transfers(double t0) {
   cell_keys_.resize(kept);
   cell_joiners_.clear();
   const double inv_cell = 1.0 / std::max(cfg_.cell_size_m, 1e-6);
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    if (!s.active[i] || s.phase[i] != kTransmitU8) continue;
+  for (const std::uint32_t i : tx_rows_) {
     if (!on_wifi(i)) {
       winners_.push_back(i);
       winner_eff_row_.push_back(0);
@@ -537,7 +515,7 @@ void FleetEngine::step_transfers(double t0) {
     std::inplace_merge(cell_keys_.begin(), cell_keys_.end() - cell_joiners_.size(),
                        cell_keys_.end());
   }
-  if (cell_keys_.empty() && winners_.empty()) return;
+  if (cell_keys_.empty() && winners_.empty()) return false;
 
   // 2. Per cell: admit up to max_tx_per_cell transmitters (the
   //    scheduler's "now or later?" under contention) and attach the
@@ -583,6 +561,7 @@ void FleetEngine::step_transfers(double t0) {
     g0 = g1;
   }
   run_winners(t0);
+  return true;
 }
 
 // Run every admitted transmitter's exchange micro-loop. Disjoint rows,
@@ -818,11 +797,15 @@ void FleetEngine::retarget(std::uint32_t i, double t, double d_new) {
     s.ty[i] = s.ry[i] + dy * f;
     s.tz[i] = s.rz[i] + dz * f;
     s.phase[i] = static_cast<std::uint8_t>(Phase::kFerry);
-    s.arriving[i] = 0;
     // Its cell key moves with it: the next rebuild re-buckets the row
     // even if it lands again before that rebuild runs.
     s.in_cells[i] = 0;
-    ferrying_.fetch_add(1, std::memory_order_relaxed);
+    // Serial (process_reelections), after this step's rebuild merged
+    // every transmitting row, so the row is in tx_rows_.
+    const auto at = std::lower_bound(tx_rows_.begin(), tx_rows_.end(), i);
+    assert(at != tx_rows_.end() && *at == i);
+    tx_rows_.erase(at);
+    ferry_rows_.push_back(i);
   } else {
     // Already there: restart the exchange clock after the new attach.
     s.tx_clock[i] = t + s.session_setup[i];
@@ -885,8 +868,12 @@ void FleetEngine::process_reelections(double t) {
   Soa& s = *soa_;
   const auto kTransmitU8 = static_cast<std::uint8_t>(Phase::kTransmit);
   const bool multilink = cfg_.links != nullptr && !cfg_.links->empty();
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    if (!s.want_reelect[i]) continue;
+  reelect_rows_.clear();
+  for (const std::uint32_t i : winners_) {
+    if (s.want_reelect[i]) reelect_rows_.push_back(i);
+  }
+  std::sort(reelect_rows_.begin(), reelect_rows_.end());
+  for (const std::uint32_t i : reelect_rows_) {
     s.want_reelect[i] = 0;
     if (s.phase[i] != kTransmitU8) continue;
     if (s.reelections[i] >= cfg_.reelection.max_reelections) continue;
@@ -953,9 +940,9 @@ void FleetEngine::step() {
   step_kinematics(t0);
   const Clock::time_point c3 = Clock::now();
   const double exchanges_before = phase_s_.exchanges;
-  step_transfers(t0);
+  const bool ran_winners = step_transfers(t0);
   const Clock::time_point c4 = Clock::now();
-  if (chaos_on_ && cfg_.reelection.enabled) process_reelections(t0 + cfg_.dt_s);
+  if (ran_winners && chaos_on_ && cfg_.reelection.enabled) process_reelections(t0 + cfg_.dt_s);
   now_ = t0 + cfg_.dt_s;
   const Clock::time_point c5 = Clock::now();
   phase_s_.decide += seconds(c0, c1);

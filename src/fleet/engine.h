@@ -19,10 +19,16 @@
 // bridged into the sweep loop, so the event queue holds O(missions)
 // entries instead of O(exchanges).
 //
+// Each per-step sweep visits only the rows its phase can touch: the
+// ferrying rows for kinematics, the ferrying and transmitting rows for
+// the endurance drain, the transmitting rows for the transmit set, and
+// the rows flagged this step for re-election. A row that is not spawned
+// yet, or is done or failed, costs a sweep nothing.
+//
 // Determinism contract: results are bit-identical across
-// FleetConfig::threads (fixed 256-UAV chunking, disjoint writes,
-// per-UAV counter-based RNG streams) and across the batched/scalar
-// kinematics modes (same FP expression order, different loop structure).
+// FleetConfig::threads (fixed 256-entry chunking, disjoint writes,
+// per-UAV counter-based RNG streams). A row's sweep work is row-local,
+// so the order of the row lists is free: any order gives the same bits.
 #pragma once
 
 #include <array>
@@ -57,13 +63,6 @@ namespace skyferry::fleet {
 /// Mission lifecycle. kFerry -> kTransmit -> kDone, with kFailed
 /// reachable from kFerry (crash) or anywhere (battery exhaustion).
 enum class Phase : std::uint8_t { kFerry, kTransmit, kDone, kFailed };
-
-/// Loop structure of the kinematics sweep. Both modes evaluate the same
-/// floating-point expressions per UAV and are bit-identical; kBatched
-/// splits the sweep into per-array passes over the SoA columns so the
-/// compiler can vectorize, kScalar fuses everything per UAV (the
-/// reference for the determinism suite).
-enum class KinematicsMode : std::uint8_t { kBatched, kScalar };
 
 /// Mid-mission re-election guard ladder (DESIGN.md §14). Triggers are
 /// driven exclusively by injected link-chaos evidence (sustained
@@ -129,7 +128,6 @@ struct FleetConfig {
   /// Worker threads for the sweep loops (<=0: one per hardware thread,
   /// 1: inline). Bit-identical results for any value.
   int threads{1};
-  KinematicsMode kinematics{KinematicsMode::kBatched};
   /// Flight endurance [s]; a UAV whose clock runs past it fails. The
   /// battery column drains at 1 s/s from spawn.
   double battery_autonomy_s{std::numeric_limits<double>::infinity()};
@@ -278,8 +276,13 @@ class FleetEngine {
   /// Credit the mission's background-trickle bytes at arrival (called
   /// from both kinematics arrival sites; touches only row i).
   void credit_trickle(std::uint32_t i);
+  /// Ferry sweep and endurance drain over the live rows, then the
+  /// serial ferry-list compaction that hands arrivals to tx_joiners_.
   void step_kinematics(double t0);
-  void step_transfers(double t0);
+  /// Transmit-set maintenance, admission and the winners' rounds.
+  /// Returns whether run_winners ran: only its rounds raise re-election
+  /// flags.
+  bool step_transfers(double t0);
   void run_winners(double t0);
   /// One winner's transfer rounds inside this sweep's window: 802.11n
   /// A-MPDU exchanges (mac::ampdu_exchange), or frame-burst ARQ rounds
@@ -306,13 +309,19 @@ class FleetEngine {
   /// elections of one decide_multilink_per_link solve on the residual
   /// batch, ferry-closer fallback). Serial by design so
   /// decide ordering — and therefore every downstream draw — is
-  /// thread-count independent.
+  /// thread-count independent. It walks only this step's winners_:
+  /// run_exchanges raises want_reelect on winners_ rows alone, and this
+  /// pass clears every flag it reads, so no flag outlives its step and
+  /// the flagged winners, sorted ascending, are exactly the rows (in the
+  /// order) a scan of every row would find. A step whose run_winners
+  /// did not run raises no flag and skips the pass.
   void process_reelections(double t);
   void commit_reelection(std::uint32_t i, double t, int j, const policy::MultiLinkDecision& dec);
   void fallback_ship_closer(std::uint32_t i, double t);
   /// Point the mission at distance d_new along its current line to the
-  /// receiver: re-ferry when strictly closer, else restart the exchange
-  /// clock in place after the (new) session setup.
+  /// receiver: re-ferry when strictly closer (the row moves from
+  /// tx_rows_ to ferry_rows_), else restart the exchange clock in place
+  /// after the (new) session setup.
   void retarget(std::uint32_t i, double t, double d_new);
   template <class Fn>
   void parallel_for(std::size_t n, const Fn& fn);
@@ -349,12 +358,33 @@ class FleetEngine {
   std::vector<mac::FrameErrors> link_errors_;
 
   std::vector<std::uint32_t> pending_decisions_;
+  /// Rows to fly, in no particular order: decide_pending appends every
+  /// decided row and a re-ferrying retarget appends its row. Between
+  /// steps every entry is in kFerry; within a step a crash, an arrival
+  /// or a battery failure changes an entry's phase, and the serial
+  /// compaction that ends step_kinematics drops it (an arrival still in
+  /// kTransmit moves to tx_joiners_). An empty list skips the sweep.
+  std::vector<std::uint32_t> ferry_rows_;
+  /// Transmitting rows, sorted ascending, as of the last transmit-set
+  /// rebuild. Rows that reached kDone or kFailed since then stay until
+  /// the next rebuild drops them; a re-ferrying retarget erases its row
+  /// at once. So every kTransmit row sits in exactly one of tx_rows_
+  /// and tx_joiners_, and the battery pass over ferry_rows_ plus
+  /// tx_rows_ drains each live row once.
+  std::vector<std::uint32_t> tx_rows_;
+  /// This step's arrivals, collected by the ferry compaction and merged
+  /// into tx_rows_ by the rebuild of the same step (every arrival
+  /// raises tx_set_dirty_).
+  std::vector<std::uint32_t> tx_joiners_;
+  std::vector<std::uint32_t> reelect_rows_;  ///< process_reelections scratch
   // step_transfers state (members to avoid per-sweep allocation). The
   // winner set is memoized across sweeps: transmitters hover, so cell
-  // membership only changes on a phase transition or a link switch,
-  // which raise tx_set_dirty_ (atomic: arrivals/completions flip it from
-  // inside parallel chunks; the flag's value is thread-count
-  // independent). cell_keys_ holds every wifi transmitter as a
+  // membership only changes on a phase transition or a link switch.
+  // Every row that enters or leaves kTransmit, and every retarget,
+  // raises tx_set_dirty_ (atomic: arrivals, completions and battery
+  // failures raise it from inside parallel chunks; it is only ever set
+  // to true there, so its value is thread-count and order independent).
+  // cell_keys_ holds every wifi transmitter as a
   // (cell key, row) pair, kept sorted across rebuilds (Soa::in_cells
   // marks its rows); cell_joiners_ collects the rows a rebuild adds.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> cell_keys_;
@@ -370,10 +400,6 @@ class FleetEngine {
   /// hundreds of sweeps).
   double next_fire_s_{-std::numeric_limits<double>::infinity()};
   std::vector<double> chunk_min_;  ///< per-chunk watermark scratch
-  /// Live kFerry count; the kinematics sweep is skipped at zero.
-  /// Atomic: arrivals decrement from inside parallel chunks. The value
-  /// is a pure count, identical for every thread count.
-  std::atomic<std::int64_t> ferrying_{0};
 
   /// True when cfg_.link_chaos has any active axis. Every chaos branch
   /// in the sweeps hides behind it, which is what keeps the zero-chaos

@@ -233,10 +233,9 @@ void expect_bit_identical(const Snapshot& a, const Snapshot& b, const char* what
   }
 }
 
-Snapshot run_fleet(int threads, KinematicsMode mode) {
+Snapshot run_fleet(int threads) {
   FleetConfig cfg;
   cfg.threads = threads;
-  cfg.kinematics = mode;
   cfg.max_tx_per_cell = 2;  // force scheduler decisions into the mix
   FleetEngine eng(cfg, 2024);
   add_ring(eng, 300, 5e-4);
@@ -245,17 +244,11 @@ Snapshot run_fleet(int threads, KinematicsMode mode) {
 }
 
 TEST(FleetDeterminism, BitIdenticalAcrossThreadCounts) {
-  const Snapshot one = run_fleet(1, KinematicsMode::kBatched);
-  const Snapshot two = run_fleet(2, KinematicsMode::kBatched);
-  const Snapshot eight = run_fleet(8, KinematicsMode::kBatched);
+  const Snapshot one = run_fleet(1);
+  const Snapshot two = run_fleet(2);
+  const Snapshot eight = run_fleet(8);
   expect_bit_identical(one, two, "threads=2");
   expect_bit_identical(one, eight, "threads=8");
-}
-
-TEST(FleetDeterminism, BatchedAndScalarKinematicsAgreeBitwise) {
-  const Snapshot batched = run_fleet(1, KinematicsMode::kBatched);
-  const Snapshot scalar = run_fleet(1, KinematicsMode::kScalar);
-  expect_bit_identical(batched, scalar, "scalar");
 }
 
 // --- Scheduler-policy outcome (ISSUE acceptance) -------------------------

@@ -10,7 +10,6 @@
 // Each scenario is also run at 2 and 8 threads against the same digest.
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -20,47 +19,14 @@
 #include "fault/link_chaos.h"
 #include "fleet/engine.h"
 #include "link/multilink.h"
+#include "support/fleet_digest.h"
 #include "sim/rng.h"
 
 namespace skyferry::fleet {
 namespace {
 
-/// FNV-1a over raw bytes: equal digests mean bit-identical snapshots.
-struct Digest {
-  std::uint64_t h{1469598103934665603ULL};
-  template <class T>
-  void add(const T& v) {
-    unsigned char b[sizeof(T)];
-    std::memcpy(b, &v, sizeof(T));
-    for (const unsigned char c : b) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-  }
-};
-
-void fold_snapshot(const FleetEngine& eng, Digest& d) {
-  for (int i = 0; i < static_cast<int>(eng.mission_count()); ++i) {
-    const MissionStatus st = eng.mission(i);
-    const geo::Vec3 p = eng.position(i);
-    d.add(static_cast<std::uint8_t>(st.phase));
-    d.add(st.d_star_m);
-    d.add(st.utility);
-    d.add(st.bytes_delivered);
-    d.add(st.bytes_by_deadline);
-    d.add(st.mpdus_attempted);
-    d.add(st.mpdus_delivered);
-    d.add(st.arrived_t_s);
-    d.add(st.completed_t_s);
-    d.add(st.burst_link);
-    d.add(st.trickle_bytes);
-    d.add(st.reelections);
-    d.add(static_cast<std::uint8_t>(st.stall_reason));
-    d.add(p.x);
-    d.add(p.y);
-    d.add(p.z);
-  }
-}
+using test_support::Digest;
+using test_support::fold_snapshot;
 
 /// What a run saw happen, so each scenario proves it exercises the
 /// transitions the transmit set has to follow.
