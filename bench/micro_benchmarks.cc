@@ -308,7 +308,7 @@ void BM_MultiLinkReelect(benchmark::State& state) {
 BENCHMARK(BM_MultiLinkReelect);
 
 void BM_PacketErrorRate(benchmark::State& state) {
-  const phy::ErrorModel em({}, 0.9);
+  const phy::ErrorModel em(0.9);
   double snr = 0.0;
   for (auto _ : state) {
     snr = (snr < 30.0) ? snr + 0.1 : 0.0;
@@ -319,7 +319,7 @@ void BM_PacketErrorRate(benchmark::State& state) {
 BENCHMARK(BM_PacketErrorRate);
 
 void BM_PerTableLookup(benchmark::State& state) {
-  const phy::ErrorModel em({}, 0.9);
+  const phy::ErrorModel em(0.9);
   const phy::PerTable tab(em, phy::mcs(3), 12288);
   double snr = 0.0, acc = 0.0;
   for (auto _ : state) {
@@ -331,7 +331,7 @@ void BM_PerTableLookup(benchmark::State& state) {
 BENCHMARK(BM_PerTableLookup);
 
 void BM_PerTableMarginal(benchmark::State& state) {
-  const phy::ErrorModel em({}, 0.9);
+  const phy::ErrorModel em(0.9);
   const phy::PerTable tab(em, phy::mcs(3), 12288);
   double snr = 0.0, acc = 0.0;
   for (auto _ : state) {

@@ -7,18 +7,6 @@
 
 namespace skyferry::fault {
 
-const char* to_string(FaultKind k) noexcept {
-  switch (k) {
-    case FaultKind::kUavCrash: return "uav-crash";
-    case FaultKind::kLinkDown: return "link-down";
-    case FaultKind::kLinkUp: return "link-up";
-    case FaultKind::kControlLoss: return "control-loss";
-    case FaultKind::kGpsDown: return "gps-down";
-    case FaultKind::kGpsUp: return "gps-up";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(sim::Simulator& sim, FaultPlan plan)
     : sim_(sim),
       plan_(plan),

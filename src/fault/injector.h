@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -24,8 +23,6 @@ enum class FaultKind : std::uint8_t {
   kGpsDown,
   kGpsUp,
 };
-
-[[nodiscard]] const char* to_string(FaultKind k) noexcept;
 
 struct FaultEvent {
   FaultKind kind;

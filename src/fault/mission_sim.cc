@@ -15,16 +15,6 @@ namespace skyferry::fault {
 void ResilienceSpec::validate() const {
   auto finite = [](double v) { return std::isfinite(v); };
   if (!enabled) return;
-  if (!finite(probe_interval_s) || probe_interval_s <= 0.0)
-    throw ConfigError("ResilienceSpec: probe_interval_s must be finite and > 0");
-  if (!finite(probe_noise_rel) || probe_noise_rel < 0.0)
-    throw ConfigError("ResilienceSpec: probe_noise_rel must be finite and >= 0");
-  if (!finite(rho_noise_rel) || rho_noise_rel < 0.0)
-    throw ConfigError("ResilienceSpec: rho_noise_rel must be finite and >= 0");
-  if (!finite(ship_closer_fraction) || ship_closer_fraction <= 0.0 || ship_closer_fraction > 1.0)
-    throw ConfigError("ResilienceSpec: ship_closer_fraction must be in (0, 1]");
-  if (max_ship_closer_moves < 0)
-    throw ConfigError("ResilienceSpec: max_ship_closer_moves must be >= 0");
   if (!finite(degradation.divergence_threshold) || degradation.divergence_threshold <= 0.0)
     throw ConfigError("ResilienceSpec: degradation.divergence_threshold must be finite and > 0");
   if (retry_budget.max_attempts <= 0)
@@ -54,6 +44,10 @@ void TrialSpec::validate() const {
     throw ConfigError("TrialSpec: target_packets and arq.datagram_bytes cannot both be 0");
   if (use_link_simulator && (!finite(link_sim_duration_s) || link_sim_duration_s <= 0.0))
     throw ConfigError("TrialSpec: link_sim_duration_s must be finite and > 0");
+  if (use_link_simulator && link_tables && !link_tables->serves(link_channel.spatial_correlation))
+    throw ConfigError(
+        "TrialSpec: link_tables was built for another link_channel (call "
+        "with_shared_link_tables() after with_link_channel())");
   const MismatchFaults& mm = faults.mismatch;
   if (!finite(mm.rho_scale) || mm.rho_scale < 0.0)
     throw ConfigError("TrialSpec: faults.mismatch.rho_scale must be finite and >= 0");
@@ -149,7 +143,7 @@ class MissionTrial {
   void ship_closer();
   [[nodiscard]] bool can_ship_closer() const {
     return spec_.resilience.enabled &&
-           result_.ship_closer_moves < spec_.resilience.max_ship_closer_moves &&
+           result_.ship_closer_moves < ResilienceSpec::kMaxShipCloserMoves &&
            result_.d_final_m > spec_.scenario.min_distance_m + 1e-6;
   }
 
@@ -295,7 +289,7 @@ void MissionTrial::begin_approach() {
   remaining_approach_m_ = std::max(result_.approach_distance_m, 0.0);
   approaching_ = true;
   if (spec_.resilience.enabled) {
-    sim::schedule_periodic(sim_, spec_.resilience.probe_interval_s, [this] {
+    sim::schedule_periodic(sim_, ResilienceSpec::kProbeIntervalS, [this] {
       if (done_ || !approaching_) return false;
       probe_tick();
       return !done_ && approaching_;
@@ -310,7 +304,7 @@ void MissionTrial::probe_tick() {
   const ResilienceSpec& rs = spec_.resilience;
   const double d = current_distance_m();
   // Unbiased lognormal probe noise: E[obs] equals the executed rate.
-  const double sn = rs.probe_noise_rel;
+  constexpr double sn = ResilienceSpec::kProbeNoiseRel;
   const double obs = model_.throughput_bps(d) * tput_mismatch_scale() *
                      std::exp(probe_rng_.gaussian(-0.5 * sn * sn, sn));
   ++result_.probes;
@@ -318,7 +312,7 @@ void MissionTrial::probe_tick() {
   if (plan_.crash.enabled) {
     // Battery-drain telemetry observes the executed rho directly (the
     // paper's rho is the inverse battery-limited range).
-    const double sr = rs.rho_noise_rel;
+    constexpr double sr = ResilienceSpec::kRhoNoiseRel;
     hazard_est_->add_sample(plan_.crash.rho_per_m *
                             std::exp(probe_rng_.gaussian(-0.5 * sr * sr, sr)));
   }
@@ -597,7 +591,7 @@ void MissionTrial::ship_closer() {
   ++result_.ship_closer_moves;
   const double floor = spec_.scenario.min_distance_m;
   const double new_d = std::max(
-      floor, result_.d_final_m - spec_.resilience.ship_closer_fraction * (result_.d_final_m - floor));
+      floor, result_.d_final_m - ResilienceSpec::kShipCloserFraction * (result_.d_final_m - floor));
   // Flying closer takes real time — and, while a loiter crash deadline is
   // pending, burns the same failure distance per second as loitering, so
   // the pending crash event stays correct.

@@ -38,22 +38,28 @@ struct ConfigError : std::invalid_argument {
 /// In-flight resilience stack of one mission (disabled by default — a
 /// trial with resilience off is bit-identical to the pre-resilience
 /// simulator). When enabled, the scout probes the channel and its
-/// battery-derived failure rate at `probe_interval_s` while approaching,
+/// battery-derived failure rate at kProbeIntervalS while approaching,
 /// feeds a ctrl::OnlineChannelEstimator / HazardRateEstimator, steps the
 /// ctrl::DegradedModeController ladder, and lets core::ReDecisionPolicy
 /// re-target the transmit position when the divergence detector trips.
 /// Transfers run under a deadline-aware net::RetryBudget with an
 /// abort-and-ship-closer fallback when the budget is exhausted.
 struct ResilienceSpec {
-  bool enabled{false};
   /// Observation cadence while approaching [s]. Sized so a quadrocopter
   /// at 4.5 m/s collects the estimator's min_samples window well before
   /// the re-decision commit point.
-  double probe_interval_s{1.0};
+  static constexpr double kProbeIntervalS = 1.0;
   /// Lognormal sigma of one throughput probe (relative, unbiased).
-  double probe_noise_rel{0.10};
+  static constexpr double kProbeNoiseRel = 0.10;
   /// Lognormal sigma of one battery-derived rho observation.
-  double rho_noise_rel{0.10};
+  static constexpr double kRhoNoiseRel = 0.10;
+  /// Abort-and-ship-closer: each fallback move closes this fraction of
+  /// the remaining gap to the anti-collision floor, at most
+  /// kMaxShipCloserMoves times.
+  static constexpr double kShipCloserFraction = 0.5;
+  static constexpr int kMaxShipCloserMoves = 3;
+
+  bool enabled{false};
   ctrl::ChannelEstimatorConfig estimator{};
   ctrl::HazardEstimatorConfig hazard{};
   /// Also the re-decision trigger (core::ReDecisionPolicy).
@@ -62,13 +68,9 @@ struct ResilienceSpec {
   /// Transfer retry governor. A non-finite deadline_s is replaced by the
   /// trial's max_time_s at mission start.
   net::RetryBudgetConfig retry_budget{};
-  /// Abort-and-ship-closer: each fallback move closes this fraction of
-  /// the remaining gap to the anti-collision floor.
-  double ship_closer_fraction{0.5};
-  int max_ship_closer_moves{3};
 
-  /// Throws ConfigError on NaN/non-positive cadences or fractions
-  /// outside their domain.
+  /// Throws ConfigError on a non-finite or non-positive divergence
+  /// threshold or a non-positive retry budget.
   void validate() const;
 };
 
@@ -120,6 +122,7 @@ struct TrialSpec {
   /// with_shared_link_tables() before a Monte-Carlo fan-out so the
   /// trials share one lazily built, thread-safe cache instead of each
   /// rebuilding the tables; left empty, every trial builds its own.
+  /// validate() rejects a cache that does not serve link_channel.
   std::shared_ptr<phy::PerTableCache> link_tables{};
 
   // Fluent construction: spec.with_scenario(...).with_faults(...).
@@ -174,7 +177,8 @@ struct TrialSpec {
   }
 
   /// Reject values that would otherwise surface as NaN propagation or
-  /// infinite loops deep in the mission simulator. Throws ConfigError.
+  /// infinite loops deep in the mission simulator, and a link_tables
+  /// cache built for another channel. Throws ConfigError.
   void validate() const;
 };
 

@@ -81,7 +81,7 @@ FleetEngine::FleetEngine(FleetConfig cfg, std::uint64_t seed)
       model_(cfg.scenario.paper_throughput()),
       service_(model_),
       soa_(std::make_unique<Soa>()),
-      tables_(phy::ErrorModel(cfg.error, cfg.channel.spatial_correlation), cfg.per_table),
+      tables_(cfg.channel.spatial_correlation),
       airtime_(cfg.timing, cfg.ampdu, cfg.mpdu, cfg.channel.width, cfg.channel.gi) {
   if (cfg_.threads != 1) pool_ = std::make_unique<exp::ThreadPool>(cfg_.threads);
   cfg_.link_chaos.validate();
@@ -110,12 +110,11 @@ FleetEngine::FleetEngine(FleetConfig cfg, std::uint64_t seed)
 
   // Prefetch every PER table and fill the airtime memo up front so the
   // sweep loops are pure loads: no mutexes, no mac:: recomputation.
-  phy::PerTableCache* src = cfg_.shared_tables ? cfg_.shared_tables.get() : &tables_;
   for (int m = 0; m < phy::kNumMcs; ++m) {
     data_errors_[static_cast<std::size_t>(m)].table =
-        &src->table(phy::mcs(m), cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db);
+        &tables_.table(phy::mcs(m), cfg_.mpdu.mpdu_bits(), cfg_.per_mpdu_snr_jitter_db);
   }
-  ba_errors_.table = &src->table(phy::mcs(0), mac::kBlockAckBits, 0.0);
+  ba_errors_.table = &tables_.table(phy::mcs(0), mac::kBlockAckBits, 0.0);
   airtime_.fill();
 
   frame_airtime_s_.resize(phy::kNumMcs);

@@ -106,13 +106,7 @@ struct FleetConfig {
   mac::AmpduPolicy ampdu{};
   mac::MpduFormat mpdu{};
   phy::ChannelConfig channel{phy::ChannelConfig::quadrocopter()};
-  phy::ErrorModelConfig error{};
   double per_mpdu_snr_jitter_db{2.0};
-  /// SNR grid of the aggregate-path PER tables.
-  phy::PerTableConfig per_table{};
-  /// Optional cross-engine PER-table cache (same contract as
-  /// mac::LinkConfig::shared_tables); nullptr = private cache.
-  std::shared_ptr<phy::PerTableCache> shared_tables{};
   /// Back off this long when an exchange delivers nothing at MCS 0.
   double stall_retry_s{0.5};
 

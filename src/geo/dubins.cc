@@ -86,18 +86,6 @@ Candidate lrl(double alpha, double beta, double d) noexcept {
 
 }  // namespace
 
-std::string to_string(DubinsWord w) {
-  switch (w) {
-    case DubinsWord::kLSL: return "LSL";
-    case DubinsWord::kLSR: return "LSR";
-    case DubinsWord::kRSL: return "RSL";
-    case DubinsWord::kRSR: return "RSR";
-    case DubinsWord::kRLR: return "RLR";
-    case DubinsWord::kLRL: return "LRL";
-  }
-  return "?";
-}
-
 DubinsPath dubins_shortest(const Pose2& from, const Pose2& to, double radius_m) {
   const double r = std::max(radius_m, 1e-6);
   // Normalize: rotate/scale so the start is at the origin heading alpha

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <optional>
-#include <string>
 
 #include "geo/vec3.h"
 
@@ -25,8 +24,6 @@ struct Pose2 {
 };
 
 enum class DubinsWord { kLSL, kLSR, kRSL, kRSR, kRLR, kLRL };
-
-[[nodiscard]] std::string to_string(DubinsWord w);
 
 /// One solved Dubins path: the word and the three segment lengths in
 /// *radius-normalized* units (arcs in radians, straights in radii).

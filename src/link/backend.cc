@@ -17,27 +17,11 @@ void req(bool ok, const std::string& what) {
 
 bool finite(double v) noexcept { return std::isfinite(v); }
 
-// ---- sessions --------------------------------------------------------------
+/// Spatial correlation of the generic backends' session error model
+/// (phy::ChannelConfig's default).
+constexpr double kSessionSpatialCorrelation = 0.9;
 
-std::unique_ptr<mac::RateController> make_wifi_controller(const LinkBackendConfig& cfg,
-                                                          std::uint64_t seed) {
-  switch (cfg.wifi_rate_control) {
-    case WifiRateControl::kFixedMcs:
-      return std::make_unique<mac::FixedMcs>(cfg.mcs_index);
-    case WifiRateControl::kArf:
-      return std::make_unique<mac::ArfRate>(mac::ArfConfig{}, cfg.mac.channel.width,
-                                            cfg.mac.channel.gi);
-    case WifiRateControl::kMinstrel:
-      break;
-  }
-  mac::MinstrelConfig mc;
-  mc.timing = cfg.mac.timing;
-  mc.ampdu = cfg.mac.ampdu;
-  mc.mpdu = cfg.mac.mpdu;
-  mc.width = cfg.mac.channel.width;
-  mc.gi = cfg.mac.channel.gi;
-  return std::make_unique<mac::MinstrelHt>(mc, sim::derive_seed(seed, "minstrel"));
-}
+// ---- sessions --------------------------------------------------------------
 
 /// The 802.11n session IS the legacy simulator: same config, same seed,
 /// same RNG stream consumption — the differential suite pins run
@@ -45,7 +29,7 @@ std::unique_ptr<mac::RateController> make_wifi_controller(const LinkBackendConfi
 class WifiSession final : public LinkSession {
  public:
   WifiSession(const LinkBackendConfig& cfg, std::uint64_t seed)
-      : rc_(make_wifi_controller(cfg, seed)), sim_(cfg.mac, *rc_, seed) {}
+      : rc_(cfg.mcs_index), sim_(cfg.mac, rc_, seed) {}
 
   mac::LinkRunResult run_transfer(std::uint64_t payload_bytes, double max_duration_s,
                                   const mac::GeometryFn& geometry) override {
@@ -56,7 +40,7 @@ class WifiSession final : public LinkSession {
   }
 
  private:
-  std::unique_ptr<mac::RateController> rc_;
+  mac::FixedMcs rc_;
   mac::LinkSimulator sim_;
 };
 
@@ -73,7 +57,7 @@ class GenericSession final : public LinkSession {
                  const fault::LinkChaosConfig& chaos = {})
       : bk_(backend),
         cfg_(backend.config()),
-        em_(cfg_.error, cfg_.spatial_correlation),
+        em_(kSessionSpatialCorrelation),
         errors_{cfg_.fidelity == mac::LinkFidelity::kAggregate ? &backend.frame_table() : nullptr,
                 &em_, cfg_.frame_bits, cfg_.snr_jitter_db},
         outage_(cfg_.outage, sim::derive_seed(seed, "outage")),
@@ -222,14 +206,10 @@ class GenericBackend final : public LinkBackend {
 }  // namespace
 
 LinkBackend::LinkBackend(LinkBackendConfig cfg)
-    : cfg_(std::move(cfg)),
-      tables_(cfg_.shared_tables
-                  ? cfg_.shared_tables
-                  : std::make_shared<phy::PerTableCache>(
-                        phy::ErrorModel(cfg_.error, cfg_.spatial_correlation), cfg_.per_table)) {}
+    : cfg_(std::move(cfg)), tables_(kSessionSpatialCorrelation) {}
 
 const phy::PerTable& LinkBackend::frame_table() const {
-  return tables_->table(phy::mcs(cfg_.mcs_index), cfg_.frame_bits, cfg_.snr_jitter_db);
+  return tables_.table(phy::mcs(cfg_.mcs_index), cfg_.frame_bits, cfg_.snr_jitter_db);
 }
 
 BurstRound burst_round(const LinkBackendConfig& cfg, std::uint64_t frames, double snr_mean_db,
@@ -331,31 +311,6 @@ void LinkBackendConfig::validate() const {
   req(finite(snr_fade_sigma_db) && snr_fade_sigma_db >= 0.0,
       "snr_fade_sigma_db must be finite and >= 0");
   req(finite(snr_jitter_db) && snr_jitter_db >= 0.0, "snr_jitter_db must be finite and >= 0");
-  req(finite(spatial_correlation) && spatial_correlation >= 0.0 && spatial_correlation <= 1.0,
-      "spatial_correlation must be in [0, 1]");
-  req(finite(per_table.snr_min_db) && finite(per_table.snr_max_db) &&
-          per_table.snr_min_db < per_table.snr_max_db,
-      "per_table SNR range must be finite with min < max");
-  req(finite(per_table.step_db) && per_table.step_db > 0.0,
-      "per_table.step_db must be finite and > 0");
-  for (double g : {error.coding_gain_half_db, error.coding_gain_two_thirds_db,
-                   error.coding_gain_three_quarters_db, error.coding_gain_five_sixths_db,
-                   error.stbc_gain_db, error.sdm_power_split_db,
-                   error.sdm_max_correlation_penalty_db}) {
-    req(finite(g), "error-model gains must be finite");
-  }
-  if (shared_tables) {
-    req(shared_tables->fingerprint() ==
-            phy::table_fingerprint(error, spatial_correlation, per_table),
-        "shared_tables was built for a different (error model, spatial correlation, SNR grid) "
-        "— a mismatched cache answers with silently wrong PERs");
-  }
-  if (kind == BackendKind::kWifi80211n && mac.shared_tables) {
-    req(mac.shared_tables->fingerprint() ==
-            phy::table_fingerprint(mac.error, mac.channel.spatial_correlation, mac.per_table),
-        "mac.shared_tables does not match mac (error, channel.spatial_correlation, per_table) "
-        "— build it with mac::make_shared_per_tables on this config");
-  }
 }
 
 std::unique_ptr<LinkBackend> make_backend(LinkBackendConfig cfg) {

@@ -24,9 +24,7 @@
 //     gated by their outage process.
 //
 // Configs are plain data with a validate() that refuses
-// NaN/Inf/negative rates and latencies and mismatched shared PER-table
-// caches (the trap warned about at mac::LinkConfig::shared_tables)
-// before any simulation starts.
+// NaN/Inf/negative rates and latencies before any simulation starts.
 #pragma once
 
 #include <algorithm>
@@ -59,9 +57,6 @@ enum class BackendKind : std::uint8_t {
   kMesh,        ///< aerial mesh: per-hop rate divided by hop count
   kLeo,         ///< LEO satellite: high RTT, outage-driven availability
 };
-
-/// Rate controller driving the 802.11n backend's sessions.
-enum class WifiRateControl : std::uint8_t { kFixedMcs, kArf, kMinstrel };
 
 /// One backend's full description: decision-layer rate curve, latency,
 /// outage statistics, and the PHY curve its sessions sample. Flat plain
@@ -107,7 +102,8 @@ struct LinkBackendConfig {
   // The generic frame-burst session draws frame fates from an SNR→PER
   // table built by the same phy::PerTableCache fast path the 802.11n
   // simulator uses: a log-distance SNR map feeds an MCS-indexed PER
-  // curve, jitter-marginalized for LinkFidelity::kAggregate.
+  // curve, jitter-marginalized for LinkFidelity::kAggregate. The error
+  // model is phy::ChannelConfig's default (spatial correlation 0.9).
   int mcs_index{3};
   int frame_bits{12000};
   double snr_ref_db{38.0};              ///< SNR at the reference distance
@@ -117,19 +113,11 @@ struct LinkBackendConfig {
   double snr_jitter_db{2.0};             ///< per-frame jitter within a burst
   int frames_per_burst{32};              ///< ARQ burst size (one RTT each)
   mac::LinkFidelity fidelity{mac::LinkFidelity::kAggregate};
-  phy::ErrorModelConfig error{};
-  double spatial_correlation{0.9};
-  phy::PerTableConfig per_table{};
-  /// Optional cross-session PER-table cache. Must match (error,
-  /// spatial_correlation, per_table) — validate() checks the
-  /// phy::table_fingerprint instead of trusting the caller.
-  std::shared_ptr<phy::PerTableCache> shared_tables{};
 
   // -- 802.11n full-MAC session (kWifi80211n only) ---------------------------
-  /// Passed to mac::LinkSimulator verbatim (including its own
-  /// shared_tables, checked by validate() too).
+  /// Passed to mac::LinkSimulator verbatim (its constructor checks
+  /// mac.shared_tables). The session runs mac::FixedMcs(mcs_index).
   mac::LinkConfig mac{};
-  WifiRateControl wifi_rate_control{WifiRateControl::kFixedMcs};
 
   // -- presets ---------------------------------------------------------------
   static LinkBackendConfig wifi_80211n();
@@ -140,9 +128,7 @@ struct LinkBackendConfig {
   /// Throws ConfigError on NaN/Inf/negative rates or latencies, a wifi
   /// fit that rises with distance (wifi_a > 0; the joint election's
   /// bound needs every s(d) non-increasing), availability outside (0,1],
-  /// bad grids, out-of-range MCS, or a
-  /// shared PER-table cache whose fingerprint does not match this
-  /// config (mac::LinkConfig::shared_tables' silent-wrong-PER trap).
+  /// or an out-of-range MCS.
   void validate() const;
 };
 
@@ -226,8 +212,8 @@ class LinkBackend {
  protected:
   explicit LinkBackend(LinkBackendConfig cfg);
   LinkBackendConfig cfg_;
-  /// cfg_.shared_tables, or a private cache for this backend's sessions.
-  std::shared_ptr<phy::PerTableCache> tables_;
+  /// The PER tables of this backend's sessions.
+  mutable phy::PerTableCache tables_;
 };
 
 inline double LinkBackend::rate_bps(double distance_m) const noexcept {

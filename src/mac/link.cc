@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace skyferry::mac {
 
@@ -13,19 +15,27 @@ GeometryFn static_geometry(double distance_m, double relative_speed_mps) {
 }
 
 std::shared_ptr<phy::PerTableCache> make_shared_per_tables(const LinkConfig& cfg) {
-  return std::make_shared<phy::PerTableCache>(
-      phy::ErrorModel(cfg.error, cfg.channel.spatial_correlation), cfg.per_table);
+  return std::make_shared<phy::PerTableCache>(cfg.channel.spatial_correlation);
 }
 
 LinkSimulator::LinkSimulator(LinkConfig cfg, RateController& rate_control, std::uint64_t seed)
     : cfg_(cfg),
       rc_(rate_control),
       channel_(cfg.channel, sim::derive_seed(seed, "channel")),
-      error_model_(cfg.error, cfg.channel.spatial_correlation),
+      error_model_(cfg.channel.spatial_correlation),
       rng_(sim::derive_seed(seed, "mac")),
-      tables_(error_model_, cfg.per_table),
+      tables_(cfg.channel.spatial_correlation),
       table_src_(cfg_.shared_tables ? cfg_.shared_tables.get() : &tables_),
-      airtime_(cfg.timing, cfg.ampdu, cfg.mpdu, cfg.channel.width, cfg.channel.gi) {}
+      airtime_(cfg.timing, cfg.ampdu, cfg.mpdu, cfg.channel.width, cfg.channel.gi) {
+  // Every caller-supplied cache (wifi backend sessions, fault::MissionTrial,
+  // the benches) enters through here.
+  if (cfg_.shared_tables && !cfg_.shared_tables->serves(cfg_.channel.spatial_correlation)) {
+    throw std::invalid_argument(
+        "mac::LinkSimulator: shared_tables was built for spatial correlation " +
+        std::to_string(cfg_.shared_tables->spatial_correlation()) + ", the channel has " +
+        std::to_string(cfg_.channel.spatial_correlation));
+  }
+}
 
 FrameErrors LinkSimulator::data_errors(int mcs) {
   if (cfg_.fidelity == LinkFidelity::kPerMpdu) {

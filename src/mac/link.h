@@ -56,7 +56,6 @@ struct LinkConfig {
   AmpduPolicy ampdu{};
   MpduFormat mpdu{};
   phy::ChannelConfig channel{};
-  phy::ErrorModelConfig error{};
   double meter_window_s{0.5};  ///< throughput sampling window (infinite = no sampling)
   /// Per-MPDU SNR mismatch [dB, 1-sigma]: OFDM frequency selectivity and
   /// symbol-timing jitter decorrelate subframe fates within an aggregate
@@ -66,14 +65,12 @@ struct LinkConfig {
   /// the original exchange-by-exchange draws, kAggregate is the
   /// table-driven fast path (~10x+ on a saturated link-second).
   LinkFidelity fidelity{LinkFidelity::kPerMpdu};
-  /// SNR grid of the kAggregate lookup tables.
-  phy::PerTableConfig per_table{};
   /// Optional cross-simulator PER-table cache (kAggregate only). When
   /// set, simulators use it instead of a private cache, so a parallel
   /// Monte-Carlo fan-out pays table construction once per sweep instead
-  /// of once per trial. Must have been built by make_shared_per_tables
-  /// on a config with identical `error`, `channel.spatial_correlation`
-  /// and `per_table` — mismatched caches answer with wrong PERs.
+  /// of once per trial. It must serve `channel.spatial_correlation`
+  /// (make_shared_per_tables on this config builds one that does); the
+  /// LinkSimulator constructor rejects any other.
   std::shared_ptr<phy::PerTableCache> shared_tables{};
 };
 
@@ -136,7 +133,9 @@ struct LinkRunResult {
 
 class LinkSimulator {
  public:
-  /// The controller must outlive the simulator.
+  /// The controller must outlive the simulator. Throws
+  /// std::invalid_argument when `cfg.shared_tables` was built for
+  /// another spatial correlation than `cfg.channel`'s.
   LinkSimulator(LinkConfig cfg, RateController& rate_control, std::uint64_t seed);
 
   /// Run saturated (always-backlogged) traffic for `duration_s`.

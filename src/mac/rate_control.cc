@@ -4,6 +4,12 @@
 #include <cassert>
 
 namespace skyferry::mac {
+namespace {
+
+constexpr double kMinstrelEwmaWeight = 0.75;  ///< weight of the *old* estimate
+constexpr int kMinstrelSamplePeriod = 16;     ///< one sampling tx every N transmissions
+
+}  // namespace
 
 std::string FixedMcs::name() const { return "fixed-mcs" + std::to_string(mcs_); }
 
@@ -23,8 +29,9 @@ ArfRate::ArfRate(ArfConfig cfg, phy::ChannelWidth width, phy::GuardInterval gi) 
 MinstrelHt::MinstrelHt(MinstrelConfig cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed) {
   for (int i = 0; i < phy::kNumMcs; ++i) {
-    ideal_goodput_[static_cast<std::size_t>(i)] = ideal_goodput_bps(
-        cfg_.timing, cfg_.ampdu, cfg_.mpdu, phy::mcs(i), cfg_.width, cfg_.gi);
+    ideal_goodput_[static_cast<std::size_t>(i)] =
+        ideal_goodput_bps(MacTiming{}, AmpduPolicy{}, MpduFormat{}, phy::mcs(i),
+                          phy::ChannelWidth::kCw40MHz, phy::GuardInterval::kShort400ns);
   }
   // Start conservatively on the lowest allowed rate, as drivers do before
   // the first stats interval elapses.
@@ -67,7 +74,7 @@ void MinstrelHt::update_stats(double now_s) {
                        static_cast<double>(rs.interval_attempted);
       rs.ewma_prob = (rs.ewma_prob < 0.0)
                          ? p
-                         : cfg_.ewma_weight * rs.ewma_prob + (1.0 - cfg_.ewma_weight) * p;
+                         : kMinstrelEwmaWeight * rs.ewma_prob + (1.0 - kMinstrelEwmaWeight) * p;
     }
     rs.interval_attempted = 0;
     rs.interval_delivered = 0;
@@ -99,7 +106,7 @@ void MinstrelHt::update_stats(double now_s) {
 int MinstrelHt::select_mcs(double now_s) {
   if (now_s >= next_update_t_) update_stats(now_s);
   ++tx_counter_;
-  if (cfg_.sample_period > 0 && tx_counter_ % cfg_.sample_period == 0) {
+  if (tx_counter_ % kMinstrelSamplePeriod == 0) {
     return random_sample_rate();
   }
   return best_;

@@ -51,18 +51,13 @@ class FixedMcs final : public RateController {
   int mcs_;
 };
 
-/// Minstrel-HT-style auto rate.
+/// Minstrel-HT-style auto rate. It weighs the rates by their ideal
+/// goodput under the default MAC (MacTiming, AmpduPolicy, MpduFormat on
+/// a 40 MHz short-GI channel).
 struct MinstrelConfig {
   double update_interval_s{0.1};  ///< Linux default: 100 ms stats window
-  double ewma_weight{0.75};       ///< weight of the *old* estimate
-  int sample_period{16};          ///< one sampling tx every N transmissions
   /// Rates the controller may use (driver rate mask). Default: all 16.
   std::array<bool, phy::kNumMcs> allowed{};
-  MacTiming timing{};
-  AmpduPolicy ampdu{};
-  MpduFormat mpdu{};
-  phy::ChannelWidth width{phy::ChannelWidth::kCw40MHz};
-  phy::GuardInterval gi{phy::GuardInterval::kShort400ns};
 
   MinstrelConfig() { allowed.fill(true); }
 };

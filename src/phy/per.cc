@@ -9,6 +9,29 @@ double q_function(double x) noexcept { return 0.5 * std::erfc(x / std::sqrt(2.0)
 
 namespace {
 
+/// Effective SNR gain [dB] of the convolutional code by rate: 1/2, 2/3,
+/// 3/4, 5/6 map to decreasing gains.
+constexpr double kCodingGainHalfDb = 5.0;
+constexpr double kCodingGainTwoThirdsDb = 4.0;
+constexpr double kCodingGainThreeQuartersDb = 3.5;
+constexpr double kCodingGainFiveSixthsDb = 3.0;
+
+/// Diversity gain [dB] of Alamouti STBC on single-stream MCS.
+constexpr double kStbcGainDb = 3.0;
+
+/// SDM penalties: 3 dB power split per stream plus an inter-stream
+/// interference penalty that grows with spatial correlation
+/// (1 = fully correlated LoS channel, 0 = rich scattering).
+constexpr double kSdmPowerSplitDb = 3.0;
+constexpr double kSdmMaxCorrelationPenaltyDb = 12.0;
+
+constexpr double coding_gain_db(CodingRate r) noexcept {
+  if (r.num == 1 && r.den == 2) return kCodingGainHalfDb;
+  if (r.num == 2 && r.den == 3) return kCodingGainTwoThirdsDb;
+  if (r.num == 3 && r.den == 4) return kCodingGainThreeQuartersDb;
+  return kCodingGainFiveSixthsDb;
+}
+
 /// Canonical Gray-coded square M-QAM BER approximation over AWGN:
 /// BER ≈ 4/log2(M) * (1 - 1/sqrt(M)) * Q( sqrt(3*SNR/(M-1)) ).
 double mqam_ber(int m_points, double snr_linear) noexcept {
@@ -41,24 +64,16 @@ double uncoded_ber(Modulation m, double snr_linear) noexcept {
   return std::clamp(ber, 0.0, 0.5);
 }
 
-double ErrorModel::coding_gain_db(CodingRate r) const noexcept {
-  if (r.num == 1 && r.den == 2) return cfg_.coding_gain_half_db;
-  if (r.num == 2 && r.den == 3) return cfg_.coding_gain_two_thirds_db;
-  if (r.num == 3 && r.den == 4) return cfg_.coding_gain_three_quarters_db;
-  return cfg_.coding_gain_five_sixths_db;
-}
-
-void ErrorModel::set_spatial_correlation(double c) noexcept {
-  spatial_correlation_ = std::clamp(c, 0.0, 1.0);
-}
+ErrorModel::ErrorModel(double spatial_correlation) noexcept
+    : spatial_correlation_(std::clamp(spatial_correlation, 0.0, 1.0)) {}
 
 double ErrorModel::effective_snr_db(const McsInfo& m, double snr_db) const noexcept {
   double eff = snr_db + coding_gain_db(m.coding);
   if (m.is_sdm()) {
-    eff -= cfg_.sdm_power_split_db;
-    eff -= cfg_.sdm_max_correlation_penalty_db * spatial_correlation_;
+    eff -= kSdmPowerSplitDb;
+    eff -= kSdmMaxCorrelationPenaltyDb * spatial_correlation_;
   } else {
-    eff += cfg_.stbc_gain_db;
+    eff += kStbcGainDb;
   }
   return eff;
 }

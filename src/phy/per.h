@@ -12,37 +12,18 @@
 
 namespace skyferry::phy {
 
-/// Tunables of the error model.
-struct ErrorModelConfig {
-  /// Effective SNR gain [dB] of the convolutional code by rate: 1/2, 2/3,
-  /// 3/4, 5/6 map to decreasing gains.
-  double coding_gain_half_db{5.0};
-  double coding_gain_two_thirds_db{4.0};
-  double coding_gain_three_quarters_db{3.5};
-  double coding_gain_five_sixths_db{3.0};
-
-  /// Diversity gain [dB] of Alamouti STBC on single-stream MCS.
-  double stbc_gain_db{3.0};
-
-  /// SDM penalties: 3 dB power split per stream plus an inter-stream
-  /// interference penalty that grows with spatial correlation
-  /// (1 = fully correlated LoS channel, 0 = rich scattering).
-  double sdm_power_split_db{3.0};
-  double sdm_max_correlation_penalty_db{12.0};
-};
-
 /// Q-function (tail of the standard normal).
 [[nodiscard]] double q_function(double x) noexcept;
 
 /// Uncoded bit error rate of `m` at per-symbol SNR [linear].
 [[nodiscard]] double uncoded_ber(Modulation m, double snr_linear) noexcept;
 
+/// The error model's gains are constants (phy/per.cc); the one input
+/// that varies between platforms is the channel's spatial correlation.
 class ErrorModel {
  public:
-  explicit ErrorModel(ErrorModelConfig cfg = {}, double spatial_correlation = 0.9) noexcept
-      : cfg_(cfg) {
-    set_spatial_correlation(spatial_correlation);
-  }
+  /// `spatial_correlation` is clamped to [0, 1].
+  explicit ErrorModel(double spatial_correlation) noexcept;
 
   /// Effective post-processing SNR [dB] for an MCS given raw channel SNR
   /// [dB], accounting for coding gain, STBC or SDM adjustments.
@@ -59,14 +40,8 @@ class ErrorModel {
   /// Spatial correlation of the MIMO channel in [0,1]; higher = more
   /// LoS-dominant = worse for SDM.
   [[nodiscard]] double spatial_correlation() const noexcept { return spatial_correlation_; }
-  void set_spatial_correlation(double c) noexcept;
-
-  [[nodiscard]] const ErrorModelConfig& config() const noexcept { return cfg_; }
 
  private:
-  [[nodiscard]] double coding_gain_db(CodingRate r) const noexcept;
-
-  ErrorModelConfig cfg_;
   double spatial_correlation_;
 };
 

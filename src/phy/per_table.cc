@@ -53,21 +53,18 @@ constexpr double kInvSqrtPi = 0.564189583547756;
 
 }  // namespace
 
-PerTable::PerTable(const ErrorModel& em, const McsInfo& m, int bits, const PerTableConfig& cfg,
-                   double jitter_sigma_db)
-    : snr_min_db_(cfg.snr_min_db), step_db_(cfg.step_db), inv_step_db_(1.0 / cfg.step_db) {
-  const int n =
-      static_cast<int>(std::ceil((cfg.snr_max_db - cfg.snr_min_db) / cfg.step_db - 1e-9)) + 1;
+PerTable::PerTable(const ErrorModel& em, const McsInfo& m, int bits, double jitter_sigma_db) {
+  const int n = static_cast<int>(std::ceil((kSnrMaxDb - kSnrMinDb) / kStepDb - 1e-9)) + 1;
   per_.resize(static_cast<std::size_t>(n));
   if (jitter_sigma_db > 0.0) {
     // Marginalized build: quadrature over a plain table of the analytic
     // model, not over the analytic model itself — and, since PER is
     // non-increasing in SNR, any knot whose whole quadrature window sits
     // in a saturated region is 0/1 without touching the quadrature.
-    const PerTable plain(em, m, bits, cfg);
+    const PerTable plain(em, m, bits);
     const double reach = kSqrt2 * jitter_sigma_db * kGhNode[kGhHalfNodes - 1];
     for (int i = 0; i < n; ++i) {
-      const double snr = snr_min_db_ + i * step_db_;
+      const double snr = knot_snr_db(i);
       double p;
       if (plain.per(snr - reach) <= 0.0) {
         p = 0.0;  // largest PER in the window is already 0
@@ -80,13 +77,13 @@ PerTable::PerTable(const ErrorModel& em, const McsInfo& m, int bits, const PerTa
     }
   } else {
     for (int i = 0; i < n; ++i) {
-      per_[static_cast<std::size_t>(i)] = em.packet_error_rate(m, snr_min_db_ + i * step_db_, bits);
+      per_[static_cast<std::size_t>(i)] = em.packet_error_rate(m, knot_snr_db(i), bits);
     }
   }
 }
 
 double PerTable::per(double snr_db) const noexcept {
-  const double pos = (snr_db - snr_min_db_) * inv_step_db_;
+  const double pos = (snr_db - kSnrMinDb) * (1.0 / kStepDb);
   if (pos <= 0.0) return per_.front();
   const auto last = static_cast<double>(per_.size() - 1);
   if (pos >= last) return per_.back();
@@ -106,40 +103,12 @@ double PerTable::marginal_per(double snr_db, double sigma_db) const noexcept {
   return acc * kInvSqrtPi;
 }
 
-std::uint64_t table_fingerprint(const ErrorModelConfig& error, double spatial_correlation,
-                                const PerTableConfig& grid) noexcept {
-  // FNV-1a over the raw bit patterns: bit-equal configs (the shared-
-  // cache contract) hash equal; any tweaked tunable flips the tag.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(error.coding_gain_half_db);
-  mix(error.coding_gain_two_thirds_db);
-  mix(error.coding_gain_three_quarters_db);
-  mix(error.coding_gain_five_sixths_db);
-  mix(error.stbc_gain_db);
-  mix(error.sdm_power_split_db);
-  mix(error.sdm_max_correlation_penalty_db);
-  mix(spatial_correlation);
-  mix(grid.snr_min_db);
-  mix(grid.snr_max_db);
-  mix(grid.step_db);
-  return h;
-}
-
 const PerTable& PerTableCache::table(const McsInfo& m, int bits, double jitter_sigma_db) {
   const auto key = std::make_tuple(m.index, bits, jitter_sigma_db > 0.0 ? jitter_sigma_db : 0.0);
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(key);
   if (it == tables_.end()) {
-    it = tables_.try_emplace(key, em_, m, bits, cfg_, std::get<2>(key)).first;
+    it = tables_.try_emplace(key, em_, m, bits, std::get<2>(key)).first;
   }
   return it->second;
 }

@@ -15,7 +15,6 @@
 // regions for every 802.11n MCS.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -24,29 +23,6 @@
 #include "phy/per.h"
 
 namespace skyferry::phy {
-
-/// Grid of one lookup table. The defaults cover every MCS's waterfall
-/// with margin: at -12 dB raw SNR all rates are saturated at PER 1, at
-/// 48 dB all are at PER 0.
-struct PerTableConfig {
-  double snr_min_db{-12.0};
-  double snr_max_db{48.0};
-  /// 1/64 dB keeps the plain-lerp error under 2.5e-5 even on the
-  /// steepest waterfall, buying a branch-light two-load lookup; the
-  /// whole grid is ~30 KB per curve.
-  double step_db{0.015625};
-};
-
-/// FNV-1a fingerprint of everything that determines a PER table's
-/// values: the error-model tunables, the spatial correlation, and the
-/// SNR grid. Two caches with equal fingerprints answer every (MCS, bits,
-/// jitter) query identically, so a shared cache (mac::LinkConfig::
-/// shared_tables, link::LinkBackendConfig) can be *checked* against a
-/// consumer's config instead of trusting the caller — a mismatched
-/// cache answers with silently wrong PERs.
-[[nodiscard]] std::uint64_t table_fingerprint(const ErrorModelConfig& error,
-                                              double spatial_correlation,
-                                              const PerTableConfig& grid) noexcept;
 
 /// One frozen SNR->PER curve for a fixed (MCS, frame bits) pair.
 ///
@@ -57,11 +33,19 @@ struct PerTableConfig {
 /// into the table once at build time instead of quadrature per exchange.
 class PerTable {
  public:
-  PerTable(const ErrorModel& em, const McsInfo& m, int bits, const PerTableConfig& cfg = {},
-           double jitter_sigma_db = 0.0);
+  /// The SNR grid [dB] every table shares. It covers every MCS's
+  /// waterfall with margin: at -12 dB raw SNR all rates are saturated
+  /// at PER 1, at 48 dB all are at PER 0. 1/64 dB keeps the plain-lerp
+  /// error under 2.5e-5 even on the steepest waterfall, buying a
+  /// branch-light two-load lookup; the whole grid is ~30 KB per curve.
+  static constexpr double kSnrMinDb = -12.0;
+  static constexpr double kSnrMaxDb = 48.0;
+  static constexpr double kStepDb = 0.015625;
+
+  PerTable(const ErrorModel& em, const McsInfo& m, int bits, double jitter_sigma_db = 0.0);
 
   /// PER at raw channel SNR [dB]: two loads + a linear lerp — the grid
-  /// is fine enough (PerTableConfig::step_db) that plain interpolation
+  /// is fine enough (kStepDb) that plain interpolation
   /// beats the 1e-4 accuracy contract with margin. Exactly equal to the
   /// analytic model at grid knots; clamped to the edge knots outside
   /// the grid.
@@ -75,26 +59,22 @@ class PerTable {
   [[nodiscard]] double marginal_per(double snr_db, double sigma_db) const noexcept;
 
   [[nodiscard]] int knots() const noexcept { return static_cast<int>(per_.size()); }
-  [[nodiscard]] double knot_snr_db(int i) const noexcept { return snr_min_db_ + i * step_db_; }
+  [[nodiscard]] static double knot_snr_db(int i) noexcept { return kSnrMinDb + i * kStepDb; }
   [[nodiscard]] double knot_per(int i) const noexcept { return per_[static_cast<std::size_t>(i)]; }
 
  private:
-  double snr_min_db_{0.0};
-  double step_db_{0.0};
-  double inv_step_db_{0.0};
   std::vector<double> per_;  ///< exact knot values
 };
 
-/// Lazily built per-(MCS index, bits, jitter sigma) table cache over one
-/// ErrorModel (held by value — the cache is self-contained). Building is
-/// mutex-protected and built tables are immutable, so one cache can be
-/// shared by every simulator of a parallel Monte-Carlo fan-out
+/// Lazily built per-(MCS index, bits, jitter sigma) table cache over the
+/// error model of one spatial correlation. Building is mutex-protected
+/// and built tables are immutable, so one cache can be shared by every
+/// simulator of a parallel Monte-Carlo fan-out
 /// (mac::LinkConfig::shared_tables) and pay table construction once per
 /// sweep instead of once per trial.
 class PerTableCache {
  public:
-  explicit PerTableCache(ErrorModel em, PerTableConfig cfg = {}) noexcept
-      : em_(em), cfg_(cfg) {}
+  explicit PerTableCache(double spatial_correlation) noexcept : em_(spatial_correlation) {}
 
   /// The table for (m, bits) — jitter-marginalized when
   /// `jitter_sigma_db > 0` — building it on first use. The returned
@@ -105,15 +85,18 @@ class PerTableCache {
     const std::lock_guard<std::mutex> lock(mu_);
     return tables_.size();
   }
-  [[nodiscard]] const PerTableConfig& config() const noexcept { return cfg_; }
-  /// table_fingerprint() of this cache's frozen (error model, grid).
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
-    return table_fingerprint(em_.config(), em_.spatial_correlation(), cfg_);
+  /// The (clamped) spatial correlation the tables were built for.
+  [[nodiscard]] double spatial_correlation() const noexcept { return em_.spatial_correlation(); }
+  /// Whether this cache answers for a channel of `spatial_correlation` —
+  /// the one input that tells two caches' tables apart. A shared cache
+  /// built for another channel answers with silently wrong PERs, so
+  /// every consumer checks this before using one.
+  [[nodiscard]] bool serves(double spatial_correlation) const noexcept {
+    return em_.spatial_correlation() == ErrorModel(spatial_correlation).spatial_correlation();
   }
 
  private:
   ErrorModel em_;
-  PerTableConfig cfg_;
   mutable std::mutex mu_;
   std::map<std::tuple<int, int, double>, PerTable> tables_;
 };

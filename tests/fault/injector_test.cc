@@ -225,11 +225,5 @@ TEST(FaultInjector, PlayOutWithNothingArmedChangesNothing) {
   EXPECT_TRUE(inj.gps_up());
 }
 
-TEST(FaultKindNames, AllDistinct) {
-  EXPECT_STREQ(to_string(FaultKind::kUavCrash), "uav-crash");
-  EXPECT_STREQ(to_string(FaultKind::kLinkDown), "link-down");
-  EXPECT_STREQ(to_string(FaultKind::kControlLoss), "control-loss");
-}
-
 }  // namespace
 }  // namespace skyferry::fault

@@ -115,6 +115,30 @@ TEST(MonteCarlo, SimulatedLinkStillValidatesDeliveryLaw) {
   EXPECT_GT(s.completion_p50_s, 0.0);
 }
 
+TEST(TrialSpec, RejectsLinkTablesBuiltForAnotherChannel) {
+  // with_shared_link_tables() binds the cache to the link channel of the
+  // moment; switching the channel afterwards leaves the quadrocopter's
+  // 0.85-correlation cache on the airplane's 0.9 link.
+  TrialSpec wrong;
+  wrong.with_link_simulator(true).with_shared_link_tables().with_link_channel(
+      phy::ChannelConfig::airplane());
+  try {
+    wrong.validate();
+    ADD_FAILURE() << "a cache for another channel was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("TrialSpec: link_tables", 0), 0u) << e.what();
+  }
+  // The documented order: channel first, then the cache.
+  TrialSpec right;
+  right.with_link_simulator(true)
+      .with_link_channel(phy::ChannelConfig::airplane())
+      .with_shared_link_tables();
+  EXPECT_NO_THROW(right.validate());
+  // Without the link simulator the cache is never read.
+  wrong.use_link_simulator = false;
+  EXPECT_NO_THROW(wrong.validate());
+}
+
 TEST(MonteCarlo, PerTrialResultsIdenticalAcrossThreadCounts) {
   const auto scen = core::Scenario::quadrocopter();
   auto cfg = crash_only_config(scen, 120);

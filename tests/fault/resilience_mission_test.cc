@@ -182,16 +182,6 @@ TEST(ResilienceMission, ValidateRejectsBadMismatchAndResilienceSpecs) {
   }
   {
     TrialSpec spec = resilient_spec(scen);
-    spec.resilience.probe_interval_s = 0.0;
-    EXPECT_THROW(spec.validate(), ConfigError);
-  }
-  {
-    TrialSpec spec = resilient_spec(scen);
-    spec.resilience.ship_closer_fraction = 1.5;
-    EXPECT_THROW(spec.validate(), ConfigError);
-  }
-  {
-    TrialSpec spec = resilient_spec(scen);
     spec.resilience.retry_budget.max_attempts = 0;
     EXPECT_THROW(spec.validate(), ConfigError);
   }
@@ -207,7 +197,7 @@ TEST(ResilienceMission, ValidateRejectsBadMismatchAndResilienceSpecs) {
     // world, not the stack.
     TrialSpec spec = resilient_spec(scen);
     spec.resilience.enabled = false;
-    spec.resilience.probe_interval_s = 0.0;
+    spec.resilience.retry_budget.max_attempts = 0;
     EXPECT_NO_THROW(spec.validate());
     spec.faults.mismatch.shifted_throughput_scale = -1.0;
     EXPECT_THROW(spec.validate(), ConfigError);

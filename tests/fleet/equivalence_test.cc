@@ -47,7 +47,7 @@ std::uint64_t reference_bytes(std::uint64_t seed, double distance_m, std::uint64
                               double horizon_s) {
   const FleetConfig fc;
   mac::AirtimeMemo memo(fc.timing, fc.ampdu, fc.mpdu, fc.channel.width, fc.channel.gi);
-  const phy::ErrorModel em(fc.error, fc.channel.spatial_correlation);
+  const phy::ErrorModel em(fc.channel.spatial_correlation);
   const mac::FrameErrors data{nullptr, &em, fc.mpdu.mpdu_bits(), fc.per_mpdu_snr_jitter_db};
   const mac::FrameErrors ba{nullptr, &em, mac::kBlockAckBits, 0.0};
   mac::ArfRate arf(mac::ArfConfig{}, fc.channel.width, fc.channel.gi);

@@ -51,7 +51,8 @@ Churn drive(FleetEngine& eng, double horizon_s, double every_s) {
   Digest d;
   const std::size_t n = eng.mission_count();
   std::vector<std::int32_t> link(n, -1);
-  std::vector<Phase> phase(n, Phase::kFerry);
+  std::vector<Phase> phase(n);  // value-initialized: Phase{} is kFerry
+  static_assert(Phase{} == Phase::kFerry);
   using Cell = std::pair<double, double>;
   const double cell_m = eng.config().cell_size_m;
   const auto cell_of = [&](std::size_t i) {

@@ -94,10 +94,5 @@ TEST(Dubins, ShipTimeExceedsStraightLineEstimate) {
   EXPECT_LT(dubins, straight + 2.0 * 2.0 * kPi * kR / v);
 }
 
-TEST(Dubins, WordNames) {
-  EXPECT_EQ(to_string(DubinsWord::kLSL), "LSL");
-  EXPECT_EQ(to_string(DubinsWord::kRLR), "RLR");
-}
-
 }  // namespace
 }  // namespace skyferry::geo

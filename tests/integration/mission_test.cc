@@ -156,7 +156,7 @@ TEST_F(MissionTest, ArqDeliversEveryImageOverLossyLink) {
   // Datagram loss process derived from the PHY: sample the channel and
   // apply the MPDU PER at MCS1, like one A-MPDU subframe per datagram.
   phy::LinkChannel channel(phy::ChannelConfig::quadrocopter(), 99);
-  const phy::ErrorModel error({}, 0.85);
+  const phy::ErrorModel error(0.85);
   sim::Rng rng(7);
   double t = 0.0;
   std::uint64_t steps = 0;

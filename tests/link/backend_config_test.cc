@@ -1,16 +1,16 @@
 // Adversarial configuration suite: validate() (and so make_backend)
-// must refuse every non-finite / negative / inconsistent field and
-// mismatched shared PER-table caches, each with its own message, and
-// accept every in-range boundary value.
+// must refuse every non-finite / negative / inconsistent field, each
+// with its own message, and accept every in-range boundary value; a
+// wifi session must refuse a mismatched shared PER-table cache.
 #include <limits>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "link/backend.h"
 #include "mac/link.h"
-#include "phy/per_table.h"
 
 namespace skyferry {
 namespace {
@@ -118,55 +118,24 @@ TEST(BackendConfig, RejectsBadPhyCurve) {
   }
   {
     LinkBackendConfig c = LinkBackendConfig::cellular();
-    c.per_table.snr_min_db = c.per_table.snr_max_db + 1.0;
-    expect_rejected(c, "inverted per_table SNR range");
-  }
-  {
-    LinkBackendConfig c = LinkBackendConfig::cellular();
-    c.per_table.step_db = 0.0;
-    expect_rejected(c, "zero per_table step");
-  }
-  {
-    LinkBackendConfig c = LinkBackendConfig::cellular();
     c.snr_ref_distance_m = 0.0;
     expect_rejected(c, "zero snr_ref_distance_m");
   }
-  {
-    LinkBackendConfig c = LinkBackendConfig::cellular();
-    c.spatial_correlation = 1.5;
-    expect_rejected(c, "spatial_correlation above 1");
-  }
-  {
-    LinkBackendConfig c = LinkBackendConfig::cellular();
-    c.error.stbc_gain_db = kNan;
-    expect_rejected(c, "NaN error-model gain");
-  }
-}
-
-TEST(BackendConfig, RejectsMismatchedSharedTables) {
-  LinkBackendConfig c = LinkBackendConfig::cellular();
-  // A cache built for a *different* error model than c.error.
-  phy::ErrorModelConfig other = c.error;
-  other.stbc_gain_db += 1.0;
-  c.shared_tables = std::make_shared<phy::PerTableCache>(
-      phy::ErrorModel(other, c.spatial_correlation), c.per_table);
-  expect_rejected(c, "shared_tables fingerprint mismatch");
-
-  // The matching cache passes.
-  c.shared_tables = std::make_shared<phy::PerTableCache>(
-      phy::ErrorModel(c.error, c.spatial_correlation), c.per_table);
-  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(BackendConfig, RejectsMismatchedWifiMacSharedTables) {
+  // A cache built for the quadrocopter channel (correlation 0.85) handed
+  // to a session on the default channel (0.9): the session's
+  // mac::LinkSimulator refuses it before any exchange runs.
   LinkBackendConfig c = LinkBackendConfig::wifi_80211n();
   mac::LinkConfig other = c.mac;
-  other.error.stbc_gain_db += 1.0;
+  other.channel = phy::ChannelConfig::quadrocopter();
   c.mac.shared_tables = mac::make_shared_per_tables(other);
-  expect_rejected(c, "mac.shared_tables fingerprint mismatch");
+  const auto bk = link::make_backend(c);
+  EXPECT_THROW((void)bk->make_session(1), std::invalid_argument);
 
   c.mac.shared_tables = mac::make_shared_per_tables(c.mac);
-  EXPECT_NO_THROW(c.validate());
+  EXPECT_NO_THROW((void)link::make_backend(c)->make_session(1));
 }
 
 // One row per validate() guard: a preset, one bad field, and the exact
@@ -297,39 +266,6 @@ const GuardCase kGuardCases[] = {
      "snr_fade_sigma_db must be finite and >= 0"},
     {"nan_jitter", &LinkBackendConfig::wifi_80211n,
      [](LinkBackendConfig& c) { c.snr_jitter_db = kNan; }, "snr_jitter_db must be finite and >= 0"},
-    {"negative_spatial_correlation", &LinkBackendConfig::mesh,
-     [](LinkBackendConfig& c) { c.spatial_correlation = -0.1; },
-     "spatial_correlation must be in [0, 1]"},
-    {"nan_spatial_correlation", &LinkBackendConfig::cellular,
-     [](LinkBackendConfig& c) { c.spatial_correlation = kNan; },
-     "spatial_correlation must be in [0, 1]"},
-    {"empty_per_table_range", &LinkBackendConfig::leo,
-     [](LinkBackendConfig& c) { c.per_table.snr_max_db = c.per_table.snr_min_db; },
-     "per_table SNR range must be finite with min < max"},
-    {"inf_per_table_max", &LinkBackendConfig::wifi_80211n,
-     [](LinkBackendConfig& c) { c.per_table.snr_max_db = kInf; },
-     "per_table SNR range must be finite with min < max"},
-    {"negative_per_table_step", &LinkBackendConfig::mesh,
-     [](LinkBackendConfig& c) { c.per_table.step_db = -0.25; },
-     "per_table.step_db must be finite and > 0"},
-    {"nan_coding_gain_half", &LinkBackendConfig::cellular,
-     [](LinkBackendConfig& c) { c.error.coding_gain_half_db = kNan; },
-     "error-model gains must be finite"},
-    {"inf_coding_gain_two_thirds", &LinkBackendConfig::mesh,
-     [](LinkBackendConfig& c) { c.error.coding_gain_two_thirds_db = kInf; },
-     "error-model gains must be finite"},
-    {"nan_coding_gain_three_quarters", &LinkBackendConfig::leo,
-     [](LinkBackendConfig& c) { c.error.coding_gain_three_quarters_db = kNan; },
-     "error-model gains must be finite"},
-    {"inf_coding_gain_five_sixths", &LinkBackendConfig::wifi_80211n,
-     [](LinkBackendConfig& c) { c.error.coding_gain_five_sixths_db = -kInf; },
-     "error-model gains must be finite"},
-    {"nan_sdm_power_split", &LinkBackendConfig::cellular,
-     [](LinkBackendConfig& c) { c.error.sdm_power_split_db = kNan; },
-     "error-model gains must be finite"},
-    {"inf_sdm_correlation_penalty", &LinkBackendConfig::mesh,
-     [](LinkBackendConfig& c) { c.error.sdm_max_correlation_penalty_db = kInf; },
-     "error-model gains must be finite"},
 };
 
 INSTANTIATE_TEST_SUITE_P(EveryGuard, BackendConfigGuard, ::testing::ValuesIn(kGuardCases),
@@ -388,10 +324,6 @@ const BoundaryCase kBoundaryCases[] = {
      }},
     {"negative_snr_ref", &LinkBackendConfig::mesh,
      [](LinkBackendConfig& c) { c.snr_ref_db = -5.0; }},
-    {"uncorrelated_antennas", &LinkBackendConfig::wifi_80211n,
-     [](LinkBackendConfig& c) { c.spatial_correlation = 0.0; }},
-    {"fully_correlated_antennas", &LinkBackendConfig::leo,
-     [](LinkBackendConfig& c) { c.spatial_correlation = 1.0; }},
     {"flat_wifi_fit", &LinkBackendConfig::wifi_80211n,
      [](LinkBackendConfig& c) { c.wifi_a = 0.0; }},
     {"negative_wifi_fit", &LinkBackendConfig::wifi_80211n,

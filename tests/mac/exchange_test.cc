@@ -52,7 +52,7 @@ TEST(AirtimeMemo, OversizedPolicyRecomputesInsteadOfMemoizing) {
 // The kernel's RNG contract: delivered-count draw, then the Block-ACK
 // Bernoulli. Replaying the same draws by hand must reproduce it.
 TEST(AmpduExchange, AggregateDrawOrderIsBinomialThenBlockAck) {
-  phy::PerTableCache cache(phy::ErrorModel(phy::ErrorModelConfig{}, 0.9), phy::PerTableConfig{});
+  phy::PerTableCache cache(0.9);
   const MpduFormat mpdu;
   const phy::PerTable& data_t = cache.table(phy::mcs(3), mpdu.mpdu_bits(), 2.0);
   const phy::PerTable& ba_t = cache.table(phy::mcs(0), kBlockAckBits);
@@ -73,7 +73,7 @@ TEST(AmpduExchange, AggregateDrawOrderIsBinomialThenBlockAck) {
 }
 
 TEST(AmpduExchange, PerMpduDrawsJitterAndBernoulliPerSubframe) {
-  const phy::ErrorModel em(phy::ErrorModelConfig{}, 0.9);
+  const phy::ErrorModel em(0.9);
   const MpduFormat mpdu;
   const FrameErrors data{nullptr, &em, mpdu.mpdu_bits(), 2.0};
   const FrameErrors ba{nullptr, &em, kBlockAckBits, 0.0};

@@ -47,7 +47,7 @@ TEST(UncodedBer, BpskKnownPoint) {
 class PerMonotonicityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PerMonotonicityTest, PerDecreasesWithSnr) {
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   const McsInfo& m = mcs(GetParam());
   const int bits = 1540 * 8;
   double prev = 1.0;
@@ -65,7 +65,7 @@ TEST_P(PerMonotonicityTest, PerDecreasesWithSnr) {
 
 TEST_P(PerMonotonicityTest, PerNonDecreasingInBits) {
   // Longer frames can only fail more: PER = 1 - (1-BER)^bits.
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   const McsInfo& m = mcs(GetParam());
   for (double snr = -10.0; snr <= 45.0; snr += 1.5) {
     double prev = 0.0;
@@ -82,7 +82,7 @@ TEST_P(PerMonotonicityTest, SaturationEarlyOutMatchesLogDomainFormula) {
   // pow/erfc/log1p chain would: rebuild the PER from the (un-shortcut)
   // public BER and compare across the whole SNR range, early-out
   // regions included.
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   const McsInfo& m = mcs(GetParam());
   const int bits = 1540 * 8;
   for (double snr = -20.0; snr <= 50.0; snr += 0.05) {
@@ -96,7 +96,7 @@ TEST_P(PerMonotonicityTest, SaturationEarlyOutMatchesLogDomainFormula) {
 INSTANTIATE_TEST_SUITE_P(AllMcs, PerMonotonicityTest, ::testing::Range(0, 16));
 
 TEST(ErrorModel, HigherMcsNeedsMoreSnr) {
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   const int bits = 1540 * 8;
   // SNR where PER crosses 0.5 should increase with MCS 0..7.
   auto snr_at_half = [&](int mcs_index) {
@@ -116,7 +116,7 @@ TEST(ErrorModel, HigherMcsNeedsMoreSnr) {
 TEST(ErrorModel, StbcBeatsSdmInCorrelatedChannel) {
   // MCS1 (single-stream QPSK 1/2 + STBC) vs MCS8 (two-stream BPSK 1/2):
   // same PHY rate; in a rank-poor aerial channel STBC must win.
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   const int bits = 1540 * 8;
   for (double snr = 5.0; snr <= 25.0; snr += 5.0) {
     EXPECT_LE(em.packet_error_rate(mcs(1), snr, bits),
@@ -126,8 +126,8 @@ TEST(ErrorModel, StbcBeatsSdmInCorrelatedChannel) {
 }
 
 TEST(ErrorModel, SdmPenaltyShrinksWithScattering) {
-  const ErrorModel corr({}, 0.95);
-  const ErrorModel rich({}, 0.1);
+  const ErrorModel corr(0.95);
+  const ErrorModel rich(0.1);
   const int bits = 1540 * 8;
   EXPECT_GT(corr.packet_error_rate(mcs(8), 18.0, bits),
             rich.packet_error_rate(mcs(8), 18.0, bits));
@@ -137,20 +137,18 @@ TEST(ErrorModel, SdmPenaltyShrinksWithScattering) {
 }
 
 TEST(ErrorModel, LongerPacketsFailMore) {
-  const ErrorModel em({}, 0.9);
+  const ErrorModel em(0.9);
   EXPECT_GT(em.packet_error_rate(mcs(3), 14.0, 12000 * 8),
             em.packet_error_rate(mcs(3), 14.0, 100 * 8));
 }
 
 TEST(ErrorModel, SpatialCorrelationClamped) {
-  ErrorModel em({}, 5.0);
-  EXPECT_DOUBLE_EQ(em.spatial_correlation(), 1.0);
-  em.set_spatial_correlation(-2.0);
-  EXPECT_DOUBLE_EQ(em.spatial_correlation(), 0.0);
+  EXPECT_DOUBLE_EQ(ErrorModel(5.0).spatial_correlation(), 1.0);
+  EXPECT_DOUBLE_EQ(ErrorModel(-2.0).spatial_correlation(), 0.0);
 }
 
 TEST(ErrorModel, EffectiveSnrReflectsGains) {
-  const ErrorModel em({}, 1.0);
+  const ErrorModel em(1.0);
   // Single stream: + coding gain + STBC gain.
   EXPECT_GT(em.effective_snr_db(mcs(0), 10.0), 10.0);
   // SDM at full correlation: heavy penalty.

@@ -107,7 +107,7 @@ std::string well_formed_field(sim::Rng& rng) {
   switch (rng.uniform_int(12)) {
     case 0: return printf_double("%g", v);
     case 1: return printf_double("%.3f", v);
-    case 2: return "+" + io::json_number(v);
+    case 2: return std::string("+").append(io::json_number(v));
     case 3: {  // ".5"
       const std::string s = printf_double("%.6f", rng.uniform());
       return s.substr(1);

@@ -169,7 +169,7 @@ TEST(Uav, FailureDistanceIsSeedDeterministicAndExponential) {
   double sum = 0.0;
   const int n = 400;
   for (int k = 0; k < n; ++k) {
-    UavConfig cfg = quad_at({0.0, 0.0, 10.0}, "u" + std::to_string(k));
+    UavConfig cfg = quad_at({0.0, 0.0, 10.0}, std::string("u").append(std::to_string(k)));
     cfg.failure_rho_per_m = 1e-3;
     Uav u(cfg, 1000 + static_cast<std::uint64_t>(k));
     sum += u.failure_distance_m();
