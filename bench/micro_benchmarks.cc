@@ -250,10 +250,11 @@ void BM_JsonNumber(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonNumber);
 
-// One full joint (link, d) decision over all four backends: 8 exact
-// searches (4 single + 4 joint, one per candidate burst link) whose
-// grid stages share one precomputed column, plus the dominance-net
-// evaluations — the spawn-time cost of a multi-link fleet mission.
+// One full joint (link, d) decision over all four backends, 1500 m out:
+// a single-link search per backend, then a joint search (plus its
+// dominance-net evaluation) for each link whose utility bound survives
+// the best joint utility found. Every search's grid stage skips blocks by
+// bound and reads one column filled on demand.
 void BM_MultiLinkDecide(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -271,7 +272,8 @@ BENCHMARK(BM_MultiLinkDecide);
 // over its 150-275 m spawn ring at the default 4.5 m/s, 50 MB batches,
 // rho = 1e-4. Here 802.11n wins and its bound rules the other links out
 // without a joint search; links_pruned is the mean number skipped per
-// decision (of 3 losers).
+// decision (of 3 losers), grid_evaluated the mean grid points (of 256)
+// the elected link's joint search evaluated.
 void BM_MultiLinkDecideFleet(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -282,18 +284,22 @@ void BM_MultiLinkDecideFleet(benchmark::State& state) {
   for (int i = 0; i < 64; ++i) queries.push_back({150.0 + 125.0 * i / 63, 4.5, 5e7, 20.0});
   std::size_t q = 0;
   double pruned = 0.0;
+  double grid = 0.0;
   for (auto _ : state) {
     const link::MultiLinkResult r = link::optimize_multilink(views, queries[q++ & 63], failure);
     pruned += r.links_pruned;
+    grid += r.decision.grid_evaluated;
     benchmark::DoNotOptimize(r);
   }
   state.counters["links_pruned"] = benchmark::Counter(pruned, benchmark::Counter::kAvgIterations);
+  state.counters["grid_evaluated"] = benchmark::Counter(grid, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MultiLinkDecideFleet);
 
 // One mid-mission re-election over all four backends: the same solve,
 // finalized for every pinned burst link (the fleet's "stay" candidate
 // and each "switch" candidate) from a residual batch part-way in.
+// grid_evaluated is the mean grid points (of 256) per pinned joint search.
 void BM_MultiLinkReelect(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -301,9 +307,15 @@ void BM_MultiLinkReelect(benchmark::State& state) {
   const std::vector<const link::LinkBackend*> views = set.views();
   const uav::FailureModel failure(1e-3);
   const link::MultiLinkParams p{900.0, 10.0, 2e7, 20.0};
+  double grid = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(link::optimize_multilink_per_link(views, p, failure));
+    const std::vector<link::MultiLinkResult> r =
+        link::optimize_multilink_per_link(views, p, failure);
+    for (const link::MultiLinkResult& e : r) grid += e.decision.grid_evaluated;
+    benchmark::DoNotOptimize(r);
   }
+  state.counters["grid_evaluated"] = benchmark::Counter(grid / static_cast<double>(views.size()),
+                                                       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MultiLinkReelect);
 

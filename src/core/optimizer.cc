@@ -51,10 +51,8 @@ OptimizeResult search(const UtilityFunction& u, F&& f, OptimizeOptions opt, doub
 // If s(d) does not increase with d, then on grid points d in [d_a, d_b]
 // δ(d) <= δ(d_b) (less distance left to fly), Tship(d) >= Tship(d_b) and
 // Ttx(d) = 8·M/s(d) >= Ttx(d_a), so
-//   U(d) <= δ(d_b) / (Tship(d_b) + Ttx(d_a)).
-// A block whose bound is strictly below the best value evaluated so far
-// cannot hold the argmax, nor tie it, so skipping it leaves the scan's
-// answer — the first index of the maximum — unchanged.
+//   U(d) <= δ(d_b) / (Tship(d_b) + Ttx(d_a)),
+// the block bound pruned_grid_scan skips blocks by.
 
 /// Relative slack on the block bound. Every step from a grid index to U
 /// is a monotone, correctly rounded IEEE operation (grid_point, max,
@@ -69,15 +67,6 @@ OptimizeResult search(const UtilityFunction& u, F&& f, OptimizeOptions opt, doub
 /// misorder only inputs about an ulp apart, not grid points.)
 constexpr double kBoundSlack = 1e-9;
 
-/// Grid points between first-level corners. Measured on the compile's
-/// knots: strides 8/16/32 evaluate ~49/37/31 grid points per solve, and
-/// 16-32 time alike (the midpoint splits evaluate serially).
-constexpr int kCornerStride = 16;
-
-/// Largest grid the pruned stage serves from its fixed block heap; a
-/// larger grid scans exhaustively.
-constexpr int kMaxPrunedGrid = 256;
-
 /// Whether the bound above holds for `u`: a log fit that does not rise
 /// with distance, a positive speed, a non-negative batch, a finite
 /// interval. Every failure law qualifies (survival does not increase
@@ -89,76 +78,27 @@ bool bound_holds(const UtilityFunction& u) {
          p.mdata_bytes >= 0.0 && std::isfinite(p.min_distance_m) && std::isfinite(p.d0_m);
 }
 
-/// Grid points d_a < d < d_b not yet evaluated, with the corner values
-/// their bound needs.
-struct Block {
-  double bound;
-  int a;
-  int b;
-  double ttx_a;       ///< Ttx at the near corner: the fastest rate
-  double tship_b;     ///< Tship at the far corner: the shortest flight
-  double discount_b;  ///< δ at the far corner: the likeliest survival
-};
-
-double block_bound(double ttx_a, double tship_b, double discount_b) {
-  const double den = tship_b + ttx_a;
-  if (!(den > 0.0)) return std::numeric_limits<double>::infinity();
-  const double bound = discount_b / den * (1.0 + kBoundSlack);
-  // NaN never prunes; +inf keeps the heap ordered.
-  return std::isnan(bound) ? std::numeric_limits<double>::infinity() : bound;
-}
-
-struct PrunedGrid {
-  GridBest best;
-  int evaluated{0};
-};
-
-/// The grid stage of golden_grid_search for U, by branch and bound:
-/// evaluate every kCornerStride-th point, keep the blocks between
-/// corners in a max-heap by bound, and split the top block at its
-/// midpoint until the top bound is strictly below the best value. The
-/// best value only grows, so every block left over stays below it.
-/// Precondition: bound_holds(u), lo < hi, 2 <= n <= kMaxPrunedGrid.
-PrunedGrid pruned_grid_scan(const UtilityFunction& u, double lo, double hi, int n) {
-  PrunedGrid out;
-  // Evaluation order is not index order, so ties go to the lower index
-  // explicitly: the result is the scan's first index of the maximum.
-  const auto eval = [&](int i) {
+/// The grid stage of golden_grid_search for U by pruned_grid_scan.
+/// Precondition: bound_holds(u), lo < hi, n <= kMaxPrunedGrid.
+PrunedGridScan pruned_utility_scan(const UtilityFunction& u, double lo, double hi, int n) {
+  // The bound's terms at every evaluated point.
+  std::array<double, kMaxPrunedGrid> ttx, tship, discount;
+  const auto value = [&](int i) {
     const UtilityPoint p = u.evaluate(grid_point(lo, hi, n, i));
-    ++out.evaluated;
-    if (p.utility > out.best.val || (p.utility == out.best.val && i < out.best.i))
-      out.best = {i, p.utility};
-    return p;
+    const auto k = static_cast<std::size_t>(i);
+    ttx[k] = p.ttx_s;
+    tship[k] = p.tship_s;
+    discount[k] = p.discount;
+    return p.utility;
   };
-  // Live blocks are disjoint and each holds an interior point.
-  std::array<Block, kMaxPrunedGrid / 2> heap;
-  int size = 0;
-  const auto by_bound = [](const Block& x, const Block& y) { return x.bound < y.bound; };
-  const auto push = [&](int a, int b, double ttx_a, double tship_b, double discount_b) {
-    if (b - a < 2) return;
-    heap[static_cast<std::size_t>(size++)] = {block_bound(ttx_a, tship_b, discount_b), a, b,
-                                              ttx_a, tship_b, discount_b};
-    std::push_heap(heap.begin(), heap.begin() + size, by_bound);
+  const auto block_bound = [&](int a, int b) {
+    const auto ka = static_cast<std::size_t>(a);
+    const auto kb = static_cast<std::size_t>(b);
+    const double den = tship[kb] + ttx[ka];
+    if (!(den > 0.0)) return std::numeric_limits<double>::infinity();
+    return discount[kb] / den * (1.0 + kBoundSlack);
   };
-
-  UtilityPoint near = eval(0);
-  for (int a = 0; a < n - 1;) {
-    const int b = std::min(a + kCornerStride, n - 1);
-    const UtilityPoint far = eval(b);
-    push(a, b, near.ttx_s, far.tship_s, far.discount);
-    near = far;
-    a = b;
-  }
-  while (size > 0) {
-    std::pop_heap(heap.begin(), heap.begin() + size, by_bound);
-    const Block blk = heap[static_cast<std::size_t>(--size)];
-    if (blk.bound < out.best.val) break;
-    const int m = blk.a + (blk.b - blk.a) / 2;
-    const UtilityPoint mid = eval(m);
-    push(blk.a, m, blk.ttx_a, mid.tship_s, mid.discount);
-    push(m, blk.b, mid.ttx_s, blk.tship_b, blk.discount_b);
-  }
-  return out;
+  return pruned_grid_scan(n, value, block_bound);
 }
 
 }  // namespace
@@ -181,7 +121,7 @@ OptimizeResult optimize(const UtilityFunction& u, OptimizeOptions opt) {
   const double hi = u.delay().params().d0_m;
   const int n = grid_size(opt);
   if (hi > lo && n <= kMaxPrunedGrid && bound_holds(u)) {
-    const PrunedGrid g = pruned_grid_scan(u, lo, hi, n);
+    const PrunedGridScan g = pruned_utility_scan(u, lo, hi, n);
     const ScalarSearchResult s = golden_refine(lo, hi, g.best, f, opt);
     return finish(u, s.d, s.evals, g.evaluated);
   }

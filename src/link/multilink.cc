@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 
 namespace skyferry::link {
@@ -16,10 +18,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// not this planner, is the ground truth for delivered bytes).
 constexpr int kPathSegments = 8;
 
-/// The single definition of core::optimize()'s search schedule. Sharing
-/// the template — not keeping a copy in sync — is what guarantees a
-/// single-802.11n-backend run evaluates the identical FP expression at
-/// the identical points and lands on the bit-identical decision
+/// The single definition of core::optimize()'s search schedule, and the
+/// pruned grid stage it shares with this solve. Sharing the templates —
+/// not keeping a copy in sync — is what guarantees a single-802.11n-
+/// backend run evaluates the identical FP expression at the identical
+/// points and lands on the bit-identical decision
 /// (tests/link/multilink_contract).
 using core::golden_grid_search;
 using SearchOut = core::ScalarSearchResult;
@@ -113,40 +116,55 @@ core::OptimizeResult to_result(const BurstEval& e, double d, double lo, double h
   return r;
 }
 
-/// Relative slack on the bounds that let a solve skip work: the pruning
-/// bound (upper_bounds) and the trickle floor (batch_covered). Each
-/// evaluates, at an interval's extreme corner, the same correctly
-/// rounded, monotone operations the objective evaluates at any point
-/// inside it (Tship, δ, rate·availability — non-increasing in distance
-/// for every backend, validated and property-tested — M − min(Σ, M),
-/// burst·8/rate, the Cdelay sum, δ/Cdelay), so FP keeps the order the
-/// exact argument proves. Two steps differ. (1) A link's trickle is
-/// availability·window·(path mean of 9 rates)/8 in the objective but
-/// window·(rate·availability)/8 in the bounds: equal in exact
-/// arithmetic, rounded apart by ~20 ulps (~5e-15 relative) per link plus
-/// n ulps in the sum; M − Σ may cancel and amplify that, so the slack
-/// goes on Σ before it meets M. (2) δ goes through libm's exp/pow,
-/// monotone only to the last ulp, and the bound scan's early exit
-/// compares a rounded product; the slack on the final bound covers
-/// both. 1e-9 exceeds each by five orders of magnitude and prunes as
-/// sharply.
+/// Relative slack on the bounds that let a solve skip work: the block
+/// and link bounds (burst_bound, joint_bound) and the trickle floor
+/// (batch_covered). Each evaluates, at an interval's extreme corner, the
+/// same correctly rounded, monotone operations the objective evaluates
+/// at any point inside it (Tship, δ, rate·availability — non-increasing
+/// in distance for every backend, validated and property-tested —
+/// M − min(Σ, M), burst·8/rate, the Cdelay sum, δ/Cdelay), so FP keeps
+/// the order the exact argument proves. Two steps differ. (1) A link's
+/// trickle is availability·window·(path mean of 9 rates)/8 in the
+/// objective but window·(rate·availability)/8 in the bounds: equal in
+/// exact arithmetic, rounded apart by ~20 ulps (~5e-15 relative) per
+/// link plus n ulps in the sum; M − Σ may cancel and amplify that, so
+/// the slack goes on Σ before it meets M. (2) δ goes through libm's
+/// exp/pow, monotone only to the last ulp; the slack on the final bound
+/// covers it. 1e-9 exceeds each by five orders of magnitude and prunes
+/// as sharply.
 constexpr double kBoundSlack = 1e-9;
+
+/// Pass 1 opens each corner block whole. Its points are cheap (δ, one
+/// rate, two divisions), and bisecting costs two bound evaluations and
+/// heap work per point: on the fleet's spawn shape, where 802.11n's
+/// single-link utility stays within 7 % of its peak across the grid,
+/// bisection evaluates 120 of its 256 points against 221 for whole
+/// blocks, yet takes ~10 % longer per solve.
+constexpr int kSingleLeaf = core::kCornerStride - 1;
+
+/// Pass 2 bisects down to single points: a joint point may fill trickle
+/// cells of 9 rate samples per other link.
+constexpr int kJointLeaf = 1;
 
 /// One joint solve: pass 1 searches each link alone, pass 2 runs a
 /// link's joint search with the others trickling. All 2n searches scan
-/// the same grid, so their grid stages read one column computed up
-/// front — its trickle cells, 9 rate samples each, only once a joint
-/// search needs them; only the golden-section refinement evaluates
-/// live. The column is per-solve working memory, so concurrent solves
-/// share nothing mutable.
+/// the same grid, so their grid stages read one column whose values are
+/// filled the first time a search or a bound reads them: a point's Tship
+/// and δ, a (point, link) cell's rate·availability and trickle. Where
+/// the block bounds hold (`bounded_`) each grid stage is
+/// core::pruned_grid_scan and fills only the points it evaluates; only
+/// the golden-section refinement evaluates live. The column is per-solve
+/// working memory, so concurrent solves share nothing mutable.
 class JointSolve {
  public:
-  /// Builds the column and runs pass 1 for every link: the legacy "now
-  /// or later?" problem on each link's own rate/latency/availability
-  /// profile (MultiLinkResult::single reports all of them).
+  /// Runs pass 1 for every link: the legacy "now or later?" problem on
+  /// each link's own rate/latency/availability profile
+  /// (MultiLinkResult::single reports all of them).
   JointSolve(const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
              const uav::FailureModel& failure, const core::OptimizeOptions& opt)
       : links_(links), p_(p), failure_(failure), opt_(opt), n_(static_cast<int>(links.size())),
+        bounded_(hi() > lo() && std::isfinite(lo()) && std::isfinite(hi()) &&
+                 std::isfinite(p.speed_mps) && p.speed_mps > 0.0 && p.mdata_bytes >= 0.0),
         joint_(static_cast<std::size_t>(n_)), searched_(static_cast<std::size_t>(n_), 0) {
     // No trickle sample lies past d0 by more than a few ulps, and rates
     // do not rise with distance: each link's rate there floors its
@@ -157,15 +175,23 @@ class JointSolve {
       terms_.push_back({link(k).config().session_setup_s, link(k).latency_s(),
                         burst_rate_bps(link(k), far, p)});
     }
-    if (hi() > lo()) build_column(core::grid_size(opt));
+    if (hi() > lo()) allocate_column(core::grid_size(opt));
     single_.resize(static_cast<std::size_t>(n_));
     for (int j = 0; j < n_; ++j) {
       const LinkBackend& bk = link(j);
-      const SearchOut s = golden_grid_search(
-          lo(), hi(), [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
-          [&](double d) { return eval_burst(bk, d, p.mdata_bytes, p, failure).utility; }, opt);
-      single_[static_cast<std::size_t>(j)] =
-          to_result(eval_burst(bk, s.d, p.mdata_bytes, p, failure), s.d, lo(), hi(), s.evals);
+      const Search s = search<kSingleLeaf>(
+          [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
+          [&](int a, int b) {
+            const auto top = static_cast<std::size_t>(b);
+            return burst_bound(j, column_.tship[top], column_.discount[top], rate(a, j),
+                               p.mdata_bytes) *
+                   (1.0 + kBoundSlack);
+          },
+          [&](double d) { return eval_burst(bk, d, p.mdata_bytes, p, failure).utility; });
+      core::OptimizeResult& r = single_[static_cast<std::size_t>(j)];
+      r = to_result(eval_burst(bk, s.out.d, p.mdata_bytes, p, failure), s.out.d, lo(), hi(),
+                    s.out.evals);
+      r.grid_evaluated = s.grid_evaluated;
     }
   }
 
@@ -181,11 +207,11 @@ class JointSolve {
   /// can reach it, and a tie is never skipped, so the first-index rule
   /// sees every link that could win.
   [[nodiscard]] int elect() {
-    if (n_ == 1 || !(hi() > lo()) || !(std::isfinite(p_.speed_mps) && p_.speed_mps > 0.0)) {
+    if (n_ == 1 || !bounded_) {
       search_all();
       return first_best();
     }
-    const std::vector<double> ub = upper_bounds();
+    const std::vector<double> ub = link_bounds();
     std::vector<int> order(static_cast<std::size_t>(n_));
     for (int j = 0; j < n_; ++j) order[static_cast<std::size_t>(j)] = j;
     std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
@@ -195,7 +221,7 @@ class JointSolve {
     for (const int j : order) {
       if (ub[static_cast<std::size_t>(j)] < incumbent) break;
       search_joint(j);
-      incumbent = std::max(incumbent, joint_[static_cast<std::size_t>(j)].val);
+      incumbent = std::max(incumbent, joint_[static_cast<std::size_t>(j)].out.val);
     }
     return first_best();
   }
@@ -212,7 +238,8 @@ class JointSolve {
     r.single = single_;
     r.trickle_by_link.assign(static_cast<std::size_t>(n_), 0.0);
     r.burst_link = j;
-    const SearchOut& best = joint_[static_cast<std::size_t>(j)];
+    const Search& best = joint_[static_cast<std::size_t>(j)];
+    const double d = best.out.d;
     // Per-link trickles, rescaled proportionally when the Mdata cap
     // binds so they always sum to the reported total (the raw sum
     // replays joint_trickle's accumulation order, keeping trickle_bytes
@@ -220,7 +247,7 @@ class JointSolve {
     double raw_sum = 0.0;
     for (int k = 0; k < n_; ++k) {
       if (k == j || n_ == 1) continue;
-      const double tr = trickle_bytes(link(k), best.d, p_);
+      const double tr = trickle_bytes(link(k), d, p_);
       r.trickle_by_link[static_cast<std::size_t>(k)] = tr;
       raw_sum += tr;
     }
@@ -230,21 +257,33 @@ class JointSolve {
       for (double& v : r.trickle_by_link) v *= scale;
     }
     r.burst_bytes = p_.mdata_bytes - r.trickle_bytes;
-    r.decision = to_result(eval_burst(link(j), best.d, r.burst_bytes, p_, failure_), best.d,
-                           lo(), hi(), best.evals);
+    r.decision = to_result(eval_burst(link(j), d, r.burst_bytes, p_, failure_), d, lo(), hi(),
+                           best.out.evals);
+    r.decision.grid_evaluated = best.grid_evaluated;
     return r;
   }
 
  private:
-  /// Every value the grid stages read at d_i = grid_point(lo, hi, n, i).
-  struct GridColumn {
-    int n{0};                         ///< grid points; 0 when hi <= lo
-    std::vector<double> tship;        ///< [i]
-    std::vector<double> discount;     ///< [i]: δ(d_i), the same for every link
-    std::vector<double> rate;         ///< [cell(i, k)]: rate_bps · availability
-    std::vector<double> trickle;      ///< [cell(i, k)]: filled on first use; empty with one link
-    std::vector<char> trickle_ready;  ///< [cell(i, k)]
+  /// One search's outcome and the grid points its grid stage evaluated.
+  struct Search {
+    SearchOut out;
+    int grid_evaluated{0};
   };
+
+  /// The values the grid stages read at d_i = grid_point(lo, hi, n, i),
+  /// each written on first use; the flags say which are. The values are
+  /// left uninitialized: a pruned solve writes only a part of them.
+  struct GridColumn {
+    int n{0};                                ///< grid points; 0 when hi <= lo
+    std::unique_ptr<double[]> tship;         ///< [i]
+    std::unique_ptr<double[]> discount;      ///< [i]: δ(d_i), the same for every link
+    std::unique_ptr<double[]> rate;          ///< [cell(i, k)]: rate_bps · availability
+    std::unique_ptr<double[]> trickle;       ///< [cell(i, k)]; null with one link
+    std::vector<std::uint8_t> point_filled;  ///< [i]: tship and discount
+    std::vector<std::uint8_t> cell_filled;   ///< [cell(i, k)]: kRateFilled | kTrickleFilled
+  };
+  static constexpr std::uint8_t kRateFilled = 1;
+  static constexpr std::uint8_t kTrickleFilled = 2;
 
   /// Per-link constants the bounds and the grid stages read.
   struct LinkTerms {
@@ -262,40 +301,66 @@ class JointSolve {
     return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +
            static_cast<std::size_t>(k);
   }
+  [[nodiscard]] double grid_d(int i) const { return core::grid_point(lo(), hi(), column_.n, i); }
 
-  void build_column(int n) {
-    const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n_);
+  void allocate_column(int n) {
+    const auto points = static_cast<std::size_t>(n);
+    const std::size_t cells = points * static_cast<std::size_t>(n_);
     column_.n = n;
-    column_.tship.resize(static_cast<std::size_t>(n));
-    column_.discount.resize(static_cast<std::size_t>(n));
-    column_.rate.resize(cells);
-    if (n_ > 1) {
-      column_.trickle.resize(cells);
-      column_.trickle_ready.assign(cells, 0);
+    column_.tship = std::make_unique_for_overwrite<double[]>(points);
+    column_.discount = std::make_unique_for_overwrite<double[]>(points);
+    column_.rate = std::make_unique_for_overwrite<double[]>(cells);
+    if (n_ > 1) column_.trickle = std::make_unique_for_overwrite<double[]>(cells);
+    column_.point_filled.assign(points, 0);
+    column_.cell_filled.assign(cells, 0);
+  }
+
+  /// Fills grid point i's Tship and δ on first use.
+  void fill_point(int i) {
+    const auto k = static_cast<std::size_t>(i);
+    if (column_.point_filled[k]) return;
+    const double d = grid_d(i);
+    column_.tship[k] = tship_s(d, p_);
+    column_.discount[k] = failure_.discount(p_.d0_m, d);
+    column_.point_filled[k] = 1;
+  }
+
+  /// Link k's rate · availability at grid point i, computed on first use.
+  double rate(int i, int k) {
+    const std::size_t c = cell(i, k);
+    if (!(column_.cell_filled[c] & kRateFilled)) {
+      column_.rate[c] = burst_rate_bps(link(k), grid_d(i), p_);
+      column_.cell_filled[c] |= kRateFilled;
     }
-    for (int i = 0; i < n; ++i) {
-      const double d = core::grid_point(lo(), hi(), n, i);
-      column_.tship[static_cast<std::size_t>(i)] = tship_s(d, p_);
-      column_.discount[static_cast<std::size_t>(i)] = failure_.discount(p_.d0_m, d);
-      for (int k = 0; k < n_; ++k) column_.rate[cell(i, k)] = burst_rate_bps(link(k), d, p_);
-    }
+    return column_.rate[c];
   }
 
   /// Link k's trickle at grid point i, computed on first use.
   double grid_trickle(int i, int k) {
     const std::size_t c = cell(i, k);
-    if (!column_.trickle_ready[c]) {
-      column_.trickle[c] = trickle_bytes(link(k), core::grid_point(lo(), hi(), column_.n, i), p_);
-      column_.trickle_ready[c] = 1;
+    if (!(column_.cell_filled[c] & kTrickleFilled)) {
+      column_.trickle[c] = trickle_bytes(link(k), grid_d(i), p_);
+      column_.cell_filled[c] |= kTrickleFilled;
     }
     return column_.trickle[c];
+  }
+
+  /// One search of the shared schedule. The grid stage is
+  /// core::pruned_grid_scan with `block_bound` where the bounds hold, the
+  /// exhaustive scan elsewhere; either way its answer feeds the same
+  /// golden-section refinement, which evaluates `f` live.
+  template <int Leaf, class G, class B, class F>
+  Search search(G&& grid, B&& block_bound, F&& f) {
+    if (!bounded_) return {golden_grid_search(lo(), hi(), grid, f, opt_), column_.n};
+    const core::PrunedGridScan g = core::pruned_grid_scan<Leaf>(column_.n, grid, block_bound);
+    return {core::golden_refine(lo(), hi(), g.best, f, opt_), g.evaluated};
   }
 
   /// True when the other links provably trickle the whole batch while
   /// link j bursts after a `tship` ferry, so joint_trickle's cap returns
   /// Mdata whatever the exact sum: each link trickles at least its
   /// far_rate_bps over its window (the slack covers the rounding, as in
-  /// upper_bounds()).
+  /// joint_bound()).
   [[nodiscard]] bool batch_covered(int j, double tship) const {
     if (!(p_.mdata_bytes > 0.0)) return false;
     double floor = 0.0;
@@ -322,25 +387,31 @@ class JointSolve {
   /// core::optimize().
   void search_joint(int j) {
     const core::OptimizeResult& single = single_[static_cast<std::size_t>(j)];
-    SearchOut cand{single.d_opt_m, single.utility, single.evaluations};
+    Search cand{{single.d_opt_m, single.utility, single.evaluations}, single.grid_evaluated};
     if (n_ > 1) {
-      cand = golden_grid_search(
-          lo(), hi(),
+      cand = search<kJointLeaf>(
           [&](int i) {
+            fill_point(i);
             return grid_utility(j, i,
                                 joint_burst(j, column_.tship[static_cast<std::size_t>(i)],
                                             [&](int k) { return grid_trickle(i, k); }));
           },
-          [&](double d) { return joint_utility(j, d); }, opt_);
+          [&](int a, int b) {
+            const auto top = static_cast<std::size_t>(b);
+            return joint_bound(j, column_.tship[static_cast<std::size_t>(a)], column_.tship[top],
+                               column_.discount[top], [&](int k) { return rate(a, k); }) *
+                   (1.0 + kBoundSlack);
+          },
+          [&](double d) { return joint_utility(j, d); });
       // Dominance net: the joint objective dominates the single one
       // pointwise, but the two searches can refine into different
       // brackets — evaluating the joint objective at the single-link
       // optimum guarantees result-level dominance too.
       const double v_single = joint_utility(j, single.d_opt_m);
-      ++cand.evals;
-      if (v_single > cand.val) {
-        cand.d = single.d_opt_m;
-        cand.val = v_single;
+      ++cand.out.evals;
+      if (v_single > cand.out.val) {
+        cand.out.d = single.d_opt_m;
+        cand.out.val = v_single;
       }
     }
     joint_[static_cast<std::size_t>(j)] = cand;
@@ -352,61 +423,113 @@ class JointSolve {
     int best_j = -1;
     for (int j = 0; j < n_; ++j) {
       if (!searched_[static_cast<std::size_t>(j)]) continue;
-      if (best_j < 0 ||
-          joint_[static_cast<std::size_t>(j)].val > joint_[static_cast<std::size_t>(best_j)].val)
+      if (best_j < 0 || joint_[static_cast<std::size_t>(j)].out.val >
+                            joint_[static_cast<std::size_t>(best_j)].out.val)
         best_j = j;
     }
     return best_j;
   }
 
+  /// Pass 1's block bound, and the last step of the others: an upper
+  /// bound on link j's utility anywhere in an interval [d_a, d_b] of the
+  /// grid span when it bursts at least `burst` bytes there at a rate of
+  /// at most `rate_near`, given Tship(d_b) and δ(d_b) or more. Rates do
+  /// not rise with distance, δ does not fall and Tship does not rise, so
+  /// the utility there is at most the burst evaluated with Tship and δ at
+  /// d_b and the rate at d_a. Pass 1 reads link j's rate at d_a:
+  ///   δ(d_b) / (Tship(d_b) + 8·M/rate_j(d_a) + latency_j).
+  /// Before the slack, which each caller applies once.
+  [[nodiscard]] double burst_bound(int j, double tship_far, double discount_far, double rate_near,
+                                   double burst) const {
+    if (rate_near <= 0.0) return 0.0;  // dead from d_a on: utility 0
+    const BurstEval e = burst_eval(tship_far, rate_near, burst,
+                                   terms_[static_cast<std::size_t>(j)].latency_s, discount_far);
+    // A zero Cdelay scores 0 in burst_eval, but nearby points do not.
+    return e.cdelay_s > 0.0 ? e.utility : kInf;
+  }
+
+  /// Pass 2's block bound and the link bound's per-interval term: an
+  /// upper bound on link j's joint utility anywhere in [d_a, d_b], given
+  /// Tship at both ends, δ(d_b) or more and `rate_near(k)` >= link k's
+  /// rate at d_a for every link. A trickle's path-mean rate is at most
+  /// the rate at the path's near end and its window at most Tship(d_a),
+  /// so every other link trickling at its d_a rate for that window
+  /// shrinks the burst no further than the batch really shrinks;
+  /// burst_bound does the rest. NaN (NaN inputs) stays NaN.
+  template <class R>
+  [[nodiscard]] double joint_bound(int j, double tship_near, double tship_far,
+                                   double discount_far, R&& rate_near) const {
+    double others = 0.0;
+    for (int k = 0; k < n_; ++k) {
+      if (k == j) continue;
+      others += std::max(tship_near - terms_[static_cast<std::size_t>(k)].setup_s, 0.0) *
+                rate_near(k) / 8.0;
+    }
+    const double burst = p_.mdata_bytes - std::min(others * (1.0 + kBoundSlack), p_.mdata_bytes);
+    return burst_bound(j, tship_far, discount_far, rate_near(j), burst);
+  }
+
   /// An upper bound on each link's joint utility at every point its
   /// pass-2 search can evaluate (the grid span [d_0, d_{n-1}]: golden
   /// points and the dominance probe stay inside their grid brackets),
-  /// from the column alone. On [d_i, d_{i+1}] rates do not rise with
-  /// distance, δ does not fall and Tship does not rise, and a trickle's
-  /// path-mean rate is at most the rate at the path's near end. So the
-  /// utility there is at most the burst evaluated with δ and Tship at
-  /// d_{i+1}, the burst link's rate at d_i, and the burst shrunk by every
-  /// other link trickling at its d_i rate for the Tship(d_i) window. A
-  /// NaN bound (NaN inputs) reads as +inf: never pruned.
-  [[nodiscard]] std::vector<double> upper_bounds() const {
+  /// filling no value: joint_bound on every grid interval [d_i, d_{i+1}]
+  /// with the exact Tship at both ends (fill_point's expression), δ at the nearest
+  /// filled point at or above d_{i+1} (δ does not fall toward d0) and
+  /// each link's rate at its nearest filled cell at or below d_i (rates
+  /// do not rise with distance). Pass 1 filled both ends of the grid and
+  /// every link's cell at d_0. From d0 inward, δ / (Tship(d_{i+1}) +
+  /// latency) caps each interval's bound and only falls, so a link's walk
+  /// ends where it can no longer exceed the bound so far (the product's
+  /// rounding is within the slack). A NaN bound reads as +inf: never
+  /// pruned.
+  [[nodiscard]] std::vector<double> link_bounds() const {
+    const int n = column_.n;
+    // below[k]: link k's nearest filled cell at or below the walk's d_i,
+    // and near_rate[k] its rate.
+    std::vector<int> below(static_cast<std::size_t>(n_), n - 1);
+    std::vector<double> near_rate(static_cast<std::size_t>(n_));
     std::vector<double> ub(static_cast<std::size_t>(n_), 0.0);
-    for (int j = 0; j < n_; ++j) {
-      double& b = ub[static_cast<std::size_t>(j)];
-      const double latency = terms_[static_cast<std::size_t>(j)].latency_s;
-      // From d0 inward, δ(d_{i+1}) / (Tship(d_{i+1}) + latency) caps each
-      // interval's bound and only falls, so the scan ends where it can no
-      // longer exceed b (the product's rounding is within the slack).
-      for (int i = column_.n - 2; i >= 0; --i) {
-        const auto top = static_cast<std::size_t>(i + 1);
-        if (column_.discount[top] <= b * (column_.tship[top] + latency)) break;
-        const double rate = column_.rate[cell(i, j)];
-        if (rate <= 0.0) continue;  // dead from d_i on: utility 0
-        const double tship_near = column_.tship[static_cast<std::size_t>(i)];
-        double others = 0.0;
-        for (int k = 0; k < n_; ++k) {
-          if (k == j) continue;
-          const LinkTerms& t = terms_[static_cast<std::size_t>(k)];
-          others += std::max(tship_near - t.setup_s, 0.0) * column_.rate[cell(i, k)] / 8.0;
-        }
-        const double burst =
-            p_.mdata_bytes - std::min(others * (1.0 + kBoundSlack), p_.mdata_bytes);
-        const BurstEval e = burst_eval(column_.tship[top], rate, burst, latency,
-                                       column_.discount[top]);
-        // A zero Cdelay scores 0 in burst_eval, but nearby points do not.
-        const double u = e.cdelay_s > 0.0 ? e.utility : kInf;
-        b = std::isnan(u) ? kInf : std::max(b, u);
+    std::vector<char> walking(static_cast<std::size_t>(n_), 1);
+    int walkers = n_;
+    auto top = static_cast<std::size_t>(n - 1);  // nearest filled point at or above d_{i+1}
+    double tship_far = column_.tship[top];
+    for (int i = n - 2; i >= 0 && walkers > 0; --i) {
+      const auto far_point = static_cast<std::size_t>(i + 1);
+      if (column_.point_filled[far_point]) top = far_point;
+      const double discount_far = column_.discount[top];
+      const auto near_point = static_cast<std::size_t>(i);
+      const double tship_near = column_.point_filled[near_point] ? column_.tship[near_point]
+                                                                 : tship_s(grid_d(i), p_);
+      for (int k = 0; k < n_; ++k) {
+        int& c = below[static_cast<std::size_t>(k)];
+        while (c > i || !(column_.cell_filled[cell(c, k)] & kRateFilled)) --c;
+        near_rate[static_cast<std::size_t>(k)] = column_.rate[cell(c, k)];
       }
-      b *= 1.0 + kBoundSlack;
+      for (int j = 0; j < n_; ++j) {
+        if (!walking[static_cast<std::size_t>(j)]) continue;
+        double& bound = ub[static_cast<std::size_t>(j)];
+        if (discount_far <= bound * (tship_far + terms_[static_cast<std::size_t>(j)].latency_s)) {
+          walking[static_cast<std::size_t>(j)] = 0;
+          --walkers;
+          continue;
+        }
+        const double u = joint_bound(j, tship_near, tship_far, discount_far,
+                                     [&](int k) { return near_rate[static_cast<std::size_t>(k)]; });
+        bound = std::isnan(u) ? kInf : std::max(bound, u);
+      }
+      tship_far = tship_near;
     }
+    for (double& bound : ub) bound *= 1.0 + kBoundSlack;
     return ub;
   }
 
   /// Link j's utility at grid point i bursting `burst_bytes`: eval_burst
   /// on column values.
-  [[nodiscard]] double grid_utility(int j, int i, double burst_bytes) const {
-    return burst_eval(column_.tship[static_cast<std::size_t>(i)], column_.rate[cell(i, j)],
-                      burst_bytes, terms_[static_cast<std::size_t>(j)].latency_s,
+  [[nodiscard]] double grid_utility(int j, int i, double burst_bytes) {
+    fill_point(i);
+    const double r = rate(i, j);
+    return burst_eval(column_.tship[static_cast<std::size_t>(i)], r, burst_bytes,
+                      terms_[static_cast<std::size_t>(j)].latency_s,
                       column_.discount[static_cast<std::size_t>(i)])
         .utility;
   }
@@ -422,10 +545,11 @@ class JointSolve {
   const uav::FailureModel& failure_;
   const core::OptimizeOptions& opt_;
   int n_;
+  bool bounded_;  ///< the block and link bounds hold: pruned grid stages
   GridColumn column_;
   std::vector<LinkTerms> terms_;  ///< [k]
   std::vector<core::OptimizeResult> single_;
-  std::vector<SearchOut> joint_;
+  std::vector<Search> joint_;
   std::vector<char> searched_;  ///< [j]: joint_[j] holds link j's pass-2 search
 };
 

@@ -83,7 +83,8 @@ struct MultiLinkResult {
   /// to trickle_bytes (up to FP rounding) when the Mdata cap binds.
   std::vector<double> trickle_by_link;
   /// Per-link single-link decisions (no background trickle), for
-  /// dominance checks and the fig_multilink comparison.
+  /// dominance checks and the fig_multilink comparison; grid_evaluated
+  /// counts each search's grid points.
   std::vector<core::OptimizeResult> single;
   /// Links the free election ruled out by their utility bound alone,
   /// without a joint search; 0 for pinned elections.
@@ -99,10 +100,15 @@ struct MultiLinkResult {
 /// burst link. A link whose rate curve is dead on the whole
 /// [min_d, d0] interval scores utility 0 and loses the election to any
 /// live link; with an empty `links` list the result has burst_link == -1
-/// and zero utility. Links whose utility bound (from the shared grid
-/// column; valid because every rate curve is non-increasing in distance)
-/// falls strictly below the best joint utility found skip their joint
-/// search: the result is bit-identical to the exhaustive election.
+/// and zero utility. Every bound below is valid because every rate curve
+/// is non-increasing in distance. Each search's grid stage skips blocks
+/// of grid points whose utility bound falls strictly below the best
+/// point found (core::pruned_grid_scan), and links whose utility bound
+/// (from the grid points pass 1 filled) falls strictly below the best
+/// joint utility found skip their joint search: the result is
+/// bit-identical to the exhaustive election. decision.grid_evaluated
+/// counts the grid points the elected link's joint search evaluated (its
+/// single-link search with one link).
 [[nodiscard]] MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
                                                  const MultiLinkParams& p,
                                                  const uav::FailureModel& failure,

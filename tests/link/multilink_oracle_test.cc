@@ -6,9 +6,12 @@
 // compared with memcmp, every int and enum with ==, for the free
 // election and for each per-link pinned election, over seeded random
 // link subsets/orders, failure laws, degenerate intervals and grids.
-// The production free election prunes links by a utility bound; the
-// reference never does, so the comparison also proves the pruning exact,
-// and the test asserts that pruning actually fired.
+// The production solve prunes grid points and links by utility bounds;
+// the reference never does, so the comparison also proves the pruning
+// exact, and the test asserts that both prunings actually fired. The
+// grid points a search evaluated (grid_evaluated) depend on the pruning,
+// so they are checked on their own: never more than the grid, the whole
+// grid wherever the solve scans exhaustively.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -232,6 +235,8 @@ link::MultiLinkResult optimize_multilink(const std::vector<const link::LinkBacke
 
 // ---- bitwise comparison ---------------------------------------------------
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
 /// Empty when `got` and `want` agree bit for bit, else the first field
@@ -264,6 +269,32 @@ std::string first_difference(const link::MultiLinkResult& got, const link::Multi
                                          "single[" + std::to_string(k) + "]");
         !d.empty())
       return d;
+  }
+  return {};
+}
+
+/// Empty when every search in `r` reports a grid_evaluated its path
+/// allows, else the first that does not: 0 without a grid (d0 <= d_min),
+/// the whole grid where the bounds do not hold (more points than the
+/// block heap, a speed that is not finite and positive), at most the
+/// whole grid elsewhere.
+std::string grid_count_error(const link::MultiLinkResult& r, const link::MultiLinkParams& p,
+                             const core::OptimizeOptions& opt) {
+  const int n = core::grid_size(opt);
+  const bool no_grid = !(p.d0_m > p.min_distance_m);
+  const bool exhaustive = n > core::kMaxPrunedGrid || !std::isfinite(p.speed_mps) ||
+                          !(p.speed_mps > 0.0);
+  const auto bad = [&](int got) {
+    if (no_grid) return got != 0;
+    if (exhaustive) return got != n;
+    return got < 1 || got > n;
+  };
+  if (bad(r.decision.grid_evaluated))
+    return "decision.grid_evaluated = " + std::to_string(r.decision.grid_evaluated);
+  for (std::size_t k = 0; k < r.single.size(); ++k) {
+    if (bad(r.single[k].grid_evaluated))
+      return "single[" + std::to_string(k) + "].grid_evaluated = " +
+             std::to_string(r.single[k].grid_evaluated);
   }
   return {};
 }
@@ -329,15 +360,19 @@ link::MultiLinkParams random_params(proptest::Case& g) {
   } else {
     p.d0_m = p.min_distance_m + std::exp(g.uniform(std::log(0.5), std::log(6000.0)));
   }
-  p.speed_mps = g.uniform(0.5, 40.0);
+  // Speeds 0 and +inf: the bounds do not hold, the grid stages scan
+  // exhaustively.
+  const double v = g.uniform(0.0, 1.0);
+  p.speed_mps = v < 0.03 ? 0.0 : v < 0.06 ? kInf : g.uniform(0.5, 40.0);
   p.mdata_bytes = std::exp(g.uniform(std::log(1e3), std::log(2e9)));
   return p;
 }
 
 core::OptimizeOptions random_options(proptest::Case& g) {
-  static constexpr int kGrids[] = {1, 2, 5, 7, 8, 9, 16, 33, 64, 256};
+  // 257 and 1000 exceed the pruned scan's block heap.
+  static constexpr int kGrids[] = {1, 2, 5, 7, 8, 9, 16, 33, 64, 256, 257, 1000};
   core::OptimizeOptions opt;
-  opt.grid_points = kGrids[g.uniform_int(0, 9)];
+  opt.grid_points = kGrids[g.uniform_int(0, 11)];
   if (g.chance(0.2)) opt.tolerance_m = g.uniform(0.001, 5.0);
   if (g.chance(0.1)) opt.max_refine_iters = g.uniform_int(0, 12);
   return opt;
@@ -352,6 +387,8 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
   int multi_link_free = 0;  // free elections over >= 2 links
   int pruned_free = 0;      // ... that pruned at least one link
   int tied_free = 0;        // ... whose winning utility another link ties
+  int bounded_free = 0;     // free elections whose grid stages may prune
+  int grid_pruned_free = 0;  // ... whose elected search skipped grid points
   std::string first_mismatch;
   FOR_ALL(kQueries, 0x0AC1EULL, g) {
     // A random subset in a random order (Fisher-Yates on the pool).
@@ -368,7 +405,8 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
     const auto check = [&](const link::MultiLinkResult& got, const link::MultiLinkResult& want,
                            const std::string& which) {
       ++comparisons;
-      const std::string diff = first_difference(got, want);
+      std::string diff = first_difference(got, want);
+      if (diff.empty()) diff = grid_count_error(got, p, opt);
       if (diff.empty()) return;
       ++mismatches;
       if (first_mismatch.empty()) {
@@ -388,6 +426,12 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
     if (links.size() > 1) {
       ++multi_link_free;
       if (free.links_pruned > 0) ++pruned_free;
+    }
+    const int n = core::grid_size(opt);
+    if (p.d0_m > p.min_distance_m && n <= core::kMaxPrunedGrid && std::isfinite(p.speed_mps) &&
+        p.speed_mps > 0.0) {
+      ++bounded_free;
+      if (free.decision.grid_evaluated < n) ++grid_pruned_free;
     }
     const std::vector<link::MultiLinkResult> per_link =
         link::optimize_multilink_per_link(links, p, failure, opt);
@@ -412,6 +456,9 @@ TEST(MultiLinkOracle, SharedGridSolveMatchesUnmemoizedReferenceBitForBit) {
       << "pruning fired on " << pruned_free << " of " << multi_link_free
       << " multi-link free elections";
   EXPECT_GT(tied_free, 0);
+  EXPECT_GE(grid_pruned_free * 2, bounded_free)
+      << "grid pruning fired on " << grid_pruned_free << " of " << bounded_free
+      << " free elections on the bounded path";
 }
 
 // A tie at zero utility, where the bound's slack gives no margin: link 0
