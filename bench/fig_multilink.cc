@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
     const link::MultiLinkParams p{d0, speed, mdata, 20.0};
     const link::MultiLinkResult r = link::optimize_multilink(views, p, failure);
     double best_single = 0.0;
-    for (const core::OptimizeResult& s : r.single) best_single = std::max(best_single, s.utility);
+    for (const core::OptimizeResult& s : link::single_link_decisions(views, p, failure))
+      best_single = std::max(best_single, s.utility);
     dominance = dominance && r.decision.utility >= best_single;
     const double gain =
         best_single > 0.0 ? 100.0 * (r.decision.utility / best_single - 1.0) : 0.0;

@@ -273,7 +273,8 @@ BENCHMARK(BM_MultiLinkDecide);
 // rho = 1e-4. Here 802.11n wins and its bound rules the other links out
 // without a joint search; links_pruned is the mean number skipped per
 // decision (of 3 losers), grid_evaluated the mean grid points (of 256)
-// the elected link's joint search evaluated.
+// the elected link's joint search evaluated and single_grid_evaluated
+// the mean pass-1 grid points summed over the four links (of 1024).
 void BM_MultiLinkDecideFleet(benchmark::State& state) {
   const link::LinkSet set({link::LinkBackendConfig::wifi_80211n(),
                            link::LinkBackendConfig::cellular(), link::LinkBackendConfig::mesh(),
@@ -293,6 +294,12 @@ void BM_MultiLinkDecideFleet(benchmark::State& state) {
   }
   state.counters["links_pruned"] = benchmark::Counter(pruned, benchmark::Counter::kAvgIterations);
   state.counters["grid_evaluated"] = benchmark::Counter(grid, benchmark::Counter::kAvgIterations);
+  double single_grid = 0.0;
+  for (const link::MultiLinkParams& p : queries) {
+    for (const core::OptimizeResult& s : link::single_link_decisions(views, p, failure))
+      single_grid += s.grid_evaluated;
+  }
+  state.counters["single_grid_evaluated"] = single_grid / static_cast<double>(queries.size());
 }
 BENCHMARK(BM_MultiLinkDecideFleet);
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numbers>
 #include <utility>
 
 namespace skyferry::link {
@@ -18,13 +19,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// not this planner, is the ground truth for delivered bytes).
 constexpr int kPathSegments = 8;
 
-/// The single definition of core::optimize()'s search schedule, and the
-/// pruned grid stage it shares with this solve. Sharing the templates —
-/// not keeping a copy in sync — is what guarantees a single-802.11n-
-/// backend run evaluates the identical FP expression at the identical
-/// points and lands on the bit-identical decision
-/// (tests/link/multilink_contract).
-using core::golden_grid_search;
+/// core::optimize()'s search schedule (core::golden_grid_search), run
+/// here as its two stages — core::pruned_grid_scan or core::grid_scan,
+/// then core::golden_refine. Sharing the templates — not keeping a copy
+/// in sync — is what guarantees a single-802.11n-backend run evaluates
+/// the identical FP expression at the identical points and lands on the
+/// bit-identical decision (tests/link/multilink_contract).
 using SearchOut = core::ScalarSearchResult;
 
 /// Ferry time from d0 in to d.
@@ -32,19 +32,34 @@ double tship_s(double d_m, const MultiLinkParams& p) noexcept {
   return d_m >= p.d0_m ? 0.0 : (p.d0_m - d_m) / p.speed_mps;
 }
 
+/// The trapezoid mean of `sample(i)` over the path's kPathSegments + 1
+/// samples: the one accumulation every trickle's path-mean rate runs.
+template <class S>
+double path_mean(S&& sample) {
+  double acc = 0.0;
+  for (int i = 0; i <= kPathSegments; ++i) {
+    const double s = sample(i);
+    acc += (i == 0 || i == kPathSegments) ? 0.5 * s : s;
+  }
+  return acc / kPathSegments;
+}
+
+/// Bytes a link of `availability` moves over a trickle window at a
+/// path-mean rate.
+double window_bytes(double availability, double window_s, double mean_rate_bps) {
+  return availability * window_s * mean_rate_bps / 8.0;
+}
+
 }  // namespace
 
 double trickle_bytes(const LinkBackend& bk, double d_m, const MultiLinkParams& p) {
   const double window = tship_s(d_m, p) - bk.config().session_setup_s;
   if (window <= 0.0) return 0.0;
-  double acc = 0.0;
-  for (int i = 0; i <= kPathSegments; ++i) {
+  const double mean_rate_bps = path_mean([&](int i) {
     const double x = d_m + (p.d0_m - d_m) * i / kPathSegments;
-    const double s = bk.rate_bps(std::max(x, p.min_distance_m));
-    acc += (i == 0 || i == kPathSegments) ? 0.5 * s : s;
-  }
-  const double mean_rate_bps = acc / kPathSegments;
-  return bk.availability() * window * mean_rate_bps / 8.0;
+    return bk.rate_bps(std::max(x, p.min_distance_m));
+  });
+  return window_bytes(bk.availability(), window, mean_rate_bps);
 }
 
 namespace {
@@ -117,30 +132,43 @@ core::OptimizeResult to_result(const BurstEval& e, double d, double lo, double h
 }
 
 /// Relative slack on the bounds that let a solve skip work: the block
-/// and link bounds (burst_bound, joint_bound) and the trickle floor
-/// (batch_covered). Each evaluates, at an interval's extreme corner, the
-/// same correctly rounded, monotone operations the objective evaluates
-/// at any point inside it (Tship, δ, rate·availability — non-increasing
-/// in distance for every backend, validated and property-tested —
-/// M − min(Σ, M), burst·8/rate, the Cdelay sum, δ/Cdelay), so FP keeps
-/// the order the exact argument proves. Two steps differ. (1) A link's
-/// trickle is availability·window·(path mean of 9 rates)/8 in the
-/// objective but window·(rate·availability)/8 in the bounds: equal in
-/// exact arithmetic, rounded apart by ~20 ulps (~5e-15 relative) per
-/// link plus n ulps in the sum; M − Σ may cancel and amplify that, so
-/// the slack goes on Σ before it meets M. (2) δ goes through libm's
-/// exp/pow, monotone only to the last ulp; the slack on the final bound
-/// covers it. 1e-9 exceeds each by five orders of magnitude and prunes
-/// as sharply.
+/// and link bounds (burst_bound, curvature_bound, joint_bound), the
+/// trickle floor (batch_covered) and the concave/convex classification
+/// of an 802.11n block. Each first-order bound evaluates, at an
+/// interval's extreme corner, the same correctly rounded, monotone
+/// operations the objective evaluates at any point inside it (Tship, δ,
+/// rate·availability — non-increasing in distance for every backend,
+/// validated and property-tested — M − min(Σ, M), burst·8/rate, the
+/// Cdelay sum, δ/Cdelay), so FP keeps the order the exact argument
+/// proves. Two steps differ. (1) A link's trickle is
+/// availability·window·(path mean of 9 rates)/8 in the objective but
+/// window·(rate·availability)/8 in the bounds: equal in exact
+/// arithmetic, rounded apart by ~20 ulps (~5e-15 relative) per link plus
+/// n ulps in the sum; M − Σ may cancel and amplify that, so the slack
+/// goes on Σ before it meets M. (2) δ goes through libm's exp/pow,
+/// monotone only to the last ulp; the slack on the final bound covers
+/// it. 1e-9 exceeds each by five orders of magnitude, and the curvature
+/// bound's rounding (below 2.1e-11 relative, curvature_bound()) fifty-
+/// fold, and prunes as sharply.
 constexpr double kBoundSlack = 1e-9;
 
-/// Pass 1 opens each corner block whole. Its points are cheap (δ, one
-/// rate, two divisions), and bisecting costs two bound evaluations and
-/// heap work per point: on the fleet's spawn shape, where 802.11n's
-/// single-link utility stays within 7 % of its peak across the grid,
-/// bisection evaluates 120 of its 256 points against 221 for whole
-/// blocks, yet takes ~10 % longer per solve.
-constexpr int kSingleLeaf = core::kCornerStride - 1;
+/// The curvature bound holds for a block only where every 802.11n rate
+/// on it is at least this fraction of its fit's term magnitudes,
+/// availability·scale·(|b| + |a|·|log2 d|): the rate's relative rounding
+/// error then stays below ~2e4 ulps (curvature_bound()). Near the fit's
+/// zero crossing the first-order bound alone applies.
+constexpr double kConditioning = 1e-4;
+
+/// Pass 1's grid stage evaluates blocks of at most this many points
+/// whole and bisects larger ones. With the curvature bound few of
+/// 802.11n's blocks open on the fleet's spawn shape, and splitting a
+/// corner block once lets each half be pruned alone. Measured on
+/// BM_MultiLinkDecideFleet: leaf 7 evaluates 141 pass-1 points per
+/// solve over the four links (802.11n 66 of 256, the others 25 each)
+/// and runs fastest; leaf 15 (whole corner blocks) evaluates 187 and
+/// runs ~5 % slower, leaf 3 evaluates 114 but pays more in bound
+/// evaluations than the points save.
+constexpr int kSingleLeaf = 7;
 
 /// Pass 2 bisects down to single points: a joint point may fill trickle
 /// cells of 9 rate samples per other link.
@@ -153,45 +181,39 @@ constexpr int kJointLeaf = 1;
 /// and δ, a (point, link) cell's rate·availability and trickle. Where
 /// the block bounds hold (`bounded_`) each grid stage is
 /// core::pruned_grid_scan and fills only the points it evaluates; only
-/// the golden-section refinement evaluates live. The column is per-solve
+/// the golden-section refinements evaluate live. Pass 1 runs every
+/// link's grid stage up front (the link bounds read its cells) but a
+/// link's refinement only when its joint search, or
+/// single_link_decisions, reads the result. The column is per-solve
 /// working memory, so concurrent solves share nothing mutable.
 class JointSolve {
  public:
-  /// Runs pass 1 for every link: the legacy "now or later?" problem on
-  /// each link's own rate/latency/availability profile
-  /// (MultiLinkResult::single reports all of them).
+  /// Runs pass 1's grid stage for every link: the legacy "now or
+  /// later?" problem on each link's own rate/latency/availability
+  /// profile.
   JointSolve(const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
              const uav::FailureModel& failure, const core::OptimizeOptions& opt)
       : links_(links), p_(p), failure_(failure), opt_(opt), n_(static_cast<int>(links.size())),
         bounded_(hi() > lo() && std::isfinite(lo()) && std::isfinite(hi()) &&
                  std::isfinite(p.speed_mps) && p.speed_mps > 0.0 && p.mdata_bytes >= 0.0),
-        joint_(static_cast<std::size_t>(n_)), searched_(static_cast<std::size_t>(n_), 0) {
+        singles_(static_cast<std::size_t>(n_)), joint_(static_cast<std::size_t>(n_)),
+        searched_(static_cast<std::size_t>(n_), 0) {
     // No trickle sample lies past d0 by more than a few ulps, and rates
     // do not rise with distance: each link's rate there floors its
     // path-mean rate for every point of the interval.
     const double far = p.d0_m + kBoundSlack * (std::abs(p.d0_m) + std::abs(p.min_distance_m));
     terms_.reserve(static_cast<std::size_t>(n_));
-    for (int k = 0; k < n_; ++k) {
-      terms_.push_back({link(k).config().session_setup_s, link(k).latency_s(),
-                        burst_rate_bps(link(k), far, p)});
-    }
-    if (hi() > lo()) allocate_column(core::grid_size(opt));
-    single_.resize(static_cast<std::size_t>(n_));
+    for (int k = 0; k < n_; ++k) terms_.push_back(terms_of(link(k), far));
+    if (!(hi() <= lo())) allocate_column(core::grid_size(opt));
     for (int j = 0; j < n_; ++j) {
-      const LinkBackend& bk = link(j);
-      const Search s = search<kSingleLeaf>(
+      singles_[static_cast<std::size_t>(j)].grid = grid_stage<kSingleLeaf>(
           [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
           [&](int a, int b) {
             const auto top = static_cast<std::size_t>(b);
-            return burst_bound(j, column_.tship[top], column_.discount[top], rate(a, j),
-                               p.mdata_bytes) *
-                   (1.0 + kBoundSlack);
-          },
-          [&](double d) { return eval_burst(bk, d, p.mdata_bytes, p, failure).utility; });
-      core::OptimizeResult& r = single_[static_cast<std::size_t>(j)];
-      r = to_result(eval_burst(bk, s.out.d, p.mdata_bytes, p, failure), s.out.d, lo(), hi(),
-                    s.out.evals);
-      r.grid_evaluated = s.grid_evaluated;
+            const double first_order = burst_bound(j, column_.tship[top], column_.discount[top],
+                                                   rate(a, j), p.mdata_bytes);
+            return std::min(first_order, curvature_bound(j, a, b)) * (1.0 + kBoundSlack);
+          });
     }
   }
 
@@ -231,11 +253,27 @@ class JointSolve {
     return n_ - static_cast<int>(std::count(searched_.begin(), searched_.end(), 1));
   }
 
+  /// Link j's single-link decision: pass 1's grid stage, refined on
+  /// first use.
+  const core::OptimizeResult& single(int j) {
+    Single& s = singles_[static_cast<std::size_t>(j)];
+    if (!s.refined) {
+      const LinkBackend& bk = link(j);
+      const SearchOut out = refine(s.grid, [&](double d) {
+        return eval_burst(bk, d, p_.mdata_bytes, p_, failure_).utility;
+      });
+      s.result = to_result(eval_burst(bk, out.d, p_.mdata_bytes, p_, failure_), out.d, lo(), hi(),
+                           out.evals);
+      s.result.grid_evaluated = s.grid.evaluated;
+      s.refined = true;
+    }
+    return s.result;
+  }
+
   /// Link j's pinned election, finalized with its trickle split. Needs
   /// link j's pass-2 search.
   [[nodiscard]] MultiLinkResult result(int j) const {
     MultiLinkResult r;
-    r.single = single_;
     r.trickle_by_link.assign(static_cast<std::size_t>(n_), 0.0);
     r.burst_link = j;
     const Search& best = joint_[static_cast<std::size_t>(j)];
@@ -264,7 +302,21 @@ class JointSolve {
   }
 
  private:
-  /// One search's outcome and the grid points its grid stage evaluated.
+  /// A grid stage's answer and the grid points it evaluated.
+  struct GridStage {
+    core::GridBest best;
+    int evaluated{0};
+  };
+
+  /// Link j's pass 1: its grid stage, and the decision once refined.
+  struct Single {
+    GridStage grid;
+    bool refined{false};
+    core::OptimizeResult result;
+  };
+
+  /// One pass-2 search's outcome and the grid points its grid stage
+  /// evaluated.
   struct Search {
     SearchOut out;
     int grid_evaluated{0};
@@ -290,6 +342,16 @@ class JointSolve {
     double setup_s;       ///< session setup: the trickle window starts after it
     double latency_s;     ///< LinkBackend::latency_s()
     double far_rate_bps;  ///< rate · availability just past d0
+    /// The rate is the same at d_min and just past d0, so at every
+    /// trickle sample (bounded solves with 2+ links only); then
+    /// flat_mean_bps is its path mean.
+    bool flat{false};
+    double flat_mean_bps{0.0};
+    /// An 802.11n fit: curvature_bound() applies (bounded solves only).
+    bool paper_log{false};
+    double rate_star_bps{0.0};     ///< R*: 1/rate is concave above it, convex below
+    double conditioned_bps{0.0};   ///< kConditioning · availability·scale·(|b| + |a|·max|log2 d|)
+    double unclamped_from_m{0.0};  ///< the fit's own distance floor
   };
 
   [[nodiscard]] double lo() const noexcept { return p_.min_distance_m; }
@@ -302,6 +364,31 @@ class JointSolve {
            static_cast<std::size_t>(k);
   }
   [[nodiscard]] double grid_d(int i) const { return core::grid_point(lo(), hi(), column_.n, i); }
+
+  /// Link `bk`'s constants; `far` lies just past d0.
+  [[nodiscard]] LinkTerms terms_of(const LinkBackend& bk, double far) const {
+    LinkTerms t{bk.config().session_setup_s, bk.latency_s(), burst_rate_bps(bk, far, p_)};
+    if (!bounded_) return t;
+    // Every trickle sample's rate argument lies in [d_min, far], and
+    // rates do not rise with distance: equal ends pin every sample.
+    const double near_rate = bk.rate_bps(lo());
+    if (n_ > 1 && near_rate == bk.rate_bps(far)) {
+      t.flat = true;
+      t.flat_mean_bps = path_mean([&](int) { return near_rate; });
+    }
+    if (bk.kind() == BackendKind::kWifi80211n) {
+      const LinkBackendConfig& c = bk.config();
+      const double unit = bk.availability() * c.wifi_scale;
+      const double log_span = std::max(std::abs(std::log2(std::max(lo(), c.min_distance_m))),
+                                       std::abs(std::log2(std::max(hi(), c.min_distance_m))));
+      t.paper_log = true;
+      t.rate_star_bps = 2.0 * unit * std::abs(c.wifi_a) / std::numbers::ln2;
+      t.conditioned_bps =
+          kConditioning * unit * (std::abs(c.wifi_b) + std::abs(c.wifi_a) * log_span);
+      t.unclamped_from_m = c.min_distance_m;
+    }
+    return t;
+  }
 
   void allocate_column(int n) {
     const auto points = static_cast<std::size_t>(n);
@@ -339,21 +426,44 @@ class JointSolve {
   double grid_trickle(int i, int k) {
     const std::size_t c = cell(i, k);
     if (!(column_.cell_filled[c] & kTrickleFilled)) {
-      column_.trickle[c] = trickle_bytes(link(k), grid_d(i), p_);
+      fill_point(i);
+      column_.trickle[c] = trickle(k, grid_d(i), column_.tship[static_cast<std::size_t>(i)]);
       column_.cell_filled[c] |= kTrickleFilled;
     }
     return column_.trickle[c];
   }
 
-  /// One search of the shared schedule. The grid stage is
-  /// core::pruned_grid_scan with `block_bound` where the bounds hold, the
-  /// exhaustive scan elsewhere; either way its answer feeds the same
-  /// golden-section refinement, which evaluates `f` live.
-  template <int Leaf, class G, class B, class F>
-  Search search(G&& grid, B&& block_bound, F&& f) {
-    if (!bounded_) return {golden_grid_search(lo(), hi(), grid, f, opt_), column_.n};
-    const core::PrunedGridScan g = core::pruned_grid_scan<Leaf>(column_.n, grid, block_bound);
-    return {core::golden_refine(lo(), hi(), g.best, f, opt_), g.evaluated};
+  /// Link k's trickle at d, `tship` = tship_s(d): trickle_bytes, with a
+  /// flat-rate link's path mean read from its terms. Its samples all
+  /// equal, so path_mean() would accumulate the same doubles in the same
+  /// order: the result is bit-identical.
+  [[nodiscard]] double trickle(int k, double d, double tship) const {
+    const LinkTerms& t = terms_[static_cast<std::size_t>(k)];
+    if (!t.flat) return trickle_bytes(link(k), d, p_);
+    const double window = tship - t.setup_s;
+    if (window <= 0.0) return 0.0;
+    return window_bytes(link(k).availability(), window, t.flat_mean_bps);
+  }
+
+  /// One grid stage of the shared schedule: core::pruned_grid_scan with
+  /// `block_bound` where the bounds hold, the exhaustive scan elsewhere,
+  /// no grid when hi <= lo.
+  template <int Leaf, class G, class B>
+  GridStage grid_stage(G&& grid, B&& block_bound) {
+    if (bounded_) {
+      const core::PrunedGridScan g = core::pruned_grid_scan<Leaf>(column_.n, grid, block_bound);
+      return {g.best, g.evaluated};
+    }
+    if (hi() <= lo()) return {};
+    return {core::grid_scan(column_.n, grid), column_.n};
+  }
+
+  /// The schedule's refinement after grid stage `g`, evaluating `f`
+  /// live: core::golden_grid_search split at its grid stage.
+  template <class F>
+  [[nodiscard]] SearchOut refine(const GridStage& g, F&& f) const {
+    if (hi() <= lo()) return {hi(), f(hi()), 1};
+    return core::golden_refine(lo(), hi(), g.best, f, opt_);
   }
 
   /// True when the other links provably trickle the whole batch while
@@ -386,10 +496,10 @@ class JointSolve {
   /// what makes the single-backend configuration bit-identical to
   /// core::optimize().
   void search_joint(int j) {
-    const core::OptimizeResult& single = single_[static_cast<std::size_t>(j)];
-    Search cand{{single.d_opt_m, single.utility, single.evaluations}, single.grid_evaluated};
+    const core::OptimizeResult& alone = single(j);
+    Search cand{{alone.d_opt_m, alone.utility, alone.evaluations}, alone.grid_evaluated};
     if (n_ > 1) {
-      cand = search<kJointLeaf>(
+      const GridStage g = grid_stage<kJointLeaf>(
           [&](int i) {
             fill_point(i);
             return grid_utility(j, i,
@@ -401,16 +511,16 @@ class JointSolve {
             return joint_bound(j, column_.tship[static_cast<std::size_t>(a)], column_.tship[top],
                                column_.discount[top], [&](int k) { return rate(a, k); }) *
                    (1.0 + kBoundSlack);
-          },
-          [&](double d) { return joint_utility(j, d); });
+          });
+      cand = {refine(g, [&](double d) { return joint_utility(j, d); }), g.evaluated};
       // Dominance net: the joint objective dominates the single one
       // pointwise, but the two searches can refine into different
       // brackets — evaluating the joint objective at the single-link
       // optimum guarantees result-level dominance too.
-      const double v_single = joint_utility(j, single.d_opt_m);
+      const double v_single = joint_utility(j, alone.d_opt_m);
       ++cand.out.evals;
       if (v_single > cand.out.val) {
-        cand.out.d = single.d_opt_m;
+        cand.out.d = alone.d_opt_m;
         cand.out.val = v_single;
       }
     }
@@ -430,13 +540,14 @@ class JointSolve {
     return best_j;
   }
 
-  /// Pass 1's block bound, and the last step of the others: an upper
-  /// bound on link j's utility anywhere in an interval [d_a, d_b] of the
-  /// grid span when it bursts at least `burst` bytes there at a rate of
-  /// at most `rate_near`, given Tship(d_b) and δ(d_b) or more. Rates do
-  /// not rise with distance, δ does not fall and Tship does not rise, so
-  /// the utility there is at most the burst evaluated with Tship and δ at
-  /// d_b and the rate at d_a. Pass 1 reads link j's rate at d_a:
+  /// Pass 1's first-order block bound, and the last step of the others:
+  /// an upper bound on link j's utility anywhere in an interval
+  /// [d_a, d_b] of the grid span when it bursts at least `burst` bytes
+  /// there at a rate of at most `rate_near`, given Tship(d_b) and δ(d_b)
+  /// or more. Rates do not rise with distance, δ does not fall and Tship
+  /// does not rise, so the utility there is at most the burst evaluated
+  /// with Tship and δ at d_b and the rate at d_a. Pass 1 reads link j's
+  /// rate at d_a:
   ///   δ(d_b) / (Tship(d_b) + 8·M/rate_j(d_a) + latency_j).
   /// Before the slack, which each caller applies once.
   [[nodiscard]] double burst_bound(int j, double tship_far, double discount_far, double rate_near,
@@ -446,6 +557,62 @@ class JointSolve {
                                    terms_[static_cast<std::size_t>(j)].latency_s, discount_far);
     // A zero Cdelay scores 0 in burst_eval, but nearby points do not.
     return e.cdelay_s > 0.0 ? e.utility : kInf;
+  }
+
+  /// Link j's Cdelay at grid point i bursting the whole batch: the
+  /// denominator grid_utility(j, i, M) divides by, bit for bit.
+  [[nodiscard]] double grid_cdelay(int j, int i) {
+    return burst_eval(column_.tship[static_cast<std::size_t>(i)], rate(i, j), p_.mdata_bytes,
+                      terms_[static_cast<std::size_t>(j)].latency_s,
+                      column_.discount[static_cast<std::size_t>(i)])
+        .cdelay_s;
+  }
+
+  /// Pass 1's second-order block bound for an 802.11n link, before the
+  /// slack; +inf where it does not apply. With R(d) = rate·availability
+  /// = u·(a·log2 d + b), u = availability·scale, a <= 0, 1/R has
+  /// (1/R)'' = A·(R + 2A) / (d²·R³), A = u·a/ln 2 <= 0: Ttx = 8M/R is
+  /// concave where R >= R* = −2A and convex where R <= R*. Tship is
+  /// linear, so Cdelay shares Ttx's curvature, and δ(d) <= δ(d_b) on the
+  /// block. R falls with d, so R(d_b) is the block's smallest rate.
+  ///  - Concave: R(d_b) >= R*·(1 + 1e-9) and d_a at or past the fit's
+  ///    own distance floor (below it R is flat, and the kink is convex).
+  ///    Cdelay's minimum on the block is at an end:
+  ///      U <= δ(d_b) / min(C(d_a), C(d_b)).
+  ///  - Convex: the nearest corner d_l left of d_a has R(d_l) <= R*·(1 −
+  ///    1e-9), so Cdelay is convex on [d_l, d_b] (a flat stretch below
+  ///    the fit's floor joins it at a convex kink). Past d_a it stays
+  ///    above its secant through d_l and d_a, slope σ:
+  ///      U <= δ(d_b) / (C(d_a) + min(0, σ·(d_b − d_a))),
+  ///    used only while the secant drop is at most C(d_a)/2.
+  /// Rounding: R(d_b) >= kConditioning·u·(|b| + |a|·max|log2 d|) keeps
+  /// the computed rate, hence each C, within η ≈ 2e4 ulps (~2e-12) of
+  /// the exact curve on the whole block; the concave bound moves by 2η,
+  /// and the secant's cancellation, with d_b − d_a <= 2·(d_a − d_l) and
+  /// the drop capped at C(d_a)/2, by at most 9η of the denominator —
+  /// both far inside kBoundSlack. The 1e-9 margins on R* absorb R's
+  /// rounding in the classification.
+  [[nodiscard]] double curvature_bound(int j, int a, int b) {
+    const LinkTerms& t = terms_[static_cast<std::size_t>(j)];
+    if (!t.paper_log) return kInf;
+    const double rate_far = rate(b, j);
+    if (!(rate_far > 0.0) || !(rate_far >= t.conditioned_bps)) return kInf;
+    const double c_a = grid_cdelay(j, a);
+    double c_min = 0.0;
+    if (rate_far >= t.rate_star_bps * (1.0 + kBoundSlack) && grid_d(a) >= t.unclamped_from_m) {
+      c_min = std::min(c_a, grid_cdelay(j, b));
+    } else {
+      if (a == 0) return kInf;
+      const int l = (a - 1) / core::kCornerStride * core::kCornerStride;
+      if (!(rate(l, j) <= t.rate_star_bps * (1.0 - kBoundSlack))) return kInf;
+      const double d_a = grid_d(a);
+      const double drop = (c_a - grid_cdelay(j, l)) / (d_a - grid_d(l)) * (grid_d(b) - d_a);
+      if (!(drop >= -0.5 * c_a)) return kInf;
+      c_min = c_a + std::min(drop, 0.0);
+    }
+    // Relative slack covers the rounding only where the bound is normal.
+    const double bound = c_min > 0.0 ? column_.discount[static_cast<std::size_t>(b)] / c_min : kInf;
+    return bound >= std::numeric_limits<double>::min() ? bound : kInf;
   }
 
   /// Pass 2's block bound and the link bound's per-interval term: an
@@ -535,8 +702,8 @@ class JointSolve {
   }
 
   [[nodiscard]] double joint_utility(int j, double d) const {
-    const double burst =
-        joint_burst(j, tship_s(d, p_), [&](int k) { return trickle_bytes(link(k), d, p_); });
+    const double tship = tship_s(d, p_);
+    const double burst = joint_burst(j, tship, [&](int k) { return trickle(k, d, tship); });
     return eval_burst(link(j), d, burst, p_, failure_).utility;
   }
 
@@ -548,7 +715,7 @@ class JointSolve {
   bool bounded_;  ///< the block and link bounds hold: pruned grid stages
   GridColumn column_;
   std::vector<LinkTerms> terms_;  ///< [k]
-  std::vector<core::OptimizeResult> single_;
+  std::vector<Single> singles_;
   std::vector<Search> joint_;
   std::vector<char> searched_;  ///< [j]: joint_[j] holds link j's pass-2 search
 };
@@ -574,6 +741,17 @@ std::vector<MultiLinkResult> optimize_multilink_per_link(
   solve.search_all();
   out.reserve(links.size());
   for (int j = 0; j < static_cast<int>(links.size()); ++j) out.push_back(solve.result(j));
+  return out;
+}
+
+std::vector<core::OptimizeResult> single_link_decisions(
+    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+    const uav::FailureModel& failure, core::OptimizeOptions opt) {
+  std::vector<core::OptimizeResult> out;
+  if (links.empty()) return out;
+  JointSolve solve(links, p, failure, opt);
+  out.reserve(links.size());
+  for (int j = 0; j < static_cast<int>(links.size()); ++j) out.push_back(solve.single(j));
   return out;
 }
 

@@ -82,10 +82,6 @@ struct MultiLinkResult {
   /// Per-link trickle split; 0 at the burst link. Rescaled so it sums
   /// to trickle_bytes (up to FP rounding) when the Mdata cap binds.
   std::vector<double> trickle_by_link;
-  /// Per-link single-link decisions (no background trickle), for
-  /// dominance checks and the fig_multilink comparison; grid_evaluated
-  /// counts each search's grid points.
-  std::vector<core::OptimizeResult> single;
   /// Links the free election ruled out by their utility bound alone,
   /// without a joint search; 0 for pinned elections.
   int links_pruned{0};
@@ -113,6 +109,16 @@ struct MultiLinkResult {
                                                  const MultiLinkParams& p,
                                                  const uav::FailureModel& failure,
                                                  core::OptimizeOptions opt = {});
+
+/// Every link's single-link decision (no background trickle): the
+/// legacy "now or later?" problem on each link's own rate, latency and
+/// availability, solved by the pass 1 optimize_multilink runs. Element k
+/// is link k's; grid_evaluated counts its grid stage's points. The joint
+/// decision's utility is at least each element's (the dominance
+/// contract). Empty `links`: empty result.
+[[nodiscard]] std::vector<core::OptimizeResult> single_link_decisions(
+    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
+    const uav::FailureModel& failure, core::OptimizeOptions opt = {});
 
 /// Every link's pinned election from the one solve optimize_multilink
 /// runs: element j is the joint decision with the burst pinned to link j

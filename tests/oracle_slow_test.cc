@@ -1,8 +1,9 @@
 // The slow tier of the exactness oracles: the same checks as
 // io/json_number_oracle_test.cc, policy/compiler_oracle_test.cc,
-// sim/binomial_oracle_test.cc and core/optimizer_oracle_test.cc at full
-// size — two million doubles, the compiler's default grid, ten million
-// binomial inversions and 200k single-link decisions.
+// sim/binomial_oracle_test.cc, core/optimizer_oracle_test.cc and
+// link/multilink_oracle_test.cc at full size — two million doubles, the
+// compiler's default grid, ten million binomial inversions, 200k
+// single-link decisions and 40k joint (link, d) queries.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,6 +11,7 @@
 #include "io/json.h"
 #include "policy/compiler.h"
 #include "support/legacy_oracles.h"
+#include "support/multilink_oracle.h"
 
 namespace skyferry {
 namespace {
@@ -42,6 +44,20 @@ TEST(OptimizerOracleSlow, TwoHundredThousandProbesMatchTheExhaustiveScan) {
   const legacy::OptimizeOracleTally t = legacy::optimize_mismatches(200'000, /*seed=*/42);
   EXPECT_EQ(t.mismatches, 0u);
   EXPECT_GE(2 * t.pruned, t.prunable) << t.pruned << " of " << t.prunable << " pruned";
+}
+
+TEST(MultiLinkOracleSlow, TwentyThousandRandomQueriesMatchTheReference) {
+  const legacy::MultiLinkOracleTally t = legacy::multilink_random_mismatches(20'000, 0x51A7EULL);
+  EXPECT_EQ(t.mismatches, 0) << t.first_mismatch;
+  EXPECT_GE(t.pruned_free * 2, t.multi_link_free);
+  EXPECT_GE(t.grid_pruned_free * 2, t.bounded_free);
+}
+
+TEST(MultiLinkOracleSlow, TwentyThousandPaperFitQueriesMatchTheReference) {
+  const legacy::MultiLinkOracleTally t =
+      legacy::multilink_curvature_mismatches(20'000, 0x51A7FULL);
+  EXPECT_EQ(t.mismatches, 0) << t.first_mismatch;
+  EXPECT_GE(t.grid_pruned_free * 2, t.bounded_free);
 }
 
 }  // namespace
