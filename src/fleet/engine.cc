@@ -894,32 +894,17 @@ void FleetEngine::process_reelections(double t) {
     q.min_distance_m = cfg_.scenario.min_distance_m;
     q.rho_per_m = s.rho[i];
 
-    int best_j = -1;
-    policy::MultiLinkDecision stay{};
-    policy::MultiLinkDecision best{};
+    // The switch election: commit to its challenger, if any clears the
+    // margin over re-optimizing the current link, within the budget.
+    policy::SwitchDecision sw;
     if (multilink) {
-      // One solve answers "stay on the current link" and every switch.
-      thread_local std::vector<policy::MultiLinkDecision> per_link;
-      per_link.resize(cfg_.links->size());
-      service_.decide_multilink_per_link(q, per_link);
-      const std::int32_t cur_j = std::max(s.burst_link[i], std::int32_t{0});
-      stay = per_link[static_cast<std::size_t>(cur_j)];
-      for (std::int32_t j = 0; j < static_cast<std::int32_t>(per_link.size()); ++j) {
-        if (j == cur_j) continue;
-        const policy::MultiLinkDecision& cand = per_link[static_cast<std::size_t>(j)];
-        if (cand.decision.utility > best.decision.utility) {
-          best = cand;
-          best_j = j;
-        }
-      }
+      sw = service_.decide_switch(q, std::max(s.burst_link[i], std::int32_t{0}),
+                                  cfg_.reelection.commit_margin);
     }
-    const bool budget_ok =
-        s.rebudget[i].allow(t, 0.0, best_j >= 0 ? best.decision.cdelay_s : 0.0);
-    if (best_j >= 0 && budget_ok && best.decision.utility > 0.0 &&
-        best.decision.utility >=
-            (1.0 + cfg_.reelection.commit_margin) * stay.decision.utility) {
+    const std::int32_t to = sw.challenger.burst_link;
+    if (to >= 0 && s.rebudget[i].allow(t, 0.0, sw.challenger.decision.cdelay_s)) {
       s.rebudget[i].consume();
-      commit_reelection(i, t, best_j, best);
+      commit_reelection(i, t, to, sw.challenger);
     } else {
       fallback_ship_closer(i, t);
     }

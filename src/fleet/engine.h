@@ -71,7 +71,7 @@ enum class Phase : std::uint8_t { kFerry, kTransmit, kDone, kFailed };
 /// re-elects and stays byte-identical with this enabled or not. Every
 /// processed trigger walks the ladder: re-election cap -> deadline-
 /// aware retry budget -> commit margin over the current link's pinned
-/// election, all links solved at once (decide_multilink_per_link) from
+/// election, one switch election (DecisionService::decide_switch) from
 /// the current position with the residual batch -> fallback
 /// ferry-closer-and-ship on the current link.
 struct ReElectionConfig {
@@ -299,9 +299,8 @@ class FleetEngine {
   void update_degrade_cusum(std::uint32_t i, double scale);
   [[nodiscard]] bool reelect_armed(std::uint32_t i) const;
   /// Serial end-of-sweep pass consuming want_reelect flags: the guard
-  /// ladder (cap, retry budget, commit margin between the per-link
-  /// elections of one decide_multilink_per_link solve on the residual
-  /// batch, ferry-closer fallback). Serial by design so
+  /// ladder (cap, retry budget, the commit margin a decide_switch
+  /// election on the residual batch applies, ferry-closer fallback). Serial by design so
   /// decide ordering — and therefore every downstream draw — is
   /// thread-count independent. It walks only this step's winners_:
   /// run_exchanges raises want_reelect on winners_ rows alone, and this

@@ -132,11 +132,12 @@ core::OptimizeResult to_result(const BurstEval& e, double d, double lo, double h
 }
 
 /// Relative slack on the bounds that let a solve skip work: the block
-/// and link bounds (burst_bound, curvature_bound, joint_bound), the
-/// trickle floor (batch_covered) and the concave/convex classification
-/// of an 802.11n block. Each first-order bound evaluates, at an
-/// interval's extreme corner, the same correctly rounded, monotone
-/// operations the objective evaluates at any point inside it (Tship, δ,
+/// bounds of the grid stages and the elections (burst_bound,
+/// curvature_bound, block_bound), the trickle floor (batch_covered) and
+/// the concave/convex classification of an 802.11n block. Each
+/// first-order bound evaluates, at an interval's extreme corner, the
+/// same correctly rounded, monotone operations the objective evaluates
+/// at any point inside it (Tship, δ,
 /// rate·availability — non-increasing in distance for every backend,
 /// validated and property-tested — M − min(Σ, M), burst·8/rate, the
 /// Cdelay sum, δ/Cdelay), so FP keeps the order the exact argument
@@ -163,11 +164,11 @@ constexpr double kConditioning = 1e-4;
 /// whole and bisects larger ones. With the curvature bound few of
 /// 802.11n's blocks open on the fleet's spawn shape, and splitting a
 /// corner block once lets each half be pruned alone. Measured on
-/// BM_MultiLinkDecideFleet: leaf 7 evaluates 141 pass-1 points per
-/// solve over the four links (802.11n 66 of 256, the others 25 each)
-/// and runs fastest; leaf 15 (whole corner blocks) evaluates 187 and
-/// runs ~5 % slower, leaf 3 evaluates 114 but pays more in bound
-/// evaluations than the points save.
+/// BM_MultiLinkDecideFleet when every link ran pass 1: leaf 7 evaluates
+/// 141 pass-1 points per solve over the four links (802.11n 66 of 256,
+/// the others 25 each) and runs fastest; leaf 15 (whole corner blocks)
+/// evaluates 187 and runs ~5 % slower, leaf 3 evaluates 114 but pays
+/// more in bound evaluations than the points save.
 constexpr int kSingleLeaf = 7;
 
 /// Pass 2 bisects down to single points: a joint point may fill trickle
@@ -181,16 +182,14 @@ constexpr int kJointLeaf = 1;
 /// and δ, a (point, link) cell's rate·availability and trickle. Where
 /// the block bounds hold (`bounded_`) each grid stage is
 /// core::pruned_grid_scan and fills only the points it evaluates; only
-/// the golden-section refinements evaluate live. Pass 1 runs every
-/// link's grid stage up front (the link bounds read its cells) but a
-/// link's refinement only when its joint search, or
-/// single_link_decisions, reads the result. The column is per-solve
-/// working memory, so concurrent solves share nothing mutable.
+/// the golden-section refinements evaluate live. Nothing runs until an
+/// election or single() asks for it: a link's pass 1 runs when its joint
+/// search needs the single-link optimum (the dominance net) or
+/// single_link_decisions reports it, and a link the election proves a
+/// loser by bound runs neither pass. The column is per-solve working
+/// memory, so concurrent solves share nothing mutable.
 class JointSolve {
  public:
-  /// Runs pass 1's grid stage for every link: the legacy "now or
-  /// later?" problem on each link's own rate/latency/availability
-  /// profile.
   JointSolve(const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
              const uav::FailureModel& failure, const core::OptimizeOptions& opt)
       : links_(links), p_(p), failure_(failure), opt_(opt), n_(static_cast<int>(links.size())),
@@ -205,67 +204,80 @@ class JointSolve {
     terms_.reserve(static_cast<std::size_t>(n_));
     for (int k = 0; k < n_; ++k) terms_.push_back(terms_of(link(k), far));
     if (!(hi() <= lo())) allocate_column(core::grid_size(opt));
-    for (int j = 0; j < n_; ++j) {
-      singles_[static_cast<std::size_t>(j)].grid = grid_stage<kSingleLeaf>(
-          [&](int i) { return grid_utility(j, i, p.mdata_bytes); },
-          [&](int a, int b) {
-            const auto top = static_cast<std::size_t>(b);
-            const double first_order = burst_bound(j, column_.tship[top], column_.discount[top],
-                                                   rate(a, j), p.mdata_bytes);
-            return std::min(first_order, curvature_bound(j, a, b)) * (1.0 + kBoundSlack);
-          });
-    }
-  }
-
-  /// Pass 2 for every link: each pinned election reads its own search.
-  void search_all() {
-    for (int j = 0; j < n_; ++j) search_joint(j);
   }
 
   /// The free election: the first link with the highest joint utility,
-  /// bit for bit what search_all() then a scan would elect. Pass 2 runs
-  /// in descending order of each link's utility bound and stops at the
-  /// first bound strictly below the best utility found: no later link
-  /// can reach it, and a tie is never skipped, so the first-index rule
-  /// sees every link that could win.
+  /// bit for bit what searching every link then a scan would elect.
+  /// search_best_first() searches the links in descending order of their
+  /// bounds and stops at the first bound strictly below the best utility
+  /// found; no link left can beat or tie it, so the first-index rule sees
+  /// every link that could win.
   [[nodiscard]] int elect() {
-    if (n_ == 1 || !bounded_) {
-      search_all();
-      return first_best();
-    }
-    const std::vector<double> ub = link_bounds();
-    std::vector<int> order(static_cast<std::size_t>(n_));
-    for (int j = 0; j < n_; ++j) order[static_cast<std::size_t>(j)] = j;
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return ub[static_cast<std::size_t>(a)] > ub[static_cast<std::size_t>(b)];
-    });
     double incumbent = -kInf;
-    for (const int j : order) {
-      if (ub[static_cast<std::size_t>(j)] < incumbent) break;
-      search_joint(j);
-      incumbent = std::max(incumbent, joint_[static_cast<std::size_t>(j)].out.val);
-    }
+    search_best_first(-1, incumbent, [&](int j) {
+      incumbent = std::max(incumbent, search_joint(j));
+      return incumbent;
+    });
     return first_best();
   }
 
-  /// Links elect() decided without a pass-2 search.
+  /// The switch election from link `stay` (0 <= stay < n): its pinned
+  /// election, and the first other link with the highest joint utility
+  /// when that utility is positive and at least (1 + margin) times the
+  /// stay utility. search_best_first() searches the challengers against
+  /// the larger of that floor and the best challenger found: a link left
+  /// below it is no answer, and neither beats nor ties one.
+  [[nodiscard]] SwitchElection elect_switch(int stay, double margin) {
+    SwitchElection out;
+    search_joint(stay);
+    out.stay = result(stay);
+    const double floor = (1.0 + margin) * out.stay.decision.utility;
+    // The fleet's rule: the highest positive utility, the lowest index
+    // on ties, whatever order the challengers are searched in.
+    int best_j = -1;
+    double best_u = 0.0;
+    search_best_first(stay, std::max(floor, best_u), [&](int j) {
+      search_joint(j);
+      MultiLinkResult r = result(j);
+      if (r.decision.utility > best_u || (r.decision.utility == best_u && j < best_j)) {
+        best_u = r.decision.utility;
+        best_j = j;
+        out.challenger = std::move(r);
+      }
+      return std::max(floor, best_u);
+    });
+    if (best_j < 0 || !(best_u >= floor)) out.challenger = {};
+    out.links_pruned = pruned();
+    return out;
+  }
+
+  /// Links the last election decided without a pass-2 search.
   [[nodiscard]] int pruned() const {
     return n_ - static_cast<int>(std::count(searched_.begin(), searched_.end(), 1));
   }
 
-  /// Link j's single-link decision: pass 1's grid stage, refined on
-  /// first use.
+  /// Link j's single-link decision, pass 1, run on first use: the
+  /// legacy "now or later?" problem on the link's own rate, latency and
+  /// availability profile.
   const core::OptimizeResult& single(int j) {
     Single& s = singles_[static_cast<std::size_t>(j)];
-    if (!s.refined) {
+    if (!s.done) {
       const LinkBackend& bk = link(j);
-      const SearchOut out = refine(s.grid, [&](double d) {
+      const GridStage g = grid_stage<kSingleLeaf>(
+          [&](int i) { return grid_utility(j, i, p_.mdata_bytes); },
+          [&](int a, int b) {
+            const auto top = static_cast<std::size_t>(b);
+            const double first_order = burst_bound(j, column_.tship[top], column_.discount[top],
+                                                   rate(a, j), p_.mdata_bytes);
+            return std::min(first_order, curvature_bound(j, a, b)) * (1.0 + kBoundSlack);
+          });
+      const SearchOut out = refine(g, [&](double d) {
         return eval_burst(bk, d, p_.mdata_bytes, p_, failure_).utility;
       });
       s.result = to_result(eval_burst(bk, out.d, p_.mdata_bytes, p_, failure_), out.d, lo(), hi(),
                            out.evals);
-      s.result.grid_evaluated = s.grid.evaluated;
-      s.refined = true;
+      s.result.grid_evaluated = g.evaluated;
+      s.done = true;
     }
     return s.result;
   }
@@ -285,7 +297,7 @@ class JointSolve {
     double raw_sum = 0.0;
     for (int k = 0; k < n_; ++k) {
       if (k == j || n_ == 1) continue;
-      const double tr = trickle_bytes(link(k), d, p_);
+      const double tr = trickle(k, d, tship_s(d, p_));
       r.trickle_by_link[static_cast<std::size_t>(k)] = tr;
       raw_sum += tr;
     }
@@ -308,10 +320,9 @@ class JointSolve {
     int evaluated{0};
   };
 
-  /// Link j's pass 1: its grid stage, and the decision once refined.
+  /// Link j's pass-1 decision, once run.
   struct Single {
-    GridStage grid;
-    bool refined{false};
+    bool done{false};
     core::OptimizeResult result;
   };
 
@@ -470,7 +481,7 @@ class JointSolve {
   /// link j bursts after a `tship` ferry, so joint_trickle's cap returns
   /// Mdata whatever the exact sum: each link trickles at least its
   /// far_rate_bps over its window (the slack covers the rounding, as in
-  /// joint_bound()).
+  /// block_bound()).
   [[nodiscard]] bool batch_covered(int j, double tship) const {
     if (!(p_.mdata_bytes > 0.0)) return false;
     double floor = 0.0;
@@ -494,8 +505,8 @@ class JointSolve {
   /// Link j's joint search. With one link the joint objective IS the
   /// single objective — the pass-1 result is reused verbatim, which is
   /// what makes the single-backend configuration bit-identical to
-  /// core::optimize().
-  void search_joint(int j) {
+  /// core::optimize(). Returns the search's utility.
+  double search_joint(int j) {
     const core::OptimizeResult& alone = single(j);
     Search cand{{alone.d_opt_m, alone.utility, alone.evaluations}, alone.grid_evaluated};
     if (n_ > 1) {
@@ -506,12 +517,7 @@ class JointSolve {
                                 joint_burst(j, column_.tship[static_cast<std::size_t>(i)],
                                             [&](int k) { return grid_trickle(i, k); }));
           },
-          [&](int a, int b) {
-            const auto top = static_cast<std::size_t>(b);
-            return joint_bound(j, column_.tship[static_cast<std::size_t>(a)], column_.tship[top],
-                               column_.discount[top], [&](int k) { return rate(a, k); }) *
-                   (1.0 + kBoundSlack);
-          });
+          [&](int a, int b) { return block_bound(j, a, b); });
       cand = {refine(g, [&](double d) { return joint_utility(j, d); }), g.evaluated};
       // Dominance net: the joint objective dominates the single one
       // pointwise, but the two searches can refine into different
@@ -526,6 +532,7 @@ class JointSolve {
     }
     joint_[static_cast<std::size_t>(j)] = cand;
     searched_[static_cast<std::size_t>(j)] = 1;
+    return cand.out.val;
   }
 
   /// The first searched link with the highest joint utility.
@@ -615,79 +622,91 @@ class JointSolve {
     return bound >= std::numeric_limits<double>::min() ? bound : kInf;
   }
 
-  /// Pass 2's block bound and the link bound's per-interval term: an
-  /// upper bound on link j's joint utility anywhere in [d_a, d_b], given
-  /// Tship at both ends, δ(d_b) or more and `rate_near(k)` >= link k's
-  /// rate at d_a for every link. A trickle's path-mean rate is at most
-  /// the rate at the path's near end and its window at most Tship(d_a),
-  /// so every other link trickling at its d_a rate for that window
-  /// shrinks the burst no further than the batch really shrinks;
-  /// burst_bound does the rest. NaN (NaN inputs) stays NaN.
-  template <class R>
-  [[nodiscard]] double joint_bound(int j, double tship_near, double tship_far,
-                                   double discount_far, R&& rate_near) const {
+  /// The block bound of pass 2 and of the elections, slack included: an
+  /// upper bound on link j's joint utility anywhere in the grid interval
+  /// [d_a, d_b], from exact Tship at both ends, δ(d_b) and every link's
+  /// rate at d_a, each filled into the column on first use. A trickle's
+  /// path-mean rate is at most the rate at the path's near end and its
+  /// window at most Tship(d_a), so every other link trickling at its d_a
+  /// rate for that window shrinks the burst no further than the batch
+  /// really shrinks; burst_bound does the rest. NaN (NaN inputs) stays
+  /// NaN.
+  [[nodiscard]] double block_bound(int j, int a, int b) {
+    fill_point(a);
+    fill_point(b);
+    const double tship_near = column_.tship[static_cast<std::size_t>(a)];
     double others = 0.0;
     for (int k = 0; k < n_; ++k) {
       if (k == j) continue;
       others += std::max(tship_near - terms_[static_cast<std::size_t>(k)].setup_s, 0.0) *
-                rate_near(k) / 8.0;
+                rate(a, k) / 8.0;
     }
     const double burst = p_.mdata_bytes - std::min(others * (1.0 + kBoundSlack), p_.mdata_bytes);
-    return burst_bound(j, tship_far, discount_far, rate_near(j), burst);
+    const auto far = static_cast<std::size_t>(b);
+    return burst_bound(j, column_.tship[far], column_.discount[far], rate(a, j), burst) *
+           (1.0 + kBoundSlack);
   }
 
-  /// An upper bound on each link's joint utility at every point its
-  /// pass-2 search can evaluate (the grid span [d_0, d_{n-1}]: golden
-  /// points and the dominance probe stay inside their grid brackets),
-  /// filling no value: joint_bound on every grid interval [d_i, d_{i+1}]
-  /// with the exact Tship at both ends (fill_point's expression), δ at the nearest
-  /// filled point at or above d_{i+1} (δ does not fall toward d0) and
-  /// each link's rate at its nearest filled cell at or below d_i (rates
-  /// do not rise with distance). Pass 1 filled both ends of the grid and
-  /// every link's cell at d_0. From d0 inward, δ / (Tship(d_{i+1}) +
-  /// latency) caps each interval's bound and only falls, so a link's walk
-  /// ends where it can no longer exceed the bound so far (the product's
-  /// rounding is within the slack). A NaN bound reads as +inf: never
-  /// pruned.
-  [[nodiscard]] std::vector<double> link_bounds() const {
-    const int n = column_.n;
-    // below[k]: link k's nearest filled cell at or below the walk's d_i,
-    // and near_rate[k] its rate.
-    std::vector<int> below(static_cast<std::size_t>(n_), n - 1);
-    std::vector<double> near_rate(static_cast<std::size_t>(n_));
-    std::vector<double> ub(static_cast<std::size_t>(n_), 0.0);
-    std::vector<char> walking(static_cast<std::size_t>(n_), 1);
-    int walkers = n_;
-    auto top = static_cast<std::size_t>(n - 1);  // nearest filled point at or above d_{i+1}
-    double tship_far = column_.tship[top];
-    for (int i = n - 2; i >= 0 && walkers > 0; --i) {
-      const auto far_point = static_cast<std::size_t>(i + 1);
-      if (column_.point_filled[far_point]) top = far_point;
-      const double discount_far = column_.discount[top];
-      const auto near_point = static_cast<std::size_t>(i);
-      const double tship_near = column_.point_filled[near_point] ? column_.tship[near_point]
-                                                                 : tship_s(grid_d(i), p_);
-      for (int k = 0; k < n_; ++k) {
-        int& c = below[static_cast<std::size_t>(k)];
-        while (c > i || !(column_.cell_filled[cell(c, k)] & kRateFilled)) --c;
-        near_rate[static_cast<std::size_t>(k)] = column_.rate[cell(c, k)];
-      }
+  /// Runs `search(j)`, which searches link j and returns the new bar,
+  /// for every link but `skip` whose joint utility may reach the bar,
+  /// best bound first. The blocks of the links not yet searched wait in a
+  /// max-heap by block_bound(), starting from the kCornerStride blocks of
+  /// pruned_grid_scan's first level; the top block splits at its midpoint
+  /// until a single grid interval is on top, and its link is searched.
+  /// The scan stops at the first top bound strictly below the bar: every
+  /// link left is then strictly below it at every point its search can
+  /// evaluate (the grid span [d_0, d_{n-1}]: golden points and the
+  /// dominance probe stay inside their grid brackets). A NaN bound reads
+  /// as +inf. Where the bounds do not hold, or a lone link has nothing
+  /// to beat, every link is searched.
+  template <class S>
+  void search_best_first(int skip, double bar, S&& search) {
+    if (!bounded_ || n_ == 1) {
       for (int j = 0; j < n_; ++j) {
-        if (!walking[static_cast<std::size_t>(j)]) continue;
-        double& bound = ub[static_cast<std::size_t>(j)];
-        if (discount_far <= bound * (tship_far + terms_[static_cast<std::size_t>(j)].latency_s)) {
-          walking[static_cast<std::size_t>(j)] = 0;
-          --walkers;
-          continue;
-        }
-        const double u = joint_bound(j, tship_near, tship_far, discount_far,
-                                     [&](int k) { return near_rate[static_cast<std::size_t>(k)]; });
-        bound = std::isnan(u) ? kInf : std::max(bound, u);
+        if (j != skip) search(j);
       }
-      tship_far = tship_near;
+      return;
     }
-    for (double& bound : ub) bound *= 1.0 + kBoundSlack;
-    return ub;
+    struct Block {
+      double bound;
+      int j;
+      int a;
+      int b;
+    };
+    const auto by_bound = [](const Block& x, const Block& y) { return x.bound < y.bound; };
+    const int corners = (column_.n - 2) / core::kCornerStride + 1;
+    std::vector<Block> heap;
+    heap.reserve(static_cast<std::size_t>(n_ * corners + 64));
+    const auto block = [&](int j, int a, int b) {
+      const double bound = block_bound(j, a, b);
+      return Block{std::isnan(bound) ? kInf : bound, j, a, b};
+    };
+    for (int a = 0; a < column_.n - 1;) {
+      const int b = std::min(a + core::kCornerStride, column_.n - 1);
+      for (int j = 0; j < n_; ++j) {
+        if (j != skip) heap.push_back(block(j, a, b));
+      }
+      a = b;
+    }
+    std::make_heap(heap.begin(), heap.end(), by_bound);
+    const auto push = [&](int j, int a, int b) {
+      heap.push_back(block(j, a, b));
+      std::push_heap(heap.begin(), heap.end(), by_bound);
+    };
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), by_bound);
+      const Block top = heap.back();
+      heap.pop_back();
+      if (top.bound < bar) break;
+      if (searched_[static_cast<std::size_t>(top.j)]) continue;
+      if (top.b - top.a < 2) {
+        bar = search(top.j);
+        continue;
+      }
+      const int mid = top.a + (top.b - top.a) / 2;
+      push(top.j, top.a, mid);
+      push(top.j, mid, top.b);
+    }
   }
 
   /// Link j's utility at grid point i bursting `burst_bytes`: eval_burst
@@ -712,7 +731,7 @@ class JointSolve {
   const uav::FailureModel& failure_;
   const core::OptimizeOptions& opt_;
   int n_;
-  bool bounded_;  ///< the block and link bounds hold: pruned grid stages
+  bool bounded_;  ///< the block bounds hold: pruned grid stages and elections
   GridColumn column_;
   std::vector<LinkTerms> terms_;  ///< [k]
   std::vector<Single> singles_;
@@ -732,16 +751,12 @@ MultiLinkResult optimize_multilink(const std::vector<const LinkBackend*>& links,
   return r;
 }
 
-std::vector<MultiLinkResult> optimize_multilink_per_link(
-    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
-    const uav::FailureModel& failure, core::OptimizeOptions opt) {
-  std::vector<MultiLinkResult> out;
-  if (links.empty()) return out;
+SwitchElection elect_switch(const std::vector<const LinkBackend*>& links,
+                            const MultiLinkParams& p, const uav::FailureModel& failure, int stay,
+                            double commit_margin, core::OptimizeOptions opt) {
+  if (stay < 0 || stay >= static_cast<int>(links.size())) return {};
   JointSolve solve(links, p, failure, opt);
-  solve.search_all();
-  out.reserve(links.size());
-  for (int j = 0; j < static_cast<int>(links.size()); ++j) out.push_back(solve.result(j));
-  return out;
+  return solve.elect_switch(stay, commit_margin);
 }
 
 std::vector<core::OptimizeResult> single_link_decisions(

@@ -99,9 +99,9 @@ struct MultiLinkResult {
 /// and zero utility. Every bound below is valid because every rate curve
 /// is non-increasing in distance. Each search's grid stage skips blocks
 /// of grid points whose utility bound falls strictly below the best
-/// point found (core::pruned_grid_scan), and links whose utility bound
-/// (from the grid points pass 1 filled) falls strictly below the best
-/// joint utility found skip their joint search: the result is
+/// point found (core::pruned_grid_scan). The links are searched best
+/// bound first, and a link whose bound falls strictly below the best
+/// joint utility found runs no search at all: the result is
 /// bit-identical to the exhaustive election. decision.grid_evaluated
 /// counts the grid points the elected link's joint search evaluated (its
 /// single-link search with one link).
@@ -112,22 +112,35 @@ struct MultiLinkResult {
 
 /// Every link's single-link decision (no background trickle): the
 /// legacy "now or later?" problem on each link's own rate, latency and
-/// availability, solved by the pass 1 optimize_multilink runs. Element k
-/// is link k's; grid_evaluated counts its grid stage's points. The joint
-/// decision's utility is at least each element's (the dominance
-/// contract). Empty `links`: empty result.
+/// availability, solved by the pass 1 each joint search runs for its
+/// dominance net. Element k is link k's; grid_evaluated counts its grid
+/// stage's points. The joint decision's utility is at least each
+/// element's (the dominance contract). Empty `links`: empty result.
 [[nodiscard]] std::vector<core::OptimizeResult> single_link_decisions(
     const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
     const uav::FailureModel& failure, core::OptimizeOptions opt = {});
 
-/// Every link's pinned election from the one solve optimize_multilink
-/// runs: element j is the joint decision with the burst pinned to link j
-/// (burst_link == j), finalized with its own trickle split. The free
-/// election is the element with the highest decision utility (the first
-/// on ties), bit for bit. One link: one element, the free election.
-/// Empty `links`: empty result.
-[[nodiscard]] std::vector<MultiLinkResult> optimize_multilink_per_link(
-    const std::vector<const LinkBackend*>& links, const MultiLinkParams& p,
-    const uav::FailureModel& failure, core::OptimizeOptions opt = {});
+/// A re-election's answer (elect_switch): the election pinned to the
+/// link the mission flies, and the best link to switch to, if any.
+struct SwitchElection {
+  MultiLinkResult stay;  ///< the joint decision with the burst pinned to the stay link
+  /// The first other link with the highest joint utility, pinned, when
+  /// that utility is positive and at least (1 + commit_margin) times
+  /// stay's; burst_link == -1 when no link clears that floor.
+  MultiLinkResult challenger;
+  int links_pruned{0};  ///< challengers ruled out by their utility bound alone
+};
+
+/// The switch election from link `stay`: one solve that runs stay's
+/// pinned search and bounds every other link against the larger of the
+/// commit floor, (1 + commit_margin)·stay utility, and the best
+/// challenger found, searching a link only where its bound reaches that
+/// bar. Bit for bit what pinning every link and comparing would answer.
+/// `stay` outside `links` (an empty list included): no usable election,
+/// both burst_link == -1.
+[[nodiscard]] SwitchElection elect_switch(const std::vector<const LinkBackend*>& links,
+                                          const MultiLinkParams& p,
+                                          const uav::FailureModel& failure, int stay,
+                                          double commit_margin, core::OptimizeOptions opt = {});
 
 }  // namespace skyferry::link

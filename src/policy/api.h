@@ -71,7 +71,7 @@ struct Query {
 enum class FallbackReason : std::uint8_t {
   kNone,
   kNoLinkSet,      ///< no (or an empty) LinkSet installed at decide time
-  kInvalidBackend  ///< a backend failed validate(), or a per-link slot past the installed set
+  kInvalidBackend  ///< a backend failed validate()
 };
 
 /// Stable log tag for a FallbackReason.
@@ -111,6 +111,17 @@ struct MultiLinkDecision {
   std::int32_t burst_link{-1};  ///< LinkSet index; -1 when no link set
   double trickle_bytes{0.0};    ///< Σ background-link bytes during the ferry leg
   double burst_bytes{0.0};      ///< Mdata − trickle_bytes, shipped at d*
+};
+
+/// A re-election's answer (DecisionService::decide_switch): the decision
+/// pinned to the link the mission flies, and the link to switch to when
+/// one clears the commit floor.
+struct SwitchDecision {
+  MultiLinkDecision stay;
+  /// The first other link with the highest utility, pinned, when that
+  /// utility is positive and at least (1 + commit_margin) times stay's;
+  /// burst_link -1 when no link is.
+  MultiLinkDecision challenger;
 };
 
 /// The optimizer's boundary classification (optimizer.cc's finish())

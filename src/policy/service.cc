@@ -180,23 +180,25 @@ MultiLinkDecision DecisionService::decide_multilink_one(const Query& q) const {
                      failure.rho());
 }
 
-void DecisionService::decide_multilink_per_link(const Query& q,
-                                                std::span<MultiLinkDecision> out) const {
-  const FallbackReason why = links_unusable();
-  std::size_t solved = 0;
-  if (why == FallbackReason::kNone && !out.empty()) {
-    exact_calls_.fetch_add(1, std::memory_order_relaxed);
-    const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
-    const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
-    const std::vector<link::MultiLinkResult> per_link =
-        link::optimize_multilink_per_link(link_views_, p, failure, q.optimize);
-    solved = std::min(out.size(), per_link.size());
-    for (std::size_t j = 0; j < solved; ++j) out[j] = to_decision(per_link[j], q, failure.rho());
+SwitchDecision DecisionService::decide_switch(const Query& q, std::int32_t stay,
+                                             double commit_margin) const {
+  SwitchDecision out;
+  if (const FallbackReason why = links_unusable(); why != FallbackReason::kNone) {
+    out.stay = decide_multilink_fallback(q, why);
+    return out;
   }
-  if (solved == out.size()) return;
-  const MultiLinkDecision fallback = decide_multilink_fallback(
-      q, why == FallbackReason::kNone ? FallbackReason::kInvalidBackend : why);
-  for (std::size_t j = solved; j < out.size(); ++j) out[j] = fallback;
+  if (stay < 0 || static_cast<std::size_t>(stay) >= link_views_.size())
+    throw std::invalid_argument("policy: decide_switch() stay link " + std::to_string(stay) +
+                                " is not in the installed set of " +
+                                std::to_string(link_views_.size()));
+  exact_calls_.fetch_add(1, std::memory_order_relaxed);
+  const uav::FailureModel failure(q.rho_per_m, q.law, q.weibull_shape);
+  const link::MultiLinkParams p{q.d0_m, q.speed_mps, q.mdata_bytes, q.min_distance_m};
+  const link::SwitchElection e =
+      link::elect_switch(link_views_, p, failure, stay, commit_margin, q.optimize);
+  out.stay = to_decision(e.stay, q, failure.rho());
+  if (e.challenger.burst_link >= 0) out.challenger = to_decision(e.challenger, q, failure.rho());
+  return out;
 }
 
 void DecisionService::decide_multilink(std::span<const Query> queries,

@@ -78,16 +78,15 @@ class DecisionService {
   void decide_multilink(std::span<const Query> queries, std::span<MultiLinkDecision> out) const;
   [[nodiscard]] MultiLinkDecision decide_multilink_one(const Query& q) const;
 
-  /// Every link's pinned election for `q` from one exact solve
-  /// (link::optimize_multilink_per_link): out[j] is the joint decision
-  /// with the burst pinned to link j — the re-election ladder's
-  /// "stay" and "switch" candidates at once. With one installed link,
-  /// out[0] is decide_multilink_one(q). A slot past the installed set,
-  /// and every slot when the set is missing, empty or invalid, gets the
-  /// tagged single-link fallback (kInvalidBackend past the set). Counts
-  /// one exact call per solve run: the joint solve, plus the fallback
-  /// solve when any slot needs it. Safe to call concurrently.
-  void decide_multilink_per_link(const Query& q, std::span<MultiLinkDecision> out) const;
+  /// The re-election ladder's switch election for `q` from installed
+  /// link `stay` (link::elect_switch): stay's pinned decision and the
+  /// best other link when it clears (1 + commit_margin) times stay's
+  /// utility. With the set missing, empty or invalid, stay gets the
+  /// tagged single-link fallback and no link challenges it. Throws
+  /// std::invalid_argument when a usable set has no link `stay`. Counts
+  /// one exact call. Safe to call concurrently.
+  [[nodiscard]] SwitchDecision decide_switch(const Query& q, std::int32_t stay,
+                                             double commit_margin) const;
 
   /// True when `q` would be answered by the table path right now.
   [[nodiscard]] bool table_eligible(const Query& q) const noexcept;

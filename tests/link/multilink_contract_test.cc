@@ -20,6 +20,7 @@
 #include "fleet/engine.h"
 #include "link/multilink.h"
 #include "policy/service.h"
+#include "support/multilink_oracle.h"
 #include "support/proptest.h"
 #include "uav/failure.h"
 
@@ -98,31 +99,45 @@ TEST(MultiLinkContract, ForcedBurstElectionIsHonored) {
   const std::vector<const link::LinkBackend*> views = set->views();
   const link::MultiLinkParams p{1500.0, 10.0, 5e7, 20.0};
   const uav::FailureModel failure(1e-3);
-  const std::vector<link::MultiLinkResult> per_link =
-      link::optimize_multilink_per_link(views, p, failure);
-  ASSERT_EQ(per_link.size(), views.size());
+  // The reference pins the burst to each link in turn, and the switch
+  // election from link j answers with that very election, bit for bit.
+  std::vector<link::MultiLinkResult> pinned;
   for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    EXPECT_EQ(per_link[static_cast<std::size_t>(j)].burst_link, j);
+    pinned.push_back(legacy::ref::optimize_multilink(views, p, failure, {}, j));
+    EXPECT_EQ(pinned.back().burst_link, j);
+    const link::SwitchElection sw = link::elect_switch(views, p, failure, j, 0.0);
+    EXPECT_EQ(sw.stay.burst_link, j);
+    EXPECT_EQ(legacy::first_difference(sw.stay, pinned.back()), "") << "pinned=" << j;
   }
   // A free election picks the argmax over pinned elections — that very
   // element, bit for bit.
   const link::MultiLinkResult free = link::optimize_multilink(views, p, failure);
   for (int j = 0; j < static_cast<int>(views.size()); ++j) {
-    EXPECT_GE(free.decision.utility, per_link[static_cast<std::size_t>(j)].decision.utility)
+    EXPECT_GE(free.decision.utility, pinned[static_cast<std::size_t>(j)].decision.utility)
         << "pinned=" << j;
   }
   ASSERT_GE(free.burst_link, 0);
-  const link::MultiLinkResult& elected = per_link[static_cast<std::size_t>(free.burst_link)];
+  const link::MultiLinkResult& elected = pinned[static_cast<std::size_t>(free.burst_link)];
   EXPECT_EQ(free.decision.d_opt_m, elected.decision.d_opt_m);
   EXPECT_EQ(free.decision.utility, elected.decision.utility);
   EXPECT_EQ(free.decision.evaluations, elected.decision.evaluations);
   EXPECT_EQ(free.trickle_bytes, elected.trickle_bytes);
   EXPECT_EQ(free.trickle_by_link, elected.trickle_by_link);
+  // From any other link at margin 0 the switch election's challenger is
+  // that same election.
+  for (int j = 0; j < static_cast<int>(views.size()); ++j) {
+    if (j == free.burst_link) continue;
+    const link::SwitchElection sw = link::elect_switch(views, p, failure, j, 0.0);
+    EXPECT_EQ(sw.challenger.burst_link, free.burst_link) << "stay=" << j;
+    EXPECT_EQ(legacy::first_difference(sw.challenger, elected), "") << "stay=" << j;
+  }
   // Empty link list: no usable election.
   const link::MultiLinkResult none = link::optimize_multilink({}, p, failure);
   EXPECT_EQ(none.burst_link, -1);
   EXPECT_EQ(none.decision.utility, 0.0);
-  EXPECT_TRUE(link::optimize_multilink_per_link({}, p, failure).empty());
+  const link::SwitchElection nobody = link::elect_switch({}, p, failure, 0, 0.0);
+  EXPECT_EQ(nobody.stay.burst_link, -1);
+  EXPECT_EQ(nobody.challenger.burst_link, -1);
 }
 
 TEST(MultiLinkContract, TrickleBytesBasics) {
@@ -208,46 +223,46 @@ TEST(MultiLinkContract, ServiceBatchMatchesOneByOneAndValidates) {
     EXPECT_EQ(out[i].trickle_bytes, one.trickle_bytes);
   }
 
-  // Per-link elections: slot 1 is the election pinned to link 1, and the
-  // slot the free election picked is its answer, bit for bit. One solve
-  // answers all four slots.
+  // Switch elections: the stay decision is the election pinned to that
+  // link, and from any link but the elected one, at margin 0, the
+  // challenger is the free election's answer, bit for bit. One solve
+  // answers each.
   const std::uint64_t exact_before = service.counters().exact;
-  std::vector<policy::MultiLinkDecision> per_link(4);
-  service.decide_multilink_per_link(queries[2], per_link);
+  const policy::SwitchDecision from1 = service.decide_switch(queries[2], 1, 0.0);
   EXPECT_EQ(service.counters().exact, exact_before + 1);
-  EXPECT_EQ(per_link[1].burst_link, 1);
-  EXPECT_EQ(per_link[1].decision.fallback_reason, policy::FallbackReason::kNone);
-  const link::MultiLinkResult pinned =
-      link::optimize_multilink_per_link(
-          service.links()->views(),
-          {queries[2].d0_m, queries[2].speed_mps, queries[2].mdata_bytes,
-           queries[2].min_distance_m},
-          uav::FailureModel(queries[2].rho_per_m))[1];
-  EXPECT_EQ(per_link[1].decision.d_opt_m, pinned.decision.d_opt_m);
-  EXPECT_EQ(per_link[1].decision.utility, pinned.decision.utility);
-  EXPECT_EQ(per_link[1].trickle_bytes, pinned.trickle_bytes);
-  EXPECT_EQ(per_link[1].burst_bytes, pinned.burst_bytes);
+  EXPECT_EQ(from1.stay.burst_link, 1);
+  EXPECT_EQ(from1.stay.decision.fallback_reason, policy::FallbackReason::kNone);
+  const link::MultiLinkResult pinned = legacy::ref::optimize_multilink(
+      service.links()->views(),
+      {queries[2].d0_m, queries[2].speed_mps, queries[2].mdata_bytes, queries[2].min_distance_m},
+      uav::FailureModel(queries[2].rho_per_m), {}, 1);
+  EXPECT_EQ(from1.stay.decision.d_opt_m, pinned.decision.d_opt_m);
+  EXPECT_EQ(from1.stay.decision.utility, pinned.decision.utility);
+  EXPECT_EQ(from1.stay.trickle_bytes, pinned.trickle_bytes);
+  EXPECT_EQ(from1.stay.burst_bytes, pinned.burst_bytes);
   const std::int32_t elected = out[2].burst_link;
   ASSERT_GE(elected, 0);
-  const policy::MultiLinkDecision& same = per_link[static_cast<std::size_t>(elected)];
-  EXPECT_EQ(same.decision.d_opt_m, out[2].decision.d_opt_m);
-  EXPECT_EQ(same.decision.utility, out[2].decision.utility);
-  EXPECT_EQ(same.decision.evaluations, out[2].decision.evaluations);
-  EXPECT_EQ(same.trickle_bytes, out[2].trickle_bytes);
-  for (std::size_t j = 0; j < per_link.size(); ++j) {
-    EXPECT_EQ(per_link[j].burst_link, static_cast<std::int32_t>(j));
-    EXPECT_LE(per_link[j].decision.utility, out[2].decision.utility);
+  for (std::int32_t j = 0; j < 4; ++j) {
+    const policy::SwitchDecision sw = service.decide_switch(queries[2], j, 0.0);
+    EXPECT_EQ(sw.stay.burst_link, j);
+    EXPECT_LE(sw.stay.decision.utility, out[2].decision.utility);
+    const policy::MultiLinkDecision& same = j == elected ? sw.stay : sw.challenger;
+    EXPECT_EQ(same.burst_link, elected);
+    EXPECT_EQ(same.decision.d_opt_m, out[2].decision.d_opt_m);
+    EXPECT_EQ(same.decision.utility, out[2].decision.utility);
+    EXPECT_EQ(same.decision.evaluations, out[2].decision.evaluations);
+    EXPECT_EQ(same.trickle_bytes, out[2].trickle_bytes);
   }
 
   std::vector<policy::MultiLinkDecision> wrong(2);
   EXPECT_THROW(service.decide_multilink(queries, wrong), std::invalid_argument);
 }
 
-/// The per-link call degrades like n pinned decide_multilink_one calls
-/// would: every slot gets the tagged single-link fallback when no link
-/// set (or an empty one) is installed, and a slot past the installed
-/// set gets kInvalidBackend.
-TEST(MultiLinkContract, ServicePerLinkFallsBackPerSlot) {
+/// The switch election degrades like decide_multilink_one: with no link
+/// set (or an empty one) the stay decision is the tagged single-link
+/// fallback and no link challenges it. A stay link outside a usable set
+/// is an error.
+TEST(MultiLinkContract, ServiceSwitchElectionFallsBack) {
   const link::LinkBackendConfig cfg = link::LinkBackendConfig::wifi_80211n();
   const core::PaperLogThroughput model(cfg.wifi_a, cfg.wifi_b, cfg.name, cfg.wifi_scale,
                                        cfg.min_distance_m);
@@ -264,41 +279,33 @@ TEST(MultiLinkContract, ServicePerLinkFallsBackPerSlot) {
     const policy::MultiLinkDecision one = service->decide_multilink_one(q);
     EXPECT_EQ(one.decision.fallback_reason, policy::FallbackReason::kNoLinkSet);
     const std::uint64_t exact_before = service->counters().exact;
-    std::vector<policy::MultiLinkDecision> per_link(4);
-    service->decide_multilink_per_link(q, per_link);
+    const policy::SwitchDecision sw = service->decide_switch(q, 0, 0.0);
     EXPECT_EQ(service->counters().exact, exact_before + 1);
-    for (const policy::MultiLinkDecision& d : per_link) {
-      EXPECT_EQ(d.decision.fallback_reason, policy::FallbackReason::kNoLinkSet);
-      EXPECT_EQ(d.burst_link, -1);
-      EXPECT_EQ(d.trickle_bytes, 0.0);
-      EXPECT_EQ(d.burst_bytes, q.mdata_bytes);
-      EXPECT_EQ(d.decision.d_opt_m, one.decision.d_opt_m);
-      EXPECT_EQ(d.decision.utility, one.decision.utility);
-    }
+    const policy::MultiLinkDecision& d = sw.stay;
+    EXPECT_EQ(d.decision.fallback_reason, policy::FallbackReason::kNoLinkSet);
+    EXPECT_EQ(d.burst_link, -1);
+    EXPECT_EQ(d.trickle_bytes, 0.0);
+    EXPECT_EQ(d.burst_bytes, q.mdata_bytes);
+    EXPECT_EQ(d.decision.d_opt_m, one.decision.d_opt_m);
+    EXPECT_EQ(d.decision.utility, one.decision.utility);
+    EXPECT_EQ(sw.challenger.burst_link, -1);
   }
 
-  // Two links, three slots: the third slot is past the set.
+  // Two links: link 1 stays, link 2 is past the set.
   policy::DecisionService service(model);
   service.install_links(std::make_shared<const link::LinkSet>(
       std::vector<link::LinkBackendConfig>{cfg, link::LinkBackendConfig::cellular()}));
-  std::vector<policy::MultiLinkDecision> per_link(3);
-  service.decide_multilink_per_link(q, per_link);
-  EXPECT_EQ(per_link[0].burst_link, 0);
-  EXPECT_EQ(per_link[1].burst_link, 1);
-  EXPECT_EQ(per_link[2].burst_link, -1);
-  EXPECT_EQ(per_link[2].decision.fallback_reason, policy::FallbackReason::kInvalidBackend);
-  EXPECT_EQ(per_link[2].burst_bytes, q.mdata_bytes);
-
-  // No slots: nothing to solve.
+  EXPECT_EQ(service.decide_switch(q, 1, 0.05).stay.burst_link, 1);
   const std::uint64_t exact_before = service.counters().exact;
-  service.decide_multilink_per_link(q, {});
+  EXPECT_THROW((void)service.decide_switch(q, 2, 0.05), std::invalid_argument);
+  EXPECT_THROW((void)service.decide_switch(q, -1, 0.05), std::invalid_argument);
   EXPECT_EQ(service.counters().exact, exact_before);
 }
 
-/// With one installed link the per-link call has one slot, and it is the
-/// free election: for the 802.11n singleton that is core::optimize()'s
-/// answer bit for bit.
-TEST(MultiLinkContract, ServicePerLinkSingletonIsTheFreeElection) {
+/// With one installed link the switch election's stay decision is the
+/// free election, with nothing to switch to: for the 802.11n singleton
+/// that is core::optimize()'s answer bit for bit.
+TEST(MultiLinkContract, ServiceSwitchSingletonIsTheFreeElection) {
   const link::LinkBackendConfig cfg = link::LinkBackendConfig::wifi_80211n();
   const core::PaperLogThroughput model(cfg.wifi_a, cfg.wifi_b, cfg.name, cfg.wifi_scale,
                                        cfg.min_distance_m);
@@ -311,14 +318,14 @@ TEST(MultiLinkContract, ServicePerLinkSingletonIsTheFreeElection) {
     q.speed_mps = g.uniform(1.0, 25.0);
     q.mdata_bytes = g.uniform(1e5, 1e9);
     q.rho_per_m = g.chance(0.2) ? 0.0 : g.uniform(1e-5, 5e-3);
-    std::vector<policy::MultiLinkDecision> per_link(1);
-    service.decide_multilink_per_link(q, per_link);
+    const policy::SwitchDecision sw = service.decide_switch(q, 0, 0.0);
     const policy::MultiLinkDecision free = service.decide_multilink_one(q);
     const policy::Decision legacy = service.decide_one(q);
-    const policy::Decision& got = per_link[0].decision;
-    EXPECT_EQ(per_link[0].burst_link, 0);
-    EXPECT_EQ(per_link[0].trickle_bytes, 0.0);
-    EXPECT_EQ(per_link[0].burst_bytes, q.mdata_bytes);
+    const policy::Decision& got = sw.stay.decision;
+    EXPECT_EQ(sw.challenger.burst_link, -1);
+    EXPECT_EQ(sw.stay.burst_link, 0);
+    EXPECT_EQ(sw.stay.trickle_bytes, 0.0);
+    EXPECT_EQ(sw.stay.burst_bytes, q.mdata_bytes);
     for (const policy::Decision* want : {&free.decision, &legacy}) {
       EXPECT_EQ(got.d_opt_m, want->d_opt_m);
       EXPECT_EQ(got.utility, want->utility);
@@ -345,21 +352,19 @@ TEST(MultiLinkContract, ServiceConcurrentDecidesAreRaceFree) {
   q.mdata_bytes = 4e7;
   q.rho_per_m = 1e-3;
   const policy::MultiLinkDecision want = service.decide_multilink_one(q);
-  std::vector<policy::MultiLinkDecision> want_per_link(4);
-  service.decide_multilink_per_link(q, want_per_link);
+  const policy::SwitchDecision want_switch = service.decide_switch(q, 1, 0.0);
 
-  // Half the threads run free elections, half per-link solves, at once.
+  // Half the threads run free elections, half switch elections, at once.
   std::vector<std::thread> pool;
   std::vector<policy::MultiLinkDecision> got(8);
-  std::vector<std::vector<policy::MultiLinkDecision>> got_per_link(
-      8, std::vector<policy::MultiLinkDecision>(4));
+  std::vector<policy::SwitchDecision> got_switch(8);
   for (int t = 0; t < 8; ++t) {
     pool.emplace_back([&, t] {
       const auto ti = static_cast<std::size_t>(t);
       if (t % 2 == 0) {
         got[ti] = service.decide_multilink_one(q);
       } else {
-        service.decide_multilink_per_link(q, got_per_link[ti]);
+        got_switch[ti] = service.decide_switch(q, 1, 0.0);
       }
     });
   }
@@ -373,12 +378,13 @@ TEST(MultiLinkContract, ServiceConcurrentDecidesAreRaceFree) {
       EXPECT_EQ(d.trickle_bytes, want.trickle_bytes);
       continue;
     }
-    for (std::size_t j = 0; j < want_per_link.size(); ++j) {
-      const policy::MultiLinkDecision& d = got_per_link[t][j];
-      EXPECT_EQ(d.decision.d_opt_m, want_per_link[j].decision.d_opt_m);
-      EXPECT_EQ(d.decision.utility, want_per_link[j].decision.utility);
-      EXPECT_EQ(d.burst_link, want_per_link[j].burst_link);
-      EXPECT_EQ(d.trickle_bytes, want_per_link[j].trickle_bytes);
+    const policy::SwitchDecision& d = got_switch[t];
+    for (const auto& [g, w] : {std::pair{&d.stay, &want_switch.stay},
+                               std::pair{&d.challenger, &want_switch.challenger}}) {
+      EXPECT_EQ(g->decision.d_opt_m, w->decision.d_opt_m);
+      EXPECT_EQ(g->decision.utility, w->decision.utility);
+      EXPECT_EQ(g->burst_link, w->burst_link);
+      EXPECT_EQ(g->trickle_bytes, w->trickle_bytes);
     }
   }
 }

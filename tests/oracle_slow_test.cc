@@ -3,7 +3,8 @@
 // sim/binomial_oracle_test.cc, core/optimizer_oracle_test.cc and
 // link/multilink_oracle_test.cc at full size — two million doubles, the
 // compiler's default grid, ten million binomial inversions, 200k
-// single-link decisions and 40k joint (link, d) queries.
+// single-link decisions and 40k joint (link, d) queries, each with its
+// switch elections.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -51,6 +52,8 @@ TEST(MultiLinkOracleSlow, TwentyThousandRandomQueriesMatchTheReference) {
   EXPECT_EQ(t.mismatches, 0) << t.first_mismatch;
   EXPECT_GE(t.pruned_free * 2, t.multi_link_free);
   EXPECT_GE(t.grid_pruned_free * 2, t.bounded_free);
+  EXPECT_GE(t.switches_pruned * 2, t.switches);
+  EXPECT_GT(t.switches_committed, 0);
 }
 
 TEST(MultiLinkOracleSlow, TwentyThousandPaperFitQueriesMatchTheReference) {

@@ -5,18 +5,20 @@
 // forced election — kept verbatim together with the search schedule it
 // ran on. The production solve must reproduce it bit for bit: every
 // double is compared with memcmp, every int and enum with ==, for the
-// free election, for each per-link pinned election and for the
-// single-link decisions. The production solve prunes grid points and
-// links by utility bounds and evaluates a flat-rate link's trickle from
-// one path mean; the reference does neither, so the comparison also
-// proves those exact. The grid points a search evaluated
-// (grid_evaluated) depend on the pruning, so they are checked on their
-// own: never more than the grid, the whole grid wherever the solve scans
-// exhaustively.
+// free election, for the single-link decisions and for the switch
+// election from every link at three commit margins, whose answer the
+// reference gives by comparing its pinned elections. The production
+// solve prunes grid points and links by utility bounds and evaluates a
+// flat-rate link's trickle from one path mean; the reference does
+// neither, so the comparison also proves those exact. The grid points a
+// search evaluated (grid_evaluated) depend on the pruning, so they are
+// checked on their own: never more than the grid, the whole grid
+// wherever the solve scans exhaustively.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -245,6 +247,25 @@ inline link::MultiLinkResult optimize_multilink(const std::vector<const link::Li
   return r;
 }
 
+/// The switch election's challenger from the pinned elections
+/// `pinned[j]` (burst pinned to link j): the first link other than
+/// `stay` with the highest utility, when that utility is positive and at
+/// least (1 + margin) times stay's; -1 otherwise.
+inline int switch_challenger(const std::vector<link::MultiLinkResult>& pinned, int stay,
+                             double margin) {
+  int best = -1;
+  double best_u = 0.0;
+  for (int j = 0; j < static_cast<int>(pinned.size()); ++j) {
+    if (j == stay) continue;
+    if (pinned[static_cast<std::size_t>(j)].decision.utility > best_u) {
+      best = j;
+      best_u = pinned[static_cast<std::size_t>(j)].decision.utility;
+    }
+  }
+  const double stay_u = pinned[static_cast<std::size_t>(stay)].decision.utility;
+  return best >= 0 && best_u >= (1.0 + margin) * stay_u ? best : -1;
+}
+
 }  // namespace ref
 
 // ---- bitwise comparison ---------------------------------------------------
@@ -465,15 +486,56 @@ struct MultiLinkOracleTally {
   int mismatches{0};
   int multi_link_free{0};   ///< free elections over >= 2 links
   int pruned_free{0};       ///< ... that pruned at least one link
+  int links_pruned{0};      ///< ... links they pruned, in all
   int tied_free{0};         ///< ... whose winning utility another link ties
   int bounded_free{0};      ///< free elections whose grid stages may prune
   int grid_pruned_free{0};  ///< ... whose elected search skipped grid points
+  int switches{0};            ///< switch elections over >= 2 links
+  int switches_pruned{0};     ///< ... that pruned at least one challenger
+  int switches_committed{0};  ///< ... with a challenger
   std::string first_mismatch;
 };
 
+/// The commit margins every switch election is checked at: none, the
+/// fleet's default and one in [0, 0.5) drawn from the query's own bits,
+/// so every caller checks a third margin without a generator.
+inline std::array<double, 3> switch_margins(const link::MultiLinkParams& p) {
+  std::uint64_t state = std::bit_cast<std::uint64_t>(p.d0_m) ^
+                        std::bit_cast<std::uint64_t>(p.mdata_bytes) * 3 ^
+                        std::bit_cast<std::uint64_t>(p.speed_mps) * 5;
+  return {0.0, 0.05, 0.5 * static_cast<double>(proptest::splitmix64(state) >> 11) * 0x1.0p-53};
+}
+
+/// Empty when `got` is the switch election the reference's pinned
+/// elections `pinned` answer from link `stay` at `margin`, bit for bit,
+/// else the first field that differs.
+inline std::string switch_difference(const link::SwitchElection& got,
+                                     const std::vector<link::MultiLinkResult>& pinned, int stay,
+                                     double margin, const link::MultiLinkParams& p,
+                                     const core::OptimizeOptions& opt) {
+  std::string diff = first_difference(got.stay, pinned[static_cast<std::size_t>(stay)]);
+  if (diff.empty()) diff = grid_count_error(got.stay.decision.grid_evaluated, p, opt, "stay");
+  if (!diff.empty()) return "stay." + diff;
+  if (got.stay.links_pruned != 0) return "stay.links_pruned";
+  const int want = ref::switch_challenger(pinned, stay, margin);
+  if (got.challenger.burst_link != want)
+    return "challenger = " + std::to_string(got.challenger.burst_link) + ", want " +
+           std::to_string(want);
+  diff = want < 0 ? first_difference(got.challenger, link::MultiLinkResult{})
+                  : first_difference(got.challenger, pinned[static_cast<std::size_t>(want)]);
+  if (diff.empty() && want >= 0)
+    diff = grid_count_error(got.challenger.decision.grid_evaluated, p, opt, "challenger");
+  if (!diff.empty()) return "challenger." + diff;
+  if (got.challenger.links_pruned != 0) return "challenger.links_pruned";
+  if (got.links_pruned < 0 || got.links_pruned >= static_cast<int>(pinned.size()))
+    return "links_pruned = " + std::to_string(got.links_pruned);
+  return {};
+}
+
 /// Solves one query every way the production solver offers — the free
-/// election, every pinned election and the single-link decisions — and
-/// compares each against the reference bit for bit.
+/// election, the single-link decisions and the switch election from
+/// every link at every switch_margins() margin — and compares each
+/// against the reference bit for bit.
 inline void check_query(const std::vector<const link::LinkBackend*>& links,
                         const link::MultiLinkParams& p, const uav::FailureModel& failure,
                         const core::OptimizeOptions& opt, const std::string& context,
@@ -502,6 +564,7 @@ inline void check_query(const std::vector<const link::LinkBackend*>& links,
   if (links.size() > 1) {
     ++t.multi_link_free;
     if (free.links_pruned > 0) ++t.pruned_free;
+    t.links_pruned += free.links_pruned;
   }
   const int n = core::grid_size(opt);
   if (p.d0_m > p.min_distance_m && n <= core::kMaxPrunedGrid && std::isfinite(p.speed_mps) &&
@@ -517,21 +580,25 @@ inline void check_query(const std::vector<const link::LinkBackend*>& links,
     diff = grid_count_error(single[k].grid_evaluated, p, opt, "single[" + std::to_string(k) + "]");
   report(diff, "single-link decisions");
 
-  const std::vector<link::MultiLinkResult> per_link =
-      link::optimize_multilink_per_link(links, p, failure, opt);
-  for (int j = 0; j < static_cast<int>(links.size()); ++j) {
-    const std::string which = "per-link election " + std::to_string(j);
-    if (per_link.size() != links.size()) {
-      report("size", which);
-      break;
+  std::vector<link::MultiLinkResult> pinned;
+  for (int j = 0; j < static_cast<int>(links.size()); ++j)
+    pinned.push_back(ref::optimize_multilink(links, p, failure, opt, j));
+  for (int stay = 0; stay < static_cast<int>(links.size()); ++stay) {
+    for (const double margin : switch_margins(p)) {
+      const link::SwitchElection got = link::elect_switch(links, p, failure, stay, margin, opt);
+      std::ostringstream which;
+      which.precision(17);
+      which << "switch election from link " << stay << " at margin " << margin;
+      report(switch_difference(got, pinned, stay, margin, p, opt), which.str());
+      if (links.size() > 1) {
+        ++t.switches;
+        if (got.links_pruned > 0) ++t.switches_pruned;
+        if (got.challenger.burst_link >= 0) ++t.switches_committed;
+      }
+      if (margin == 0.0 && stay != free.burst_link &&
+          same_bits(got.stay.decision.utility, free.decision.utility))
+        ++t.tied_free;
     }
-    const link::MultiLinkResult& got = per_link[static_cast<std::size_t>(j)];
-    diff = first_difference(got, ref::optimize_multilink(links, p, failure, opt, j));
-    if (diff.empty()) diff = grid_count_error(got.decision.grid_evaluated, p, opt, "decision");
-    if (diff.empty() && got.links_pruned != 0) diff = "links_pruned";
-    report(diff, which);
-    if (j != free.burst_link && same_bits(got.decision.utility, free.decision.utility))
-      ++t.tied_free;
   }
 }
 
